@@ -25,7 +25,6 @@ from .grades import (
     Grade,
     SignedBarcode,
     as_grade,
-    join,
     leq,
 )
 
@@ -292,82 +291,70 @@ def direct_sum(*presentations: Presentation) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# plain Gaussian elimination utilities (column dicts keyed by row index)
+# column reduction (sparse columns as dicts keyed by row index)
 
 
-def _rank(cols: list[dict], p: int) -> int:
-    """Rank of the matrix with the given sparse columns, by elimination."""
-    pivots: dict[int, dict] = {}
-    rank = 0
-    for col in cols:
+class _Reducer:
+    """Column echelon form over F_p, the one elimination loop here.
+
+    A column is reduced while its largest row is the pivot of a stored
+    column; a tracked combination ``comb`` (position -> coeff), when
+    given, undergoes the same operations.
+    """
+
+    __slots__ = ("p", "pivots")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, tuple[dict, dict | None]] = {}
+
+    def reduce(self, col: dict, comb: dict | None = None) -> dict:
+        """A reduced copy of ``col``: zero, or with a non-pivot largest row."""
+        p, pivots = self.p, self.pivots
         cur = dict(col)
         while cur:
             r = max(cur)
-            if r not in pivots:
-                pivots[r] = cur
-                rank += 1
+            hit = pivots.get(r)
+            if hit is None:
                 break
-            piv = pivots[r]
-            _submul(cur, piv, (cur[r] * _inv(piv[r], p)) % p, p)
-    return rank
+            piv, pivcomb = hit
+            f = (cur[r] * _inv(piv[r], p)) % p
+            _submul(cur, piv, f, p)
+            if comb is not None:
+                _submul(comb, pivcomb, f, p)
+        return cur
+
+    def insert(self, col: dict, comb: dict | None = None) -> dict:
+        """Reduce ``col`` and keep it as a pivot column unless it is zero."""
+        cur = self.reduce(col, comb)
+        if cur:
+            self.pivots[max(cur)] = (cur, comb)
+        return cur
 
 
 def _nullspace(cols: list[dict], p: int) -> list[dict]:
-    """Combination vectors (position -> coeff) spanning the kernel.
-
-    Columns are reduced left to right with pivot = largest row index;
-    a column that reduces to zero contributes the tracked combination.
+    """Kernel basis: the tracked combinations (position -> coeff) of the
+    columns that reduce to zero, left to right.
     """
-    pivots: dict[int, tuple[dict, dict]] = {}
+    red = _Reducer(p)
     out = []
     for idx, col in enumerate(cols):
-        cur = dict(col)
         comb = {idx: 1}
-        while cur:
-            r = max(cur)
-            if r not in pivots:
-                pivots[r] = (cur, comb)
-                break
-            piv, pivcomb = pivots[r]
-            f = (cur[r] * _inv(piv[r], p)) % p
-            _submul(cur, piv, f, p)
-            _submul(comb, pivcomb, f, p)
-        else:
+        if not red.insert(col, comb):
             out.append(comb)
     return out
 
 
 def _solve_in_span(basis: list[dict], target: dict, p: int) -> list[int] | None:
     """Coefficients x with sum(x_k * basis[k]) == target, or None."""
-    pivots: dict[int, tuple[dict, dict]] = {}
+    red = _Reducer(p)
     for k, col in enumerate(basis):
-        cur = dict(col)
-        comb = {k: 1}
-        while cur:
-            r = max(cur)
-            if r not in pivots:
-                pivots[r] = (cur, comb)
-                break
-            piv, pivcomb = pivots[r]
-            f = (cur[r] * _inv(piv[r], p)) % p
-            _submul(cur, piv, f, p)
-            _submul(comb, pivcomb, f, p)
-    cur = dict(target)
-    x: dict[int, int] = {}
-    while cur:
-        r = max(cur)
-        if r not in pivots:
-            return None
-        piv, pivcomb = pivots[r]
-        f = (cur[r] * _inv(piv[r], p)) % p
-        _submul(cur, piv, f, p)
-        for k, v in pivcomb.items():
-            x[k] = (x.get(k, 0) + f * v) % p
-    return [x.get(k, 0) % p for k in range(len(basis))]
-
-
-def _in_span(basis: list[dict], target: dict, p: int) -> bool:
-    return _solve_in_span(basis, target, p) is not None
+        red.insert(col, {k: 1})
+    comb: dict[int, int] = {}
+    if red.reduce(target, comb):
+        return None
+    # the reduction subtracted sum(x_k * basis[k]) from target
+    return [-comb.get(k, 0) % p for k in range(len(basis))]
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +409,7 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     kept: list[int] = []
     for j in col_order():
         allowed = [cols[k] for k in kept if leq(col_grades[k], col_grades[j])]
-        if not _in_span(allowed, cols[j], p):
+        if _solve_in_span(allowed, cols[j], p) is None:
             kept.append(j)
     kept.sort()
 
@@ -454,29 +441,34 @@ def pointwise_dim(pres: Presentation, x) -> int:
         raise DimensionMismatch("query grade has wrong dimension")
     gens_in = sum(1 for g in pres.gens if leq(g, x))
     cols = pres.rels.columns()
-    sel = [cols[j] for j, c in enumerate(pres.rels.col_grades) if leq(c, x)]
-    return gens_in - _rank(sel, pres.field)
+    rank = _Reducer(pres.field)
+    for j, c in enumerate(pres.rels.col_grades):
+        if leq(c, x):
+            rank.insert(cols[j])
+    return gens_in - len(rank.pivots)
 
 
 def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedMatrix]:
     """Minimal generators of the kernel of a graded matrix (n <= 2).
 
-    Sweeps the finite grid of column-grade coordinates in colexicographic
-    order.  At each grid point the kernel of the fiber submatrix is
-    computed by column reduction with tracked combinations, and any
-    kernel vectors independent of the generators already found are
-    recorded with the current grid point as their grade; that grade
-    always equals the coordinate-wise join of the grades of the columns
-    participating in the combination.  Returns the multiset of kernel
-    generator grades and the inclusion matrix whose columns express the
-    generators in ``m``'s column basis (column order of the inclusion =
-    discovery order).
+    Column grades become index pairs ``(i, j)`` on the sorted axes (``j``
+    = 0 in one parameter), swept in colexicographic order.  A point is
+    visited only if some column has x index ``i`` and y index <= ``j`` and
+    some column has y index ``j`` and x index <= ``i``.  Elsewhere its
+    fiber columns are none or those of its left or lower neighbour, whose
+    kernel is spanned by the generators found there, so none is born.  At
+    a visited point the fiber kernel comes from column reduction in column
+    order; each kernel vector independent of the generators at or below
+    the point is normalized and recorded with the point (the join of its
+    columns' grades) as grade.  Returns the generator grades and the
+    inclusion matrix of the generators in ``m``'s column basis, in
+    discovery order.
 
-    With ``verify`` (default), the result is checked exhaustively: at
-    every grid point the number of generators born must equal the
-    corank of the fiber submatrix, computed by independent elimination.
-    A failure raises :class:`KernelCheckError` instead of returning a
-    wrong answer.
+    With ``verify`` (default), :class:`KernelCheckError` is raised unless
+    at every grid point the generators born at or below it number the
+    corank of its fiber.  The check shares no step with the sweep: per x
+    index, columns go in y order into a rank-only reducer that persists up
+    that column of grid points, and the counts are 2-D prefix sums of births.
     """
     _require_valid(m)
     p = m.field
@@ -488,66 +480,74 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     col_grades = m.col_grades
     cols = m.columns()
     C = len(col_grades)
-    if C == 0:
-        inc = GradedMatrix(col_grades, (), {}, field=p, dim=n)
-        return Barcode((), dim=n), inc
+    xs = sorted({g[0] for g in col_grades})
+    ys = sorted({g[1] for g in col_grades}) if n == 2 else [0.0]
+    ix, iy = {v: i for i, v in enumerate(xs)}, {v: i for i, v in enumerate(ys)}
+    cx = [ix[g[0]] for g in col_grades]
+    cy = [iy[g[1]] for g in col_grades] if n == 2 else [0] * C
+    nx, ny = len(xs), len(ys)
 
-    axes = [sorted({g[k] for g in col_grades}) for k in range(n)]
-    if n == 1:
-        grid = [(x,) for x in axes[0]]
-    else:
-        grid = [(x, y) for y in axes[1] for x in axes[0]]
+    # low_y[i]: least y index of a column at x index i; low_x likewise
+    low_y, low_x = [ny] * nx, [nx] * ny
+    for i, j in zip(cx, cy):
+        low_y[i] = min(low_y[i], j)
+        low_x[j] = min(low_x[j], i)
 
-    gens: list[tuple[Grade, dict]] = []
-    for pt in grid:
-        sel = [j for j in range(C) if leq(col_grades[j], pt)]
-        if not sel:
-            continue
-        null = _nullspace([cols[j] for j in sel], p)
-        if not null:
-            continue
-        ech: dict[int, dict] = {}
-        for g, vec in gens:
-            if leq(g, pt):
-                cur = dict(vec)
-                while cur:
-                    r = max(cur)
-                    if r not in ech:
-                        ech[r] = cur
-                        break
-                    _submul(cur, ech[r], (cur[r] * _inv(ech[r][r], p)) % p, p)
-        for comb in null:
-            cur = {sel[pos]: v for pos, v in comb.items()}
-            while cur:
-                r = max(cur)
-                if r not in ech:
-                    inv = _inv(cur[r], p)
-                    cur = {k: (v * inv) % p for k, v in cur.items()}
-                    ech[r] = cur
-                    assert join(*(col_grades[k] for k in cur)) == pt
-                    gens.append((pt, cur))
-                    break
-                _submul(cur, ech[r], (cur[r] * _inv(ech[r][r], p)) % p, p)
+    gens: list[tuple[int, int, dict]] = []
+    for j in range(ny):
+        for i in range(low_x[j], nx):
+            if low_y[i] > j:
+                continue
+            sel = [k for k in range(C) if cx[k] <= i and cy[k] <= j]
+            null = _nullspace([cols[k] for k in sel], p)
+            if not null:
+                continue
+            ech = _Reducer(p)
+            for gi, gj, vec in gens:
+                if gi <= i and gj <= j:
+                    ech.insert(vec)
+            for comb in null:
+                cur = ech.reduce({sel[pos]: v for pos, v in comb.items()})
+                if not cur:
+                    continue
+                inv = _inv(cur[max(cur)], p)
+                cur = {k: (v * inv) % p for k, v in cur.items()}
+                if (max(cx[k] for k in cur), max(cy[k] for k in cur)) != (i, j):
+                    raise KernelCheckError(
+                        "kernel_basis: generator born at grade %r is not the "
+                        "join of the grades of its columns" % ((xs[i], ys[j])[:n],)
+                    )
+                ech.insert(cur)
+                gens.append((i, j, cur))
 
     if verify:
-        for pt in grid:
-            sel = [cols[j] for j, c in enumerate(col_grades) if leq(c, pt)]
-            expected = len(sel) - _rank(sel, p)
-            got = sum(1 for g, _ in gens if leq(g, pt))
-            if got != expected:
-                raise KernelCheckError(
-                    "kernel rank check failed at grade %r: %d generators born, "
-                    "fiber kernel has dimension %d" % (pt, got, expected)
-                )
+        by_x = [[gj for gi, gj, _ in gens if gi == i] for i in range(nx)]
+        by_y = [[k for k in range(C) if cy[k] == j] for j in range(ny)]
+        born = [0] * ny  # born[j]: generators at y index j, x index <= i
+        for i in range(nx):
+            for j in by_x[i]:
+                born[j] += 1
+            red = _Reducer(p)
+            got = corank = 0
+            for j in range(ny):
+                got += born[j]
+                for k in by_y[j]:
+                    if cx[k] <= i and not red.insert(cols[k]):
+                        corank += 1
+                if got != corank:
+                    raise KernelCheckError(
+                        "kernel_basis: kernel rank check failed at grade %r: "
+                        "%d generators born, fiber kernel has dimension %d"
+                        % ((xs[i], ys[j])[:n], got, corank)
+                    )
 
+    grades = [(xs[i], ys[j])[:n] for i, j, _ in gens]
     entries = {}
-    for k, (_, vec) in enumerate(gens):
+    for k, (_, _, vec) in enumerate(gens):
         for i, v in vec.items():
             entries[(i, k)] = v
-    inc = GradedMatrix(
-        col_grades, tuple(g for g, _ in gens), entries, field=p, dim=n
-    )
-    return Barcode([g for g, _ in gens], dim=n), inc
+    inc = GradedMatrix(col_grades, tuple(grades), entries, field=p, dim=n)
+    return Barcode(grades, dim=n), inc
 
 
 @dataclass(frozen=True)
@@ -627,7 +627,8 @@ def homology_presentation(chain: ChainPair) -> Presentation:
         coeffs = _solve_in_span([basis[k] for k in allowed], fcols[j], p)
         if coeffs is None:
             raise RuntimeError(
-                "column %d of f is not in the kernel of g at its grade" % j
+                "homology_presentation: column %d of f (grade %r) is not in "
+                "the kernel of g at its grade" % (j, cgrade)
             )
         rel_specs.append(
             (cgrade, {allowed[k]: v for k, v in enumerate(coeffs) if v})

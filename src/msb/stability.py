@@ -23,7 +23,6 @@ from dataclasses import dataclass, field as dataclass_field
 from .algebra import betti
 from .generators import PerturbSpec, SplitMix64, gen_random, perturb
 from .grades import reduce_signed
-from .hilbert import hilbert_eval  # noqa: F401  (re-exported convenience)
 from .matching import bottleneck_signed, wasserstein_signed
 
 #: Two-parameter factor for the bottleneck bound.

@@ -1,5 +1,7 @@
 """Graded matrices, minimization, kernels, Betti barcodes, homology."""
 
+import hashlib
+
 import pytest
 
 from msb import (
@@ -24,6 +26,7 @@ from msb import (
     pointwise_dim,
     validate_graded,
 )
+from msb import algebra
 from msb.algebra import direct_sum
 
 
@@ -231,11 +234,39 @@ def test_kernel_rank_identity_random():
                 assert ker_below == ncols_below - rank_below
 
 
+def test_kernel_output_pinned_on_random_corpus():
+    # generator grades, inclusion columns and their coefficients are
+    # pinned over the corpus above, raw and minimized, so a faster sweep
+    # must find exactly the same kernel vectors in the same order
+    digest = hashlib.sha256()
+    rng = SplitMix64(31)
+    for trial in range(120):
+        p = gen_random(5000 + trial, 1 + rng.below(6), rng.below(7), 5)
+        for m in (p.rels, minimize_presentation(p).rels):
+            bars, inc = kernel_basis(m)
+            digest.update(repr((bars.bars, inc.col_grades, sorted(inc.entries.items()))).encode())
+    assert digest.hexdigest() == "c3fd6042188d2e56fa6bba9a76540e2c94617ef2b6a19258481048fe7f49f0ab"
+
+
 def test_kernel_verify_flag_runs_clean():
     rng = SplitMix64(37)
     for trial in range(100):
         p = gen_random(6000 + trial, 1 + rng.below(6), rng.below(7), 5)
         kernel_basis(p.rels, verify=True)
+
+
+def test_kernel_check_catches_a_dropped_vector(monkeypatch):
+    # the exhaustive check shares no step with the sweep: when the sweep's
+    # nullspace loses a vector the unchecked kernel is wrong, and the
+    # checked one is refused at the grade where the generator is missing
+    m = GradedMatrix([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], {(0, 0): 1, (0, 1): 1})
+    good, _ = kernel_basis(m)
+    nullspace = algebra._nullspace
+    monkeypatch.setattr(algebra, "_nullspace", lambda cols, p: nullspace(cols, p)[:-1])
+    with pytest.raises(KernelCheckError, match=r"kernel_basis: .* grade \(1\.0, 1\.0\)"):
+        kernel_basis(m)
+    bad, _ = kernel_basis(m, verify=False)
+    assert bad != good
 
 
 def test_kernel_one_param():
@@ -350,6 +381,21 @@ def test_homology_of_staged_cycle():
     res = betti(pres)
     assert res.by_degree[0].bars == ((1.0, 1.0),)
     assert res.by_degree[1].bars == ()
+
+
+def test_homology_error_names_stage_column_and_grade(monkeypatch):
+    # with a kernel that lost its generator, the boundary of the triangle
+    # cannot be written in the kernel basis
+    g = GradedMatrix(
+        [(0.0, 0.0)] * 3,
+        [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+        {(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 1, (0, 2): 1, (2, 2): 1},
+    )
+    f = GradedMatrix(g.col_grades, [(2.0, 2.0)], {(0, 0): 1, (1, 0): 1, (2, 0): 1})
+    empty = GradedMatrix(g.col_grades, [], {}, dim=2)
+    monkeypatch.setattr(algebra, "kernel_basis", lambda m: (Barcode((), dim=2), empty))
+    with pytest.raises(RuntimeError, match=r"homology_presentation: column 0 .*\(2\.0, 2\.0\)"):
+        homology_presentation(ChainPair(f=f, g=g))
 
 
 def test_homology_matches_rank_oracle():

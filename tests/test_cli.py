@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, formats, exit codes."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ except ModuleNotFoundError:  # Python 3.10: tomli is the same parser
 
 from msb import (
     Presentation,
+    SplitMix64,
     betti,
     gen_chain,
     gen_free,
@@ -240,6 +242,56 @@ def test_ingest_pipeline(capsys, tmp_path):
     pres = parse_presentation(out_path.read_text())
     res = betti(pres)
     assert res.by_degree[0].bars == ((1.0, 1.0),)
+
+
+def lower_star_square(seed, n, levels):
+    """Lower-star bifiltration of the triangulated n x n grid over F_2.
+
+    Each vertex gets two seeded values in {0..levels-1}; an edge or a
+    triangle is born at the join of its vertices.
+    """
+    rng = SplitMix64(seed)
+    vals = [(float(rng.below(levels)), float(rng.below(levels))) for _ in range(n * n)]
+    cells = []
+
+    def add(dim, verts, faces):
+        grade = tuple(max(vals[v][k] for v in verts) for k in (0, 1))
+        cells.append(Cell(dim, grade, tuple((f, 1) for f in sorted(faces))))
+        return len(cells) - 1
+
+    for v in range(n * n):
+        add(0, [v], [])
+    edge = {}
+    for r in range(n):
+        for c in range(n):
+            for r2, c2 in ((r, c + 1), (r + 1, c), (r + 1, c + 1)):
+                if r2 < n and c2 < n:
+                    u, v = r * n + c, r2 * n + c2
+                    edge[u, v] = add(1, [u, v], [u, v])
+    for r in range(n - 1):
+        for c in range(n - 1):
+            a, b, d, e = r * n + c, r * n + c + 1, (r + 1) * n + c, (r + 1) * n + c + 1
+            add(2, [a, b, e], [edge[a, b], edge[b, e], edge[a, e]])
+            add(2, [a, d, e], [edge[a, d], edge[d, e], edge[a, e]])
+    return Bifiltration(cells, 2)
+
+
+@pytest.mark.parametrize(
+    "degree, digest",
+    [
+        (0, "925e97486259d21733956f0320860a5cb724dfd419e2312bf5002c68e22c5860"),
+        (1, "81f0d3cf98d175c445ecc7e0406c12d89dc2ad7d58b6ff64cf11c0c4d61cb804"),
+    ],
+)
+def test_ingest_output_bytes_pinned(capsys, tmp_path, degree, digest):
+    # the ingest output of a seeded 5x5 lower-star grid at 50 levels is
+    # pinned byte for byte, so a kernel rewrite cannot move a generator,
+    # a relation or a coefficient unnoticed
+    src = tmp_path / "grid.mbif"
+    src.write_text(serialize_bifiltration(lower_star_square(20240, 5, 50)))
+    code, out, err = run(capsys, "ingest", str(src), "--degree", str(degree))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_check_stability_reports_and_passes(capsys):
