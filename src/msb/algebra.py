@@ -345,18 +345,6 @@ def _nullspace(cols: list[dict], p: int) -> list[dict]:
     return out
 
 
-def _solve_in_span(basis: list[dict], target: dict, p: int) -> list[int] | None:
-    """Coefficients x with sum(x_k * basis[k]) == target, or None."""
-    red = _Reducer(p)
-    for k, col in enumerate(basis):
-        red.insert(col, {k: 1})
-    comb: dict[int, int] = {}
-    if red.reduce(target, comb):
-        return None
-    # the reduction subtracted sum(x_k * basis[k]) from target
-    return [-comb.get(k, 0) % p for k in range(len(basis))]
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -378,15 +366,13 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     cols = pres.rels.columns()
     row_alive = [True] * len(row_grades)
     col_alive = [True] * len(col_grades)
-
-    def col_order():
-        live = [j for j in range(len(col_grades)) if col_alive[j]]
-        live.sort(key=lambda j: (_colex(col_grades[j]), j))
-        return live
+    order = sorted(range(len(col_grades)), key=lambda j: (_colex(col_grades[j]), j))
 
     while True:
         target = None
-        for j in col_order():
+        for j in order:
+            if not col_alive[j]:
+                continue
             cands = [i for i in cols[j] if row_grades[i] == col_grades[j]]
             if cands:
                 i = max(cands, key=lambda i: (_colex(row_grades[i]), i))
@@ -407,9 +393,14 @@ def minimize_presentation(pres: Presentation) -> Presentation:
         row_alive[i] = False
 
     kept: list[int] = []
-    for j in col_order():
-        allowed = [cols[k] for k in kept if leq(col_grades[k], col_grades[j])]
-        if _solve_in_span(allowed, cols[j], p) is None:
+    for j in order:
+        if not col_alive[j]:
+            continue
+        span = _Reducer(p)
+        for k in kept:
+            if leq(col_grades[k], col_grades[j]):
+                span.insert(cols[k])
+        if span.reduce(cols[j]):
             kept.append(j)
     kept.sort()
 
@@ -614,25 +605,33 @@ def homology_presentation(chain: ChainPair) -> Presentation:
 
     Generators are the kernel generators of ``g``; each column of ``f``
     is rewritten in that basis to produce one relation at the column's
-    grade.
+    grade.  The generators of a free module are linearly independent, so
+    one reducer over them gives each column its unique coefficients; the
+    column must reduce to zero using only generators at or below its grade.
     """
     p = chain.g.field
-    kgrades, inc = kernel_basis(chain.g)
-    basis = inc.columns()
+    _, inc = kernel_basis(chain.g)
     gen_grades = inc.col_grades
+    span = _Reducer(p)
+    for k, col in enumerate(inc.columns()):
+        if not span.insert(col, {k: 1}):
+            raise RuntimeError(
+                "homology_presentation: kernel generator %d (grade %r) depends "
+                "linearly on the generators before it" % (k, gen_grades[k])
+            )
     fcols = chain.f.columns()
     rel_specs = []
     for j, cgrade in enumerate(chain.f.col_grades):
-        allowed = [k for k in range(len(gen_grades)) if leq(gen_grades[k], cgrade)]
-        coeffs = _solve_in_span([basis[k] for k in allowed], fcols[j], p)
-        if coeffs is None:
+        comb: dict[int, int] = {}
+        if span.reduce(fcols[j], comb) or not all(
+            leq(gen_grades[k], cgrade) for k in comb
+        ):
             raise RuntimeError(
                 "homology_presentation: column %d of f (grade %r) is not in "
                 "the kernel of g at its grade" % (j, cgrade)
             )
-        rel_specs.append(
-            (cgrade, {allowed[k]: v for k, v in enumerate(coeffs) if v})
-        )
+        # the reduction subtracted sum(x_k * generator k) from the column
+        rel_specs.append((cgrade, {k: -comb[k] % p for k in sorted(comb)}))
     return Presentation.from_relations(
         gen_grades, rel_specs, field=p, dim=chain.g.dim
     )

@@ -2,18 +2,14 @@
 
 Exit codes: 0 success, 1 usage error, 2 parse or validity error,
 3 stability assertion failure.  Values go to stdout, diagnostics to
-stderr.  Output is byte-deterministic for fixed inputs; the
-``MSB_THREADS`` environment variable caps worker threads where a
-command fans out over many inputs.
+stderr.  Output is byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .algebra import Presentation, betti
@@ -190,14 +186,11 @@ def cmd_dist(args) -> int:
         )
         if not names:
             raise _CliError("no common file names under %s and %s" % (a, b), DATA_ERROR)
-        env = os.environ.get("MSB_THREADS")
-        workers = max(1, int(env)) if env else min(8, os.cpu_count() or 1)
-
-        def one(name):
-            return compute(_load_signed(str(a / name)), _load_signed(str(b / name)))
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, names))
+        # compare every pair first, so a bad file leaves stdout empty
+        results = [
+            compute(_load_signed(str(a / name)), _load_signed(str(b / name)))
+            for name in names
+        ]
         for name, res in zip(names, results):
             sys.stdout.write("%s %s\n" % (name, fmt_float(res.value)))
         return 0

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -117,15 +116,29 @@ def _hopcroft_karp(adj: list[list[int]], match_l: list[int], match_r: list[int])
                 break
     dist = [0] * K
 
-    def dfs(i: int) -> bool:
-        for j in adj[i]:
-            i2 = match_r[j]
-            if i2 < 0 or (dist[i2] == dist[i] + 1 and dfs(i2)):
-                match_l[i] = j
-                match_r[j] = i
-                return True
-        dist[i] = INF
-        return False
+    def augment(root: int) -> None:
+        # depth-first search for an augmenting path along layers of dist,
+        # with an explicit stack; neighbours are scanned in adjacency order
+        stack = [(root, iter(adj[root]))]
+        path: list[int] = []  # path[d]: right vertex taken from stack[d]
+        while stack:
+            i, it = stack[-1]
+            for j in it:
+                i2 = match_r[j]
+                if i2 < 0:
+                    for (i3, _), j3 in zip(stack, path + [j]):
+                        match_l[i3] = j3
+                        match_r[j3] = i3
+                    return
+                if dist[i2] == dist[i] + 1:
+                    path.append(j)
+                    stack.append((i2, iter(adj[i2])))
+                    break
+            else:
+                dist[i] = INF
+                stack.pop()
+                if path:
+                    path.pop()
 
     while True:
         q = deque()
@@ -149,7 +162,7 @@ def _hopcroft_karp(adj: list[list[int]], match_l: list[int], match_r: list[int])
             return
         for i in range(K):
             if match_l[i] < 0:
-                dfs(i)
+                augment(i)
 
 
 def _feasible_at(D: np.ndarray, t: float, match_l: list[int], match_r: list[int]) -> bool:
@@ -165,12 +178,7 @@ def _feasible_at(D: np.ndarray, t: float, match_l: list[int], match_r: list[int]
             match_l[i] = -1
             match_r[j] = -1
     adj = [np.flatnonzero(D[i] <= t).tolist() for i in range(K)]
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * K + 1000))
-    try:
-        _hopcroft_karp(adj, match_l, match_r)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    _hopcroft_karp(adj, match_l, match_r)
     return all(j >= 0 for j in match_l)
 
 

@@ -383,19 +383,48 @@ def test_homology_of_staged_cycle():
     assert res.by_degree[1].bars == ()
 
 
-def test_homology_error_names_stage_column_and_grade(monkeypatch):
-    # with a kernel that lost its generator, the boundary of the triangle
-    # cannot be written in the kernel basis
+def _triangle_with_kernel(gens):
+    # a triangle's boundary pair, with kernel_basis replaced by one that
+    # returns the given (grade, column) generators of g's kernel
     g = GradedMatrix(
         [(0.0, 0.0)] * 3,
         [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
         {(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 1, (0, 2): 1, (2, 2): 1},
     )
     f = GradedMatrix(g.col_grades, [(2.0, 2.0)], {(0, 0): 1, (1, 0): 1, (2, 0): 1})
-    empty = GradedMatrix(g.col_grades, [], {}, dim=2)
-    monkeypatch.setattr(algebra, "kernel_basis", lambda m: (Barcode((), dim=2), empty))
+    entries = {(i, k): v for k, (_, col) in enumerate(gens) for i, v in col.items()}
+    inc = GradedMatrix(g.col_grades, [grade for grade, _ in gens], entries, dim=2)
+    kernel = (Barcode([grade for grade, _ in gens], dim=2), inc)
+    return ChainPair(f=f, g=g), lambda m: kernel
+
+
+def test_homology_error_names_stage_column_and_grade(monkeypatch):
+    # with a kernel that lost its generator, the boundary of the triangle
+    # cannot be written in the kernel basis
+    chain, kernel = _triangle_with_kernel([])
+    monkeypatch.setattr(algebra, "kernel_basis", kernel)
     with pytest.raises(RuntimeError, match=r"homology_presentation: column 0 .*\(2\.0, 2\.0\)"):
-        homology_presentation(ChainPair(f=f, g=g))
+        homology_presentation(chain)
+
+
+def test_homology_error_when_generator_is_born_too_late(monkeypatch):
+    # the cycle spans f's column, but only from grade (3, 3) on, above the
+    # column's grade (2, 2)
+    chain, kernel = _triangle_with_kernel([((3.0, 3.0), {0: 1, 1: 1, 2: 1})])
+    monkeypatch.setattr(algebra, "kernel_basis", kernel)
+    with pytest.raises(RuntimeError, match=r"homology_presentation: column 0 .*\(2\.0, 2\.0\)"):
+        homology_presentation(chain)
+
+
+def test_homology_error_when_generators_are_dependent(monkeypatch):
+    cycle = ((1.0, 1.0), {0: 1, 1: 1, 2: 1})
+    chain, kernel = _triangle_with_kernel([cycle])
+    monkeypatch.setattr(algebra, "kernel_basis", kernel)
+    assert homology_presentation(chain).rels.entries == {(0, 0): 1}
+    chain, kernel = _triangle_with_kernel([cycle, cycle])
+    monkeypatch.setattr(algebra, "kernel_basis", kernel)
+    with pytest.raises(RuntimeError, match=r"homology_presentation: kernel generator 1 .*depends"):
+        homology_presentation(chain)
 
 
 def test_homology_matches_rank_oracle():

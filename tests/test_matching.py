@@ -27,6 +27,7 @@ from msb import (
     wasserstein,
     wasserstein_signed,
 )
+from msb.matching import _hopcroft_karp
 
 EMPTY = SignedBarcode(Barcode([], dim=2), Barcode([], dim=2))
 
@@ -82,6 +83,18 @@ def test_eps_bijection_diagonal_swap():
 
 def test_eps_bijection_cardinality_mismatch_is_false():
     assert not eps_bijection_exists(Barcode([(0.0, 0.0)]), Barcode([], dim=2), 10.0)
+
+
+def test_hopcroft_karp_long_augmenting_path():
+    # greedy start matches left i to right i and leaves left K-1 free, so
+    # the one augmenting path runs through all K vertices; the search must
+    # not depend on the interpreter's recursion limit
+    K = 3000
+    adj = [[i, i + 1] for i in range(K - 1)] + [[0]]
+    match_l, match_r = [-1] * K, [-1] * K
+    _hopcroft_karp(adj, match_l, match_r)
+    assert match_l == [i + 1 for i in range(K - 1)] + [0]
+    assert all(match_r[j] == i for i, j in enumerate(match_l))
 
 
 # ---------------------------------------------------------------------------
