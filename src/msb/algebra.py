@@ -351,14 +351,14 @@ def _nullspace(cols: list[dict], p: int) -> list[dict]:
 def minimize_presentation(pres: Presentation) -> Presentation:
     """Return a presentation of an isomorphic module with no removable part.
 
-    Two passes.  First, repeatedly pivot on a nonzero entry whose row
-    grade equals its column grade (the coefficient is a unit there) and
-    delete that generator/relation pair; columns are visited in
-    colexicographic grade order, and within a column the pivot is the
-    largest eligible row.  Second, drop every relation column lying in
-    the span, at its own grade, of the columns kept so far.  After both
-    passes the generator grades are the degree-0 Betti barcode and the
-    relation grades the degree-1 Betti barcode of the module.
+    Two passes.  First, pivot on a nonzero entry whose row grade equals
+    its column grade (the coefficient is a unit there) and delete that
+    generator/relation pair; columns are visited once in colexicographic
+    grade order, and within a column the pivot is the largest eligible
+    row.  Second, drop every relation column lying in the span, at its own
+    grade, of the columns kept so far.  After both passes the generator
+    grades are the degree-0 Betti barcode and the relation grades the
+    degree-1 Betti barcode of the module.
     """
     p = pres.field
     row_grades = pres.gens
@@ -368,19 +368,14 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     col_alive = [True] * len(col_grades)
     order = sorted(range(len(col_grades)), key=lambda j: (_colex(col_grades[j]), j))
 
-    while True:
-        target = None
-        for j in order:
-            if not col_alive[j]:
-                continue
-            cands = [i for i in cols[j] if row_grades[i] == col_grades[j]]
-            if cands:
-                i = max(cands, key=lambda i: (_colex(row_grades[i]), i))
-                target = (i, j)
-                break
-        if target is None:
-            break
-        i, j = target
+    # a pivot on row i edits only the live columns holding row i; one before
+    # j in colex order would have row i's grade and so row i as a pivot
+    # candidate, hence no earlier column changes and one pass finds every pivot
+    for j in order:
+        cands = [i for i in cols[j] if row_grades[i] == col_grades[j]]
+        if not cands:
+            continue
+        i = max(cands, key=lambda i: (_colex(row_grades[i]), i))
         piv = cols[j]
         inv = _inv(piv[i], p)
         for j2 in range(len(col_grades)):
@@ -443,23 +438,26 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     """Minimal generators of the kernel of a graded matrix (n <= 2).
 
     Column grades become index pairs ``(i, j)`` on the sorted axes (``j``
-    = 0 in one parameter), swept in colexicographic order.  A point is
-    visited only if some column has x index ``i`` and y index <= ``j`` and
-    some column has y index ``j`` and x index <= ``i``.  Elsewhere its
-    fiber columns are none or those of its left or lower neighbour, whose
-    kernel is spanned by the generators found there, so none is born.  At
-    a visited point the fiber kernel comes from column reduction in column
-    order; each kernel vector independent of the generators at or below
-    the point is normalized and recorded with the point (the join of its
-    columns' grades) as grade.  Returns the generator grades and the
-    inclusion matrix of the generators in ``m``'s column basis, in
-    discovery order.
+    = 0 in one parameter), swept in colexicographic order.  A rank gate
+    picks the points where a generator is born: per y index ``j``, the
+    columns with y index <= ``j`` go in x order into a rank-only reducer
+    that persists along the row, so the corank of the fiber at ``(i, j)``
+    is the count of columns that reduced to zero, and running counts give
+    the generators found at or below the point.  Those generators are
+    independent kernel vectors of the fiber, so when the two counts agree
+    they span its kernel and the point is skipped.  Elsewhere the fiber
+    kernel comes from column reduction in column order; each kernel vector
+    independent of the generators at or below the point is normalized and
+    recorded with the point (the join of its columns' grades) as grade.
+    Returns the generator grades and the inclusion matrix of the
+    generators in ``m``'s column basis, in discovery order.
 
     With ``verify`` (default), :class:`KernelCheckError` is raised unless
     at every grid point the generators born at or below it number the
-    corank of its fiber.  The check shares no step with the sweep: per x
-    index, columns go in y order into a rank-only reducer that persists up
-    that column of grid points, and the counts are 2-D prefix sums of births.
+    corank of its fiber.  The check runs in the transposed order of the
+    gate and shares no reducer or count with it: per x index, columns go
+    in y order into a rank-only reducer that persists up that column of
+    grid points, and the counts are 2-D prefix sums of births.
     """
     _require_valid(m)
     p = m.field
@@ -477,22 +475,22 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     cx = [ix[g[0]] for g in col_grades]
     cy = [iy[g[1]] for g in col_grades] if n == 2 else [0] * C
     nx, ny = len(xs), len(ys)
-
-    # low_y[i]: least y index of a column at x index i; low_x likewise
-    low_y, low_x = [ny] * nx, [nx] * ny
-    for i, j in zip(cx, cy):
-        low_y[i] = min(low_y[i], j)
-        low_x[j] = min(low_x[j], i)
+    at_x = [[k for k in range(C) if cx[k] == i] for i in range(nx)]
 
     gens: list[tuple[int, int, dict]] = []
+    born_x = [0] * nx  # generators found so far at each x index
     for j in range(ny):
-        for i in range(low_x[j], nx):
-            if low_y[i] > j:
+        gate = _Reducer(p)
+        nullity = found = 0  # at (i, j): fiber corank, generators at or below
+        for i in range(nx):
+            for k in at_x[i]:
+                if cy[k] <= j and not gate.insert(cols[k]):
+                    nullity += 1
+            found += born_x[i]
+            if nullity == found:
                 continue
             sel = [k for k in range(C) if cx[k] <= i and cy[k] <= j]
             null = _nullspace([cols[k] for k in sel], p)
-            if not null:
-                continue
             ech = _Reducer(p)
             for gi, gj, vec in gens:
                 if gi <= i and gj <= j:
@@ -510,6 +508,8 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
                     )
                 ech.insert(cur)
                 gens.append((i, j, cur))
+                born_x[i] += 1
+                found += 1
 
     if verify:
         by_x = [[gj for gi, gj, _ in gens if gi == i] for i in range(nx)]

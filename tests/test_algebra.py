@@ -248,6 +248,50 @@ def test_kernel_output_pinned_on_random_corpus():
     assert digest.hexdigest() == "c3fd6042188d2e56fa6bba9a76540e2c94617ef2b6a19258481048fe7f49f0ab"
 
 
+def random_graded_matrix(rng, p, dim):
+    """Grade-valid matrix over F_p: grades on {0..4}^dim, random units."""
+
+    def grade():
+        return tuple(float(rng.below(5)) for _ in range(dim))
+
+    rows = [grade() for _ in range(rng.below(7))]
+    cols = [grade() for _ in range(1 + rng.below(11))]
+    entries = {}
+    for j, c in enumerate(cols):
+        for i, r in enumerate(rows):
+            if leq(r, c) and rng.below(2):
+                entries[(i, j)] = 1 + rng.below(p - 1)
+    return GradedMatrix(rows, cols, entries, field=p, dim=dim)
+
+
+def test_kernel_output_pinned_over_odd_fields_in_one_and_two_parameters():
+    # the pin above is F_2 in two parameters only; here coefficients other
+    # than 1 and the one-parameter sweep are pinned too
+    digest = hashlib.sha256()
+    rng = SplitMix64(59)
+    for p in (3, 5, 7):
+        for dim in (1, 2):
+            for _ in range(40):
+                bars, inc = kernel_basis(random_graded_matrix(rng, p, dim))
+                digest.update(repr((bars.bars, inc.col_grades, sorted(inc.entries.items()))).encode())
+    assert digest.hexdigest() == "f5b68e4d8892a02249b094e2ae8acdf3c8c07cde069be7ade7f72e609ca0292c"
+
+
+@pytest.mark.parametrize("degree, grades", [(0, 25), (1, 22)])
+def test_kernel_nullspace_runs_once_per_generator_grade(monkeypatch, degree, grades):
+    # the rank gate skips every grid point whose fiber kernel is already
+    # spanned by the generators at or below it, so the full nullspace runs
+    # only where a generator is born
+    from test_cli import lower_star_square
+
+    calls = []
+    nullspace = algebra._nullspace
+    monkeypatch.setattr(algebra, "_nullspace", lambda cols, p: calls.append(1) or nullspace(cols, p))
+    bars, _ = kernel_basis(lower_star_square(20240, 5, 50).boundary_matrix(degree))
+    assert len(set(bars.bars)) == grades
+    assert len(calls) == grades
+
+
 def test_kernel_verify_flag_runs_clean():
     rng = SplitMix64(37)
     for trial in range(100):
