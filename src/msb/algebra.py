@@ -125,9 +125,6 @@ class GradedMatrix:
     def num_cols(self) -> int:
         return len(self.col_grades)
 
-    def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def columns(self) -> list[dict]:
         cols = [dict() for _ in range(self.num_cols)]
         for (i, j), v in self.entries.items():
@@ -178,21 +175,26 @@ class GradedMatrix:
         )
 
 
+def _first_invalid(m: GradedMatrix) -> tuple[int, int] | None:
+    """The least ``(row, col)`` of a nonzero entry whose row grade is not
+    at or below its column grade, or None when ``m`` is grade-valid."""
+    rg, cg = m.row_grades, m.col_grades
+    return min((e for e in m.entries if not leq(rg[e[0]], cg[e[1]])), default=None)
+
+
 def validate_graded(m: GradedMatrix) -> bool:
     """True when every nonzero entry has row_grade <= col_grade."""
-    for (i, j) in m.entries:
-        if not leq(m.row_grades[i], m.col_grades[j]):
-            return False
-    return True
+    return _first_invalid(m) is None
 
 
 def _require_valid(m: GradedMatrix) -> None:
-    for (i, j) in sorted(m.entries):
-        if not leq(m.row_grades[i], m.col_grades[j]):
-            raise GradedValidityError(
-                "entry at row %d (grade %r) column %d (grade %r) violates "
-                "row_grade <= col_grade" % (i, m.row_grades[i], j, m.col_grades[j])
-            )
+    bad = _first_invalid(m)
+    if bad is not None:
+        i, j = bad
+        raise GradedValidityError(
+            "entry at row %d (grade %r) column %d (grade %r) violates "
+            "row_grade <= col_grade" % (i, m.row_grades[i], j, m.col_grades[j])
+        )
 
 
 class Presentation:
@@ -220,15 +222,14 @@ class Presentation:
     @classmethod
     def from_relations(cls, gens, rel_specs, field=2, dim=None):
         """Build from ``rel_specs`` = iterable of (grade, {row: coeff})."""
-        gens = tuple(as_grade(g) for g in gens)
         col_grades = []
         entries = {}
         for j, (grade, col) in enumerate(rel_specs):
-            col_grades.append(as_grade(grade))
+            col_grades.append(grade)
             for i, v in col.items():
                 entries[(int(i), j)] = v
-        m = GradedMatrix(gens, tuple(col_grades), entries, field=field, dim=dim)
-        return cls(gens, m)
+        m = GradedMatrix(gens, col_grades, entries, field=field, dim=dim)
+        return cls(m.row_grades, m)
 
     @property
     def gens(self) -> tuple:
@@ -356,9 +357,14 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     generator/relation pair; columns are visited once in colexicographic
     grade order, and within a column the pivot is the largest eligible
     row.  Second, drop every relation column lying in the span, at its own
-    grade, of the columns kept so far.  After both passes the generator
-    grades are the degree-0 Betti barcode and the relation grades the
-    degree-1 Betti barcode of the module.
+    grade, of the columns before it that are at or below that grade.  The
+    live columns go in x-major order through one reducer per grade row
+    (the grade without its x coordinate; a single row in one parameter),
+    which holds the kept columns of that row and of every row below it; a
+    column is kept unless it reduces to zero in its own row's reducer, and
+    is then added to the reducers of the rows above.  After both passes
+    the generator grades are the degree-0 Betti barcode and the relation
+    grades the degree-1 Betti barcode of the module.
     """
     p = pres.field
     row_grades = pres.gens
@@ -370,33 +376,37 @@ def minimize_presentation(pres: Presentation) -> Presentation:
 
     # a pivot on row i edits only the live columns holding row i; one before
     # j in colex order would have row i's grade and so row i as a pivot
-    # candidate, hence no earlier column changes and one pass finds every pivot
-    for j in order:
+    # candidate, hence only later columns change and one pass finds every pivot
+    for pos, j in enumerate(order):
         cands = [i for i in cols[j] if row_grades[i] == col_grades[j]]
         if not cands:
             continue
         i = max(cands, key=lambda i: (_colex(row_grades[i]), i))
         piv = cols[j]
         inv = _inv(piv[i], p)
-        for j2 in range(len(col_grades)):
-            if j2 == j or not col_alive[j2]:
-                continue
+        for j2 in order[pos + 1 :]:
             a = cols[j2].get(i)
             if a:
                 _submul(cols[j2], piv, (a * inv) % p, p)
         col_alive[j] = False
         row_alive[i] = False
 
+    # x-major and colex order both extend "grade <=, then index", so the
+    # columns before j at or below its grade, and which of them are kept,
+    # are the same in both; the reducer of j's row holds exactly those kept
+    live = sorted(
+        (j for j in range(len(col_grades)) if col_alive[j]),
+        key=lambda j: (col_grades[j][0], _colex(col_grades[j]), j),
+    )
+    spans = {col_grades[j][1:]: _Reducer(p) for j in live}
+    above = {t: [spans[u] for u in spans if u != t and leq(t, u)] for t in spans}
     kept: list[int] = []
-    for j in order:
-        if not col_alive[j]:
-            continue
-        span = _Reducer(p)
-        for k in kept:
-            if leq(col_grades[k], col_grades[j]):
-                span.insert(cols[k])
-        if span.reduce(cols[j]):
+    for j in live:
+        tail = col_grades[j][1:]
+        if spans[tail].insert(cols[j]):
             kept.append(j)
+            for span in above[tail]:
+                span.insert(cols[j])
     kept.sort()
 
     new_rows = [i for i in range(len(row_grades)) if row_alive[i]]

@@ -12,16 +12,15 @@ import math
 import sys
 from pathlib import Path
 
-from .algebra import Presentation, betti
+from .algebra import betti, pointwise_dim
 from .grades import SignedBarcode, reduce_signed
 from .hilbert import hilbert_eval, minimal_hilbert_decomposition
 from .io import (
     ParseError,
     chain_to_presentation,
     fmt_float,
+    parse_any,
     parse_bifiltration,
-    parse_presentation,
-    parse_signed_barcode,
     serialize_presentation,
     serialize_signed_barcode,
     sniff_format,
@@ -47,27 +46,21 @@ def _read(path: str) -> str:
         raise _CliError("cannot read %s: %s" % (path, e), DATA_ERROR)
 
 
+def _load(path: str, *kinds: str):
+    """``(kind, parsed document)`` of the file, whose format must be one of ``kinds``."""
+    text = _read(path)
+    kind = sniff_format(text)
+    if kind not in kinds:
+        raise _CliError(
+            "%s: expected an %s document, found %s" % (path, " or ".join(kinds), kind),
+            DATA_ERROR,
+        )
+    return kind, parse_any(text)
+
+
 def _load_signed(path: str) -> SignedBarcode:
-    text = _read(path)
-    kind = sniff_format(text)
-    if kind == "sbarc":
-        return parse_signed_barcode(text)
-    if kind == "mpres":
-        return betti(parse_presentation(text)).signed
-    raise _CliError(
-        "%s: expected an sbarc or mpres document, found %s" % (path, kind),
-        DATA_ERROR,
-    )
-
-
-def _load_presentation(path: str) -> Presentation:
-    text = _read(path)
-    kind = sniff_format(text)
-    if kind == "mpres":
-        return parse_presentation(text)
-    raise _CliError(
-        "%s: expected an mpres document, found %s" % (path, kind), DATA_ERROR
-    )
+    kind, obj = _load(path, "sbarc", "mpres")
+    return obj if kind == "sbarc" else betti(obj).signed
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -87,6 +80,8 @@ def _parse_points(raw: str, dim: int) -> list[tuple]:
             coords = tuple(float(tok) for tok in chunk.split(","))
         except ValueError:
             raise _CliError("malformed query point %r" % chunk, USAGE_ERROR)
+        if not all(map(math.isfinite, coords)):
+            raise _CliError("query point %r is not finite" % chunk, USAGE_ERROR)
         if len(coords) != dim:
             raise _CliError(
                 "query point %r has %d coordinates, expected %d"
@@ -104,7 +99,7 @@ def _grade_lines(bars) -> list[str]:
 
 
 def cmd_betti(args) -> int:
-    pres = _load_presentation(args.file)
+    _, pres = _load(args.file, "mpres")
     result = betti(pres)
     if args.signed:
         sys.stdout.write(serialize_signed_barcode(result.signed))
@@ -117,40 +112,17 @@ def cmd_betti(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    text = _read(args.file)
-    kind = sniff_format(text)
-    if kind == "sbarc":
-        signed = reduce_signed(parse_signed_barcode(text))
-    elif kind == "mpres":
-        signed = minimal_hilbert_decomposition(parse_presentation(text))
-    else:
-        raise _CliError(
-            "%s: expected an sbarc or mpres document, found %s" % (args.file, kind),
-            DATA_ERROR,
-        )
-    sys.stdout.write(serialize_signed_barcode(signed))
+    kind, obj = _load(args.file, "sbarc", "mpres")
+    reduce = reduce_signed if kind == "sbarc" else minimal_hilbert_decomposition
+    sys.stdout.write(serialize_signed_barcode(reduce(obj)))
     return 0
 
 
 def cmd_hilbert(args) -> int:
-    text = _read(args.file)
-    kind = sniff_format(text)
-    if kind == "sbarc":
-        signed = parse_signed_barcode(text)
-        dim = signed.dim or 1
-        for pt in _parse_points(args.at, dim):
-            sys.stdout.write("%d\n" % hilbert_eval(signed, pt))
-    elif kind == "mpres":
-        from .algebra import pointwise_dim
-
-        pres = parse_presentation(text)
-        for pt in _parse_points(args.at, pres.dim or 1):
-            sys.stdout.write("%d\n" % pointwise_dim(pres, pt))
-    else:
-        raise _CliError(
-            "%s: expected an sbarc or mpres document, found %s" % (args.file, kind),
-            DATA_ERROR,
-        )
+    kind, obj = _load(args.file, "sbarc", "mpres")
+    evaluate = hilbert_eval if kind == "sbarc" else pointwise_dim
+    for pt in _parse_points(args.at, obj.dim or 1):
+        sys.stdout.write("%d\n" % evaluate(obj, pt))
     return 0
 
 
@@ -217,7 +189,7 @@ def cmd_gen(args) -> int:
     try:
         if name == "free":
             _expect_params(params, 1, "free GRADE")
-            pres = G.gen_free(grade_of(params[0]))
+            pres = G.gen_free(grade_of(params[0]), field=args.field)
         elif name == "hook":
             _expect_params(params, 2, "hook BIRTH DEATH")
             pres = G.gen_hook(grade_of(params[0]), grade_of(params[1]), field=args.field)
@@ -234,6 +206,10 @@ def cmd_gen(args) -> int:
             )
         elif name == "random":
             _expect_params(params, 4, "random SEED GENS RELS GRID")
+            if args.field != 2:
+                raise _CliError(
+                    "gen random is over F_2 only, got --field %d" % args.field, USAGE_ERROR
+                )
             pres = G.gen_random(
                 int(params[0]), int(params[1]), int(params[2]), int(params[3])
             )

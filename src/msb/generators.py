@@ -42,9 +42,9 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-def gen_free(grade) -> Presentation:
+def gen_free(grade, field: int = 2) -> Presentation:
     """Free module on one generator at ``grade``."""
-    return Presentation((as_grade(grade),))
+    return Presentation((as_grade(grade),), field=field)
 
 
 def gen_hook(a, b, field: int = 2) -> Presentation:

@@ -40,6 +40,7 @@ from .algebra import (
     ChainPair,
     GradedMatrix,
     Presentation,
+    _first_invalid,
     _is_prime,
     homology_presentation,
 )
@@ -72,18 +73,21 @@ def fmt_float(v: float) -> str:
 _TOKEN_RE = re.compile(r"\S+")
 
 
+def _scan(text: str):
+    """Yield ``(token, line, column)`` outside ``#`` comments, in order."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        hash_at = line.find("#")
+        if hash_at >= 0:
+            line = line[:hash_at]
+        for m in _TOKEN_RE.finditer(line):
+            yield m.group(), lineno, m.start() + 1
+
+
 class _Tokens:
     """Token stream with line/column tracking and typed readers."""
 
     def __init__(self, text: str):
-        toks = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            hash_at = line.find("#")
-            if hash_at >= 0:
-                line = line[:hash_at]
-            for m in _TOKEN_RE.finditer(line):
-                toks.append((m.group(), lineno, m.start() + 1))
-        self._toks = toks
+        self._toks = list(_scan(text))
         self._pos = 0
         self._last = (1, 1)
 
@@ -192,8 +196,10 @@ class _Tokens:
 
 def sniff_format(text: str) -> str:
     """First token of the file: one of sbarc, mpres, mchain, mbif."""
-    toks = _Tokens(text)
-    tok, line, col = toks.next("format magic")
+    first = next(_scan(text), None)
+    if first is None:
+        raise ParseError("unexpected end of input, expected format magic", 1, 1)
+    tok, line, col = first
     if tok not in ("sbarc", "mpres", "mchain", "mbif"):
         raise ParseError("unknown format '%s'" % tok, line, col)
     return tok
@@ -254,24 +260,25 @@ def parse_presentation(text: str) -> Presentation:
             entries[(i, j)] = coeff
     t.done()
     m = GradedMatrix(tuple(gens), tuple(col_grades), entries, field=field, dim=n)
-    for (i, j) in sorted(m.entries):
-        if not leq(m.row_grades[i], m.col_grades[j]):
-            raise ParseError(
-                "relation %d at grade %s has an entry on generator %d at grade %s, "
-                "which is not below it"
-                % (
-                    j,
-                    _grade_str(m.col_grades[j]),
-                    i,
-                    _grade_str(m.row_grades[i]),
-                ),
-                *rel_pos[j],
-            )
+    _check_grade_order(m, "relation", "generator", rel_pos)
     return Presentation(m.row_grades, m)
 
 
 def _grade_str(g) -> str:
     return "(" + ", ".join(fmt_float(c) for c in g) + ")"
+
+
+def _check_grade_order(m: GradedMatrix, col_what: str, row_what: str, col_pos) -> None:
+    """ParseError at the input position of the column holding the least
+    entry whose row grade is not at or below its column grade."""
+    bad = _first_invalid(m)
+    if bad is not None:
+        i, j = bad
+        raise ParseError(
+            "%s %d at grade %s has an entry on %s %d at grade %s, which is not below it"
+            % (col_what, j, _grade_str(m.col_grades[j]), row_what, i, _grade_str(m.row_grades[i])),
+            *col_pos[j],
+        )
 
 
 def _sparse_line(grade, col: dict) -> str:
@@ -303,14 +310,16 @@ def _parse_block(t: _Tokens, name: str, n: int, field: int, nrows: int):
     count = t.count("%s column count" % name)
     grades = []
     entries = {}
+    pos = []
     for j in range(count):
+        pos.append(t.pos())
         grade = t.grade(n, "%s column %d" % (name, j))
         grades.append(grade)
         nnz = t.count("entry count of %s column %d" % (name, j))
         for _ in range(nnz):
             i, coeff = t.pair("%s column %d entry" % (name, j), nrows, field)
             entries[(i, j)] = coeff
-    return grades, entries
+    return grades, entries, pos
 
 
 def parse_chain_pair(text: str) -> ChainPair:
@@ -321,11 +330,13 @@ def parse_chain_pair(text: str) -> ChainPair:
     t.keyword("Z")
     zcount = t.count("Z grade count")
     zgrades = [t.grade(n, "Z grade") for _ in range(zcount)]
-    ygrades, gentries = _parse_block(t, "Y", n, field, zcount)
-    xgrades, fentries = _parse_block(t, "X", n, field, len(ygrades))
+    ygrades, gentries, ypos = _parse_block(t, "Y", n, field, zcount)
+    xgrades, fentries, xpos = _parse_block(t, "X", n, field, len(ygrades))
     t.done()
     g = GradedMatrix(tuple(zgrades), tuple(ygrades), gentries, field=field, dim=n)
     f = GradedMatrix(tuple(ygrades), tuple(xgrades), fentries, field=field, dim=n)
+    _check_grade_order(g, "Y column", "Z generator", ypos)
+    _check_grade_order(f, "X column", "Y column", xpos)
     try:
         return ChainPair(f=f, g=g)
     except ValueError as e:

@@ -31,6 +31,7 @@ from msb import (
     serialize_signed_barcode,
 )
 from msb.cli import main
+from msb.grades import join, leq
 from msb.io import Bifiltration, Cell
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -106,6 +107,15 @@ def test_hilbert_on_signed_barcode(capsys, tmp_path):
     code, out, err = run(capsys, "hilbert", str(f), "--at", "0,0;1.5,1.5;2,2")
     assert code == 0
     assert out == "1\n1\n0\n"
+
+
+@pytest.mark.parametrize("point", ["nan,0", "0,inf", "-inf,1"])
+def test_hilbert_non_finite_point_is_usage_error(capsys, tmp_path, point):
+    f = tmp_path / "hook.mpres"
+    f.write_text(serialize_presentation(corner_module()))
+    code, out, err = run(capsys, "hilbert", str(f), "--at", "0,0;" + point)
+    assert code == 1 and out == ""
+    assert "query point %r is not finite" % point in err
 
 
 def test_dist_bottleneck_value(capsys, square_files):
@@ -225,6 +235,22 @@ def test_gen_usage_errors(capsys):
     assert code == 1
 
 
+def test_gen_field_reaches_the_output(capsys):
+    code, out, err = run(capsys, "gen", "free", "0,0", "--field", "5")
+    assert code == 0
+    assert out == "mpres 1\nfield 5\nn 2\ngens 1\n0 0\nrels 0\n"
+    code, out, err = run(capsys, "gen", "free", "0,0", "--field", "4")
+    assert code == 1 and out == ""
+
+
+def test_gen_random_rejects_a_field_other_than_two(capsys):
+    code, out, err = run(capsys, "gen", "random", "1", "3", "3", "4", "--field", "3")
+    assert code == 1 and out == ""
+    assert "F_2 only" in err
+    code, out, err = run(capsys, "gen", "random", "1", "3", "3", "4", "--field", "2")
+    assert code == 0 and out.startswith("mpres 1\nfield 2\n")
+
+
 def test_ingest_pipeline(capsys, tmp_path):
     cells = [Cell(0, (0.0, 0.0), ()) for _ in range(3)]
     cells += [
@@ -292,10 +318,34 @@ def test_ingest_output_bytes_pinned(capsys, tmp_path, degree, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def random_presentation(rng, p, dim):
+    """Presentation over F_p on the grid {0, 1, 2}^dim: random relations,
+    and about a third of them a combination of two earlier ones at the
+    join of their grades, so both passes of minimization have work."""
+
+    def grade():
+        return tuple(float(rng.below(3)) for _ in range(dim))
+
+    gens = [grade() for _ in range(1 + rng.below(6))]
+    rels = []
+    for _ in range(rng.below(9)):
+        if len(rels) >= 2 and rng.below(3) == 0:
+            (ga, ca), (gb, cb) = rels[rng.below(len(rels))], rels[rng.below(len(rels))]
+            f = 1 + rng.below(p - 1)
+            col = {i: (ca.get(i, 0) + f * cb.get(i, 0)) % p for i in set(ca) | set(cb)}
+            rels.append((join(ga, gb), {i: v for i, v in col.items() if v}))
+            continue
+        g = grade()
+        col = {i: 1 + rng.below(p - 1) for i, r in enumerate(gens) if leq(r, g) and rng.below(2)}
+        rels.append((g, col))
+    return Presentation.from_relations(gens, rels, field=p, dim=dim)
+
+
 def test_minimized_output_pinned():
     # the bytes of minimized presentations are pinned over the random corpus
-    # of the kernel pin and over the grid above in degrees 0 and 1, so a
-    # rewrite of the span tests cannot move a kept relation or a coefficient
+    # of the kernel pin, over the grid above in degrees 0 and 1, and over a
+    # corpus in 1, 2 and 3 parameters over F_2, F_3 and F_5, so a rewrite of
+    # the span tests cannot move a kept relation or a coefficient
     digest = hashlib.sha256()
     rng = SplitMix64(31)
     for trial in range(120):
@@ -306,6 +356,13 @@ def test_minimized_output_pinned():
         pres = minimize_presentation(chain_to_presentation(bif, degree))
         digest.update(serialize_presentation(pres).encode())
     assert digest.hexdigest() == "b4a8252f45b1220692715af6796dcc782cbe69fdbe9a8697f93854d9dff28dd2"
+    rng = SplitMix64(97)
+    for field in (2, 3, 5):
+        for dim in (1, 2, 3):
+            for _ in range(40):
+                pres = minimize_presentation(random_presentation(rng, field, dim))
+                digest.update(serialize_presentation(pres).encode())
+    assert digest.hexdigest() == "5a79c821037e3472c7bfcb09a2ae6227e448b9fbbf471809415852fff14eaa71"
 
 
 def test_check_stability_reports_and_passes(capsys):

@@ -214,6 +214,25 @@ def test_mchain_rejects_nonzero_composite():
         parse_chain_pair(text)
 
 
+@pytest.mark.parametrize(
+    "blocks, line, names",
+    [
+        # Z at (1,1), a Y column at (0,0) holding row 0
+        ("Z 1\n1 1\nY 1\n0 0 1 0:1\nX 0\n", 7, ("Y column 0", "Z generator 0")),
+        # an X column at (0,0) on the Y column at (1,1)
+        ("Z 0\nY 2\n0 0 0\n1 1 0\nX 1\n0 0 1 1:1\n", 9, ("X column 0", "Y column 1")),
+    ],
+    ids=["Y", "X"],
+)
+def test_mchain_grade_order_error_names_column_and_line(blocks, line, names):
+    with pytest.raises(ParseError) as err:
+        parse_chain_pair("mchain 1\nfield 2\nn 2\n" + blocks)
+    assert err.value.line == line and err.value.column == 1
+    msg = str(err.value)
+    assert all(name in msg for name in names)
+    assert "(0, 0)" in msg and "(1, 1)" in msg and "not below it" in msg
+
+
 # ---------------------------------------------------------------------------
 # mbif
 
