@@ -42,7 +42,8 @@ class KernelCheckError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# prime field helpers; field elements are plain ints in [0, p)
+# helpers for odd primes (over F_2 a column step is XOR); field elements
+# are plain ints in [0, p)
 
 
 def _is_prime(p: int) -> bool:
@@ -137,16 +138,23 @@ class GradedMatrix:
             raise ValueError("field mismatch in matrix product")
         if self.col_grades != other.row_grades:
             raise DimensionMismatch("inner grades disagree in matrix product")
-        mycols = self.columns()
-        out = {}
-        for (y, x), c in other.entries.items():
-            for z, v in mycols[y].items():
-                key = (z, x)
-                nv = (out.get(key, 0) + c * v) % self.field
-                if nv:
-                    out[key] = nv
-                elif key in out:
-                    del out[key]
+        mycols = _packed_columns(self)
+        if self.field == 2:
+            # column x of the product is the XOR of self's columns y on x's rows
+            acc = [0] * other.num_cols
+            for y, x in other.entries:
+                acc[x] ^= mycols[y]
+            out = {(z, x): 1 for x, col in enumerate(acc) for z, _ in _items(col)}
+        else:
+            out = {}
+            for (y, x), c in other.entries.items():
+                for z, v in mycols[y].items():
+                    key = (z, x)
+                    nv = (out.get(key, 0) + c * v) % self.field
+                    if nv:
+                        out[key] = nv
+                    elif key in out:
+                        del out[key]
         return GradedMatrix(
             self.row_grades, other.col_grades, out, field=self.field, dim=self.dim
         )
@@ -292,56 +300,106 @@ def direct_sum(*presentations: Presentation) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# column reduction (sparse columns as dicts keyed by row index)
+# column reduction.  Over F_2 a column is an int with bit r set for each
+# nonzero row r, so adding columns is XOR and the largest row is
+# ``bit_length() - 1``; over an odd prime it is a dict row -> coeff.  The
+# field fixes the encoding: columns are packed once per matrix, straight
+# from its entries, and unpacked only where a GradedMatrix is built.
+
+
+def _packed_columns(m: GradedMatrix) -> list:
+    """The columns of ``m`` in the encoding of its field."""
+    if m.field != 2:
+        return m.columns()
+    cols = [0] * m.num_cols
+    for i, j in m.entries:
+        cols[j] |= 1 << i
+    return cols
+
+
+def _unit(k: int, p: int):
+    """The column with a single 1 in row ``k``."""
+    return 1 << k if p == 2 else {k: 1}
+
+
+def _items(col):
+    """The ``(row, coeff)`` pairs of a column in either encoding."""
+    if not isinstance(col, int):
+        return col.items()
+    out = []
+    while col:
+        low = col & -col
+        out.append((low.bit_length() - 1, 1))
+        col ^= low
+    return out
 
 
 class _Reducer:
     """Column echelon form over F_p, the one elimination loop here.
 
     A column is reduced while its largest row is the pivot of a stored
-    column; a tracked combination ``comb`` (position -> coeff), when
-    given, undergoes the same operations.
+    column; a tracked combination ``comb`` (a column over the positions
+    of the inserted columns), when given, undergoes the same operations.
+    Columns and combinations are encoded by the field.  Over F_2 each is
+    an int with bit r for row r: a step is ``col ^= pivot`` and the
+    largest row is ``col.bit_length() - 1``.  Over an odd prime each is a
+    dict row -> coeff: a step subtracts the multiple of the pivot column
+    that clears the largest row, whose coefficient takes an inverse.
+    Both give the same pivots, so the same reduced columns.
     """
 
-    __slots__ = ("p", "pivots")
+    __slots__ = ("p", "pivots", "combs")
 
     def __init__(self, p: int):
         self.p = p
-        self.pivots: dict[int, tuple[dict, dict | None]] = {}
+        self.pivots: dict = {}  # largest row -> stored column
+        self.combs: dict = {}  # largest row -> its tracked combination
 
-    def reduce(self, col: dict, comb: dict | None = None) -> dict:
-        """A reduced copy of ``col``: zero, or with a non-pivot largest row."""
-        p, pivots = self.p, self.pivots
+    def reduce(self, col, comb=None) -> tuple:
+        """``(col, comb)`` reduced: col zero, or with a non-pivot largest row."""
+        pivots, combs = self.pivots, self.combs
+        if self.p == 2:
+            while col:
+                r = col.bit_length() - 1
+                piv = pivots.get(r)
+                if piv is None:
+                    break
+                col ^= piv
+                if comb is not None:
+                    comb ^= combs[r]
+            return col, comb
+        p = self.p
         cur = dict(col)
         while cur:
             r = max(cur)
-            hit = pivots.get(r)
-            if hit is None:
+            piv = pivots.get(r)
+            if piv is None:
                 break
-            piv, pivcomb = hit
             f = (cur[r] * _inv(piv[r], p)) % p
             _submul(cur, piv, f, p)
             if comb is not None:
-                _submul(comb, pivcomb, f, p)
-        return cur
+                _submul(comb, combs[r], f, p)
+        return cur, comb
 
-    def insert(self, col: dict, comb: dict | None = None) -> dict:
+    def insert(self, col, comb=None) -> tuple:
         """Reduce ``col`` and keep it as a pivot column unless it is zero."""
-        cur = self.reduce(col, comb)
-        if cur:
-            self.pivots[max(cur)] = (cur, comb)
-        return cur
+        col, comb = self.reduce(col, comb)
+        if col:
+            r = col.bit_length() - 1 if self.p == 2 else max(col)
+            self.pivots[r] = col
+            self.combs[r] = comb
+        return col, comb
 
 
-def _nullspace(cols: list[dict], p: int) -> list[dict]:
-    """Kernel basis: the tracked combinations (position -> coeff) of the
-    columns that reduce to zero, left to right.
+def _nullspace(cols: list, p: int) -> list:
+    """Kernel basis: the tracked combinations (over positions in ``cols``)
+    of the columns that reduce to zero, left to right.
     """
     red = _Reducer(p)
     out = []
     for idx, col in enumerate(cols):
-        comb = {idx: 1}
-        if not red.insert(col, comb):
+        cur, comb = red.insert(col, _unit(idx, p))
+        if not cur:
             out.append(comb)
     return out
 
@@ -369,7 +427,7 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     p = pres.field
     row_grades = pres.gens
     col_grades = pres.rels.col_grades
-    cols = pres.rels.columns()
+    cols = _packed_columns(pres.rels)
     row_alive = [True] * len(row_grades)
     col_alive = [True] * len(col_grades)
     order = sorted(range(len(col_grades)), key=lambda j: (_colex(col_grades[j]), j))
@@ -378,16 +436,21 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     # j in colex order would have row i's grade and so row i as a pivot
     # candidate, hence only later columns change and one pass finds every pivot
     for pos, j in enumerate(order):
-        cands = [i for i in cols[j] if row_grades[i] == col_grades[j]]
+        cands = [i for i, _ in _items(cols[j]) if row_grades[i] == col_grades[j]]
         if not cands:
             continue
         i = max(cands, key=lambda i: (_colex(row_grades[i]), i))
         piv = cols[j]
-        inv = _inv(piv[i], p)
-        for j2 in order[pos + 1 :]:
-            a = cols[j2].get(i)
-            if a:
-                _submul(cols[j2], piv, (a * inv) % p, p)
+        if p == 2:
+            bit = 1 << i
+            for j2 in [j2 for j2 in order[pos + 1 :] if cols[j2] & bit]:
+                cols[j2] ^= piv
+        else:
+            inv = _inv(piv[i], p)
+            for j2 in order[pos + 1 :]:
+                a = cols[j2].get(i)
+                if a:
+                    _submul(cols[j2], piv, (a * inv) % p, p)
         col_alive[j] = False
         row_alive[i] = False
 
@@ -403,7 +466,7 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     kept: list[int] = []
     for j in live:
         tail = col_grades[j][1:]
-        if spans[tail].insert(cols[j]):
+        if spans[tail].insert(cols[j])[0]:
             kept.append(j)
             for span in above[tail]:
                 span.insert(cols[j])
@@ -413,7 +476,7 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     remap = {old: new for new, old in enumerate(new_rows)}
     entries = {}
     for jj, j in enumerate(kept):
-        for i, v in cols[j].items():
+        for i, v in _items(cols[j]):
             entries[(remap[i], jj)] = v
     m = GradedMatrix(
         tuple(row_grades[i] for i in new_rows),
@@ -436,7 +499,7 @@ def pointwise_dim(pres: Presentation, x) -> int:
     if pres.dim is not None and len(x) != pres.dim:
         raise DimensionMismatch("query grade has wrong dimension")
     gens_in = sum(1 for g in pres.gens if leq(g, x))
-    cols = pres.rels.columns()
+    cols = _packed_columns(pres.rels)
     rank = _Reducer(pres.field)
     for j, c in enumerate(pres.rels.col_grades):
         if leq(c, x):
@@ -458,7 +521,8 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     they span its kernel and the point is skipped.  Elsewhere the fiber
     kernel comes from column reduction in column order; each kernel vector
     independent of the generators at or below the point is normalized and
-    recorded with the point (the join of its columns' grades) as grade.
+    recorded with the point (the join of its columns' grades) as grade,
+    until the generators at or below the point number its corank.
     Returns the generator grades and the inclusion matrix of the
     generators in ``m``'s column basis, in discovery order.
 
@@ -477,7 +541,7 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
             "kernel computation supports 1 or 2 parameters, got %d" % n
         )
     col_grades = m.col_grades
-    cols = m.columns()
+    cols = _packed_columns(m)
     C = len(col_grades)
     xs = sorted({g[0] for g in col_grades})
     ys = sorted({g[1] for g in col_grades}) if n == 2 else [0.0]
@@ -487,14 +551,14 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     nx, ny = len(xs), len(ys)
     at_x = [[k for k in range(C) if cx[k] == i] for i in range(nx)]
 
-    gens: list[tuple[int, int, dict]] = []
+    gens: list[tuple[int, int, int | dict]] = []
     born_x = [0] * nx  # generators found so far at each x index
     for j in range(ny):
         gate = _Reducer(p)
         nullity = found = 0  # at (i, j): fiber corank, generators at or below
         for i in range(nx):
             for k in at_x[i]:
-                if cy[k] <= j and not gate.insert(cols[k]):
+                if cy[k] <= j and not gate.insert(cols[k])[0]:
                     nullity += 1
             found += born_x[i]
             if nullity == found:
@@ -506,12 +570,20 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
                 if gi <= i and gj <= j:
                     ech.insert(vec)
             for comb in null:
-                cur = ech.reduce({sel[pos]: v for pos, v in comb.items()})
+                if found == nullity:  # the rest reduce to zero against ech
+                    break
+                if p == 2:
+                    vec = sum(1 << sel[pos] for pos, _ in _items(comb))
+                else:
+                    vec = {sel[pos]: v for pos, v in comb.items()}
+                cur, _ = ech.reduce(vec)
                 if not cur:
                     continue
-                inv = _inv(cur[max(cur)], p)
-                cur = {k: (v * inv) % p for k, v in cur.items()}
-                if (max(cx[k] for k in cur), max(cy[k] for k in cur)) != (i, j):
+                if p != 2:
+                    inv = _inv(cur[max(cur)], p)
+                    cur = {k: (v * inv) % p for k, v in cur.items()}
+                ks = [k for k, _ in _items(cur)]
+                if (max(cx[k] for k in ks), max(cy[k] for k in ks)) != (i, j):
                     raise KernelCheckError(
                         "kernel_basis: generator born at grade %r is not the "
                         "join of the grades of its columns" % ((xs[i], ys[j])[:n],)
@@ -533,7 +605,7 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
             for j in range(ny):
                 got += born[j]
                 for k in by_y[j]:
-                    if cx[k] <= i and not red.insert(cols[k]):
+                    if cx[k] <= i and not red.insert(cols[k])[0]:
                         corank += 1
                 if got != corank:
                     raise KernelCheckError(
@@ -545,7 +617,7 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     grades = [(xs[i], ys[j])[:n] for i, j, _ in gens]
     entries = {}
     for k, (_, _, vec) in enumerate(gens):
-        for i, v in vec.items():
+        for i, v in _items(vec):
             entries[(i, k)] = v
     inc = GradedMatrix(col_grades, tuple(grades), entries, field=p, dim=n)
     return Barcode(grades, dim=n), inc
@@ -623,19 +695,18 @@ def homology_presentation(chain: ChainPair) -> Presentation:
     _, inc = kernel_basis(chain.g)
     gen_grades = inc.col_grades
     span = _Reducer(p)
-    for k, col in enumerate(inc.columns()):
-        if not span.insert(col, {k: 1}):
+    for k, col in enumerate(_packed_columns(inc)):
+        if not span.insert(col, _unit(k, p))[0]:
             raise RuntimeError(
                 "homology_presentation: kernel generator %d (grade %r) depends "
                 "linearly on the generators before it" % (k, gen_grades[k])
             )
-    fcols = chain.f.columns()
+    fcols = _packed_columns(chain.f)
     rel_specs = []
     for j, cgrade in enumerate(chain.f.col_grades):
-        comb: dict[int, int] = {}
-        if span.reduce(fcols[j], comb) or not all(
-            leq(gen_grades[k], cgrade) for k in comb
-        ):
+        cur, comb = span.reduce(fcols[j], 0 if p == 2 else {})
+        comb = dict(_items(comb))
+        if cur or not all(leq(gen_grades[k], cgrade) for k in comb):
             raise RuntimeError(
                 "homology_presentation: column %d of f (grade %r) is not in "
                 "the kernel of g at its grade" % (j, cgrade)

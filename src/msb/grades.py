@@ -54,6 +54,8 @@ def leq(a: Grade, b: Grade) -> bool:
 
 def join(*grades: Grade) -> Grade:
     """Componentwise maximum (least upper bound) of one or more grades."""
+    if not grades:
+        raise ValueError("join needs at least one grade")
     first = grades[0]
     for g in grades[1:]:
         _same_dim(first, g)

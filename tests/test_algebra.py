@@ -488,6 +488,100 @@ def test_homology_matches_rank_oracle():
 # pointwise_dim
 
 
+def dense_rank(cols, nrows, p):
+    """Rank over F_p of sparse columns (dicts row -> coeff) by elimination
+    on dense lists: an oracle that shares no code with the library's
+    column reducer or its column encodings."""
+    pivots = []  # (row, column with a 1 there and 0 at every earlier pivot row)
+    for col in cols:
+        v = [0] * nrows
+        for r, c in col.items():
+            v[r] = c % p
+        for r, w in pivots:
+            f = v[r]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, w)]
+        for r, a in enumerate(v):
+            if a:
+                inv = pow(a, p - 2, p)
+                pivots.append((r, [b * inv % p for b in v]))
+                break
+    return len(pivots)
+
+
+def tall_graded_matrix(rng, p, nrows, ncols):
+    """Grade-valid matrix over F_p with grades on {0..3}^2; every third
+    column is a combination of two earlier ones, at or above their join,
+    so the fibers have kernels."""
+
+    def grade():
+        return (float(rng.below(4)), float(rng.below(4)))
+
+    rows = [grade() for _ in range(nrows)]
+    cols, grades = [], []
+    for j in range(ncols):
+        if j % 3 == 2:
+            a, b = rng.below(j), rng.below(j)
+            g = tuple(max(cs) for cs in zip(grades[a], grades[b], grade()))
+            ca, cb = 1 + rng.below(p - 1), 1 + rng.below(p - 1)
+            col = {i: ca * v for i, v in cols[a].items()}
+            for i, v in cols[b].items():
+                col[i] = col.get(i, 0) + cb * v
+        else:
+            g = grade()
+            col = {
+                i: 1 + rng.below(p - 1)
+                for i, r in enumerate(rows)
+                if r[0] <= g[0] and r[1] <= g[1] and not rng.below(max(2, nrows // 40))
+            }
+        cols.append(col)
+        grades.append(g)
+    entries = {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
+    return GradedMatrix(rows, grades, entries, field=p, dim=2)
+
+
+def assert_ranks_match_dense_oracle(m):
+    """At every point of the grid of column grades, pointwise_dim and the
+    count of kernel generators born at or below the point agree with the
+    dense rank of the columns born there."""
+    bars, _ = kernel_basis(m)
+    pres = Presentation(m.row_grades, m)
+    cols = [{} for _ in m.col_grades]
+    for (i, j), v in m.entries.items():
+        cols[j][i] = v
+    for x in sorted({c[0] for c in m.col_grades}):
+        for y in sorted({c[1] for c in m.col_grades}):
+            below = [cols[j] for j, c in enumerate(m.col_grades) if c[0] <= x and c[1] <= y]
+            rank = dense_rank(below, m.num_rows, m.field)
+            rows = sum(1 for r in m.row_grades if r[0] <= x and r[1] <= y)
+            assert pointwise_dim(pres, (x, y)) == rows - rank
+            assert sum(1 for b in bars if b[0] <= x and b[1] <= y) == len(below) - rank
+    return bars
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("nrows, ncols, trials", [(6, 12, 20), (80, 30, 3), (1100, 24, 1)])
+def test_ranks_match_dense_oracle_on_random_matrices(p, nrows, ncols, trials):
+    # over F_2 columns of more than 64 (and 1000) rows are multi-word ints
+    rng = SplitMix64(61 + nrows)
+    born = 0
+    for _ in range(trials):
+        born += len(assert_ranks_match_dense_oracle(tall_graded_matrix(rng, p, nrows, ncols)))
+    assert born >= trials
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_ranks_match_dense_oracle_on_lower_star_grid(degree):
+    # the boundaries of an ingest-coarse sized grid: 196 x 533 and 533 x 338
+    from test_cli import lower_star_square
+
+    m = lower_star_square(20241, 14, 8).boundary_matrix(degree)
+    assert m.num_rows > 64 and m.num_cols > 64
+    bars = assert_ranks_match_dense_oracle(m)
+    # the cycles of the graph are the kernel of d_1; d_2 of a disk is injective
+    assert len(bars) > 64 if degree == 1 else not bars
+
+
 def test_pointwise_dim_hook():
     p = gen_hook((0.0, 0.0), (1.0, 1.0))
     assert pointwise_dim(p, (0.5, 2.0)) == 1

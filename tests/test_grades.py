@@ -50,6 +50,9 @@ def test_leq_and_join():
     assert join((1.0, 0.0), (0.0, 2.0)) == (1.0, 2.0)
     with pytest.raises(DimensionMismatch):
         leq((0.0,), (0.0, 0.0))
+    assert join((1.0, 0.0)) == (1.0, 0.0)
+    with pytest.raises(ValueError, match="join needs at least one grade"):
+        join()
 
 
 def test_distances_between_grades():
