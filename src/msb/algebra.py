@@ -42,8 +42,7 @@ class KernelCheckError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# helpers for odd primes (over F_2 a column step is XOR); field elements
-# are plain ints in [0, p)
+# field elements are plain ints in [0, p)
 
 
 def _is_prime(p: int) -> bool:
@@ -57,18 +56,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _require_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise ValueError("field order must be prime, got %r" % (p,))
+
+
 def _inv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
-
-
-def _submul(dst: dict, src: dict, factor: int, p: int) -> None:
-    # dst -= factor * src, dropping zeros
-    for k, v in src.items():
-        nv = (dst.get(k, 0) - factor * v) % p
-        if nv:
-            dst[k] = nv
-        elif k in dst:
-            del dst[k]
 
 
 def _colex(g: Grade):
@@ -89,8 +83,7 @@ class GradedMatrix:
     __slots__ = ("row_grades", "col_grades", "entries", "field", "dim")
 
     def __init__(self, row_grades, col_grades, entries, field=2, dim=None):
-        if not _is_prime(field):
-            raise ValueError("field order must be prime, got %r" % (field,))
+        _require_prime(field)
         rg = tuple(as_grade(g) for g in row_grades)
         cg = tuple(as_grade(g) for g in col_grades)
         for g in rg + cg:
@@ -138,26 +131,14 @@ class GradedMatrix:
             raise ValueError("field mismatch in matrix product")
         if self.col_grades != other.row_grades:
             raise DimensionMismatch("inner grades disagree in matrix product")
+        p = self.field
         mycols = _packed_columns(self)
-        if self.field == 2:
-            # column x of the product is the XOR of self's columns y on x's rows
-            acc = [0] * other.num_cols
-            for y, x in other.entries:
-                acc[x] ^= mycols[y]
-            out = {(z, x): 1 for x, col in enumerate(acc) for z, _ in _items(col)}
-        else:
-            out = {}
-            for (y, x), c in other.entries.items():
-                for z, v in mycols[y].items():
-                    key = (z, x)
-                    nv = (out.get(key, 0) + c * v) % self.field
-                    if nv:
-                        out[key] = nv
-                    elif key in out:
-                        del out[key]
-        return GradedMatrix(
-            self.row_grades, other.col_grades, out, field=self.field, dim=self.dim
-        )
+        # column x of the product is the sum of self's columns y times other[y, x]
+        acc = [0 if p == 2 else {} for _ in range(other.num_cols)]
+        for (y, x), c in other.entries.items():
+            acc[x] = _addmul(acc[x], mycols[y], c, p)
+        out = {(z, x): v for x, col in enumerate(acc) for z, v in _items(col)}
+        return GradedMatrix(self.row_grades, other.col_grades, out, field=p, dim=self.dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedMatrix):
@@ -303,8 +284,11 @@ def direct_sum(*presentations: Presentation) -> Presentation:
 # column reduction.  Over F_2 a column is an int with bit r set for each
 # nonzero row r, so adding columns is XOR and the largest row is
 # ``bit_length() - 1``; over an odd prime it is a dict row -> coeff.  The
-# field fixes the encoding: columns are packed once per matrix, straight
-# from its entries, and unpacked only where a GradedMatrix is built.
+# field fixes the encoding.  Columns are packed once per matrix, straight
+# from its entries; ``_unit`` builds one, ``_addmul`` combines two and
+# ``_items`` unpacks one.  Beyond these helpers and ``_Reducer`` only the
+# F_2 mask test of minimization's first pass and the zero columns that
+# start a sum (in ``matmul`` and ``homology_presentation``) test the field.
 
 
 def _packed_columns(m: GradedMatrix) -> list:
@@ -320,6 +304,20 @@ def _packed_columns(m: GradedMatrix) -> list:
 def _unit(k: int, p: int):
     """The column with a single 1 in row ``k``."""
     return 1 << k if p == 2 else {k: 1}
+
+
+def _addmul(dst, src, a: int, p: int):
+    """``dst + a * src``: a new int over F_2, ``dst`` updated in place over
+    an odd prime."""
+    if p == 2:
+        return dst ^ src
+    for k, v in src.items():
+        nv = (dst.get(k, 0) + a * v) % p
+        if nv:
+            dst[k] = nv
+        elif k in dst:
+            del dst[k]
+    return dst
 
 
 def _items(col):
@@ -338,14 +336,16 @@ class _Reducer:
     """Column echelon form over F_p, the one elimination loop here.
 
     A column is reduced while its largest row is the pivot of a stored
-    column; a tracked combination ``comb`` (a column over the positions
-    of the inserted columns), when given, undergoes the same operations.
-    Columns and combinations are encoded by the field.  Over F_2 each is
-    an int with bit r for row r: a step is ``col ^= pivot`` and the
-    largest row is ``col.bit_length() - 1``.  Over an odd prime each is a
-    dict row -> coeff: a step subtracts the multiple of the pivot column
-    that clears the largest row, whose coefficient takes an inverse.
-    Both give the same pivots, so the same reduced columns.
+    column; a tracked combination ``comb`` (a column over the labels the
+    caller gave the inserted columns), when given, undergoes the same
+    operations.  Stored pivot columns are monic: ``insert`` scales a new
+    pivot column and its combination so the pivot coefficient is 1, and
+    returns them scaled.  Columns and combinations are encoded by the
+    field (see above).  Over F_2 a step is ``col ^= pivot`` and the
+    largest row is ``col.bit_length() - 1``.  Over an odd prime a step
+    adds ``p - c`` times the monic pivot column, where ``c`` is the
+    coefficient of the largest row, so it takes no inverse.  Both give the
+    same pivots, so the same reduced columns.
     """
 
     __slots__ = ("p", "pivots", "combs")
@@ -375,33 +375,41 @@ class _Reducer:
             piv = pivots.get(r)
             if piv is None:
                 break
-            f = (cur[r] * _inv(piv[r], p)) % p
-            _submul(cur, piv, f, p)
+            f = p - cur[r]
+            _addmul(cur, piv, f, p)
             if comb is not None:
-                _submul(comb, combs[r], f, p)
+                _addmul(comb, combs[r], f, p)
         return cur, comb
 
     def insert(self, col, comb=None) -> tuple:
-        """Reduce ``col`` and keep it as a pivot column unless it is zero."""
+        """Reduce ``col`` and keep it, made monic, as a pivot column unless
+        it is zero; returns the reduced column and combination as kept."""
         col, comb = self.reduce(col, comb)
         if col:
-            r = col.bit_length() - 1 if self.p == 2 else max(col)
+            p = self.p
+            if p == 2:
+                r = col.bit_length() - 1
+            else:
+                r = max(col)
+                inv = _inv(col[r], p)
+                col = _addmul({}, col, inv, p)
+                if comb is not None:
+                    comb = _addmul({}, comb, inv, p)
             self.pivots[r] = col
             self.combs[r] = comb
         return col, comb
 
 
-def _nullspace(cols: list, p: int) -> list:
-    """Kernel basis: the tracked combinations (over positions in ``cols``)
-    of the columns that reduce to zero, left to right.
+def _nullspace(cols: dict, p: int):
+    """Kernel basis, lazily: the tracked combinations (over the keys of
+    ``cols``, column index -> column) of the columns that reduce to zero,
+    in key order.
     """
     red = _Reducer(p)
-    out = []
-    for idx, col in enumerate(cols):
+    for idx, col in cols.items():
         cur, comb = red.insert(col, _unit(idx, p))
         if not cur:
-            out.append(comb)
-    return out
+            yield comb
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +454,11 @@ def minimize_presentation(pres: Presentation) -> Presentation:
             for j2 in [j2 for j2 in order[pos + 1 :] if cols[j2] & bit]:
                 cols[j2] ^= piv
         else:
-            inv = _inv(piv[i], p)
+            f = p - _inv(piv[i], p)
             for j2 in order[pos + 1 :]:
                 a = cols[j2].get(i)
                 if a:
-                    _submul(cols[j2], piv, (a * inv) % p, p)
+                    _addmul(cols[j2], piv, a * f, p)
         col_alive[j] = False
         row_alive[i] = False
 
@@ -474,10 +482,7 @@ def minimize_presentation(pres: Presentation) -> Presentation:
 
     new_rows = [i for i in range(len(row_grades)) if row_alive[i]]
     remap = {old: new for new, old in enumerate(new_rows)}
-    entries = {}
-    for jj, j in enumerate(kept):
-        for i, v in _items(cols[j]):
-            entries[(remap[i], jj)] = v
+    entries = {(remap[i], jj): v for jj, j in enumerate(kept) for i, v in _items(cols[j])}
     m = GradedMatrix(
         tuple(row_grades[i] for i in new_rows),
         tuple(col_grades[j] for j in kept),
@@ -519,10 +524,11 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     the generators found at or below the point.  Those generators are
     independent kernel vectors of the fiber, so when the two counts agree
     they span its kernel and the point is skipped.  Elsewhere the fiber
-    kernel comes from column reduction in column order; each kernel vector
-    independent of the generators at or below the point is normalized and
-    recorded with the point (the join of its columns' grades) as grade,
-    until the generators at or below the point number its corank.
+    kernel comes lazily from column reduction in column order; each kernel
+    vector independent of the generators at or below the point is made
+    monic by their reducer and recorded with the point (the join of its
+    columns' grades) as grade, until the generators at or below the point
+    number its corank.
     Returns the generator grades and the inclusion matrix of the
     generators in ``m``'s column basis, in discovery order.
 
@@ -551,7 +557,7 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     nx, ny = len(xs), len(ys)
     at_x = [[k for k in range(C) if cx[k] == i] for i in range(nx)]
 
-    gens: list[tuple[int, int, int | dict]] = []
+    gens: list[tuple[int, int, int | dict]] = []  # (i, j, column over column indices)
     born_x = [0] * nx  # generators found so far at each x index
     for j in range(ny):
         gate = _Reducer(p)
@@ -563,35 +569,26 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
             found += born_x[i]
             if nullity == found:
                 continue
-            sel = [k for k in range(C) if cx[k] <= i and cy[k] <= j]
-            null = _nullspace([cols[k] for k in sel], p)
             ech = _Reducer(p)
             for gi, gj, vec in gens:
                 if gi <= i and gj <= j:
                     ech.insert(vec)
-            for comb in null:
-                if found == nullity:  # the rest reduce to zero against ech
-                    break
-                if p == 2:
-                    vec = sum(1 << sel[pos] for pos, _ in _items(comb))
-                else:
-                    vec = {sel[pos]: v for pos, v in comb.items()}
-                cur, _ = ech.reduce(vec)
+            fiber = {k: cols[k] for k in range(C) if cx[k] <= i and cy[k] <= j}
+            for vec in _nullspace(fiber, p):
+                cur, _ = ech.insert(vec)
                 if not cur:
                     continue
-                if p != 2:
-                    inv = _inv(cur[max(cur)], p)
-                    cur = {k: (v * inv) % p for k, v in cur.items()}
                 ks = [k for k, _ in _items(cur)]
                 if (max(cx[k] for k in ks), max(cy[k] for k in ks)) != (i, j):
                     raise KernelCheckError(
                         "kernel_basis: generator born at grade %r is not the "
                         "join of the grades of its columns" % ((xs[i], ys[j])[:n],)
                     )
-                ech.insert(cur)
                 gens.append((i, j, cur))
                 born_x[i] += 1
                 found += 1
+                if found == nullity:  # the rest would reduce to zero against ech
+                    break
 
     if verify:
         by_x = [[gj for gi, gj, _ in gens if gi == i] for i in range(nx)]
@@ -615,10 +612,7 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
                     )
 
     grades = [(xs[i], ys[j])[:n] for i, j, _ in gens]
-    entries = {}
-    for k, (_, _, vec) in enumerate(gens):
-        for i, v in _items(vec):
-            entries[(i, k)] = v
+    entries = {(i, k): v for k, (_, _, vec) in enumerate(gens) for i, v in _items(vec)}
     inc = GradedMatrix(col_grades, tuple(grades), entries, field=p, dim=n)
     return Barcode(grades, dim=n), inc
 

@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from .algebra import betti, pointwise_dim
+from .algebra import _is_prime, betti, pointwise_dim
 from .grades import SignedBarcode, reduce_signed
 from .hilbert import hilbert_eval, minimal_hilbert_decomposition
 from .io import (
@@ -229,6 +229,8 @@ def _expect_params(params, n, usage):
 
 
 def cmd_ingest(args) -> int:
+    if args.field is not None and not _is_prime(args.field):
+        raise _CliError("field order must be prime, got %d" % args.field, USAGE_ERROR)
     text = _read(args.file)
     if sniff_format(text) != "mbif":
         raise _CliError("%s: expected an mbif document" % args.file, DATA_ERROR)

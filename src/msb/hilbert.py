@@ -10,12 +10,14 @@ disjoint barcodes realizing that dimension function.
 from __future__ import annotations
 
 from .algebra import Presentation, betti
-from .grades import SignedBarcode, as_grade, leq, reduce_signed
+from .grades import DimensionMismatch, SignedBarcode, as_grade, leq, reduce_signed
 
 
 def hilbert_eval(s: SignedBarcode, x) -> int:
     """Signed count of bars born by ``x``."""
     x = as_grade(x)
+    if s.dim is not None and len(x) != s.dim:
+        raise DimensionMismatch("query grade has wrong dimension")
     born_pos = sum(1 for g in s.positive if leq(g, x))
     born_neg = sum(1 for g in s.negative if leq(g, x))
     return born_pos - born_neg

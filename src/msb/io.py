@@ -42,6 +42,7 @@ from .algebra import (
     Presentation,
     _first_invalid,
     _is_prime,
+    _require_prime,
     homology_presentation,
 )
 from .grades import Barcode, SignedBarcode, as_grade, leq
@@ -178,7 +179,7 @@ class _Tokens:
             p = int(tok)
         except ValueError:
             raise ParseError("expected field order, got '%s'" % tok, line, col)
-        if p < 2 or not _is_prime(p):
+        if not _is_prime(p):
             raise ParseError("field order must be prime, got %d" % p, line, col)
         return p
 
@@ -381,9 +382,10 @@ class Bifiltration:
     in [1, field), and the composite boundary vanishes over the field.
     """
 
-    __slots__ = ("cells", "field", "dim")
+    __slots__ = ("cells", "field", "dim", "_boundary")
 
     def __init__(self, cells, field: int = 2, dim: int | None = None):
+        _require_prime(field)
         norm = []
         for k, cell in enumerate(cells):
             grade = as_grade(cell.grade)
@@ -420,6 +422,7 @@ class Bifiltration:
         object.__setattr__(self, "cells", tuple(norm))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_boundary", {})  # degree -> built boundary matrix
         self._check_boundary_squared()
 
     def __setattr__(self, name, value):
@@ -432,29 +435,29 @@ class Bifiltration:
         return [k for k, c in enumerate(self.cells) if c.dim == d]
 
     def boundary_matrix(self, d: int) -> GradedMatrix:
-        """Boundary map from d-cells to (d-1)-cells as a graded matrix."""
-        rows = self.cells_of_dim(d - 1)
-        cols = self.cells_of_dim(d)
-        rowpos = {k: i for i, k in enumerate(rows)}
-        entries = {}
-        for j, k in enumerate(cols):
-            for idx, coeff in self.cells[k].boundary:
-                entries[(rowpos[idx], j)] = coeff
-        return GradedMatrix(
-            tuple(self.cells[k].grade for k in rows),
-            tuple(self.cells[k].grade for k in cols),
-            entries,
-            field=self.field,
-            dim=self.dim,
-        )
+        """Boundary map from d-cells to (d-1)-cells as a graded matrix,
+        built once per degree."""
+        if d not in self._boundary:
+            rows = self.cells_of_dim(d - 1)
+            cols = self.cells_of_dim(d)
+            rowpos = {k: i for i, k in enumerate(rows)}
+            entries = {}
+            for j, k in enumerate(cols):
+                for idx, coeff in self.cells[k].boundary:
+                    entries[(rowpos[idx], j)] = coeff
+            self._boundary[d] = GradedMatrix(
+                tuple(self.cells[k].grade for k in rows),
+                tuple(self.cells[k].grade for k in cols),
+                entries,
+                field=self.field,
+                dim=self.dim,
+            )
+        return self._boundary[d]
 
     def _check_boundary_squared(self):
         for d in range(2, self.max_cell_dim() + 1):
-            prod = self.boundary_matrix(d - 1).matmul(self.boundary_matrix(d))
-            if prod.entries:
-                raise ValueError(
-                    "boundary of boundary is nonzero in dimension %d" % d
-                )
+            if self.boundary_matrix(d - 1).matmul(self.boundary_matrix(d)).entries:
+                raise ValueError("boundary of boundary is nonzero in dimension %d" % d)
 
     def __eq__(self, other):
         if not isinstance(other, Bifiltration):
@@ -469,10 +472,11 @@ def parse_bifiltration(text: str, field: int | None = None) -> Bifiltration:
     t = _Tokens(text)
     t.header("mbif")
     file_field = t.field()
+    p = file_field if field is None else field
+    _require_prime(p)
     n = t.ndim()
     t.keyword("cells")
     count = t.count("cell count")
-    p = file_field if field is None else field
     cells = []
     for k in range(count):
         d = t.int_("dimension of cell %d" % k)

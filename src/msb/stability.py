@@ -31,6 +31,10 @@ BOTTLENECK_FACTOR = 3.0
 WASSERSTEIN_FACTOR = 2.0
 #: Slack for float accumulation when comparing distances to bounds.
 TOLERANCE = 1e-9
+#: Trial sizes: 1..MAX_GENS generators, 0..MAX_RELS relations, grades on {0..GRID-1}^2.
+MAX_GENS = 6
+MAX_RELS = 6
+GRID = 8
 
 
 @dataclass(frozen=True)
@@ -71,14 +75,7 @@ def _ratio(dist: float, bound: float) -> float:
     return dist / bound
 
 
-def run_stability(
-    trials: int,
-    delta: float,
-    seed: int,
-    max_gens: int = 6,
-    max_rels: int = 6,
-    grid: int = 8,
-) -> StabilityReport:
+def run_stability(trials: int, delta: float, seed: int) -> StabilityReport:
     """Run ``trials`` seeded perturbation trials at amplitude ``delta``."""
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
@@ -87,11 +84,11 @@ def run_stability(
     rng = SplitMix64(seed)
     report = StabilityReport()
     for t in range(trials):
-        ngens = 1 + rng.below(max_gens)
-        nrels = rng.below(max_rels + 1)
+        ngens = 1 + rng.below(MAX_GENS)
+        nrels = rng.below(MAX_RELS + 1)
         base_seed = rng.next_u64()
         pert_seed = rng.next_u64()
-        pres = gen_random(base_seed, ngens, nrels, grid)
+        pres = gen_random(base_seed, ngens, nrels, GRID)
         out = perturb(pres, PerturbSpec(delta, pert_seed))
         if out.cost_linf > 2 * delta + 1e-12:
             report.violations.append(

@@ -24,6 +24,7 @@ from msb import (
     leq,
     minimize_presentation,
     pointwise_dim,
+    serialize_presentation,
     validate_graded,
 )
 from msb import algebra
@@ -248,6 +249,17 @@ def test_kernel_output_pinned_on_random_corpus():
     assert digest.hexdigest() == "c3fd6042188d2e56fa6bba9a76540e2c94617ef2b6a19258481048fe7f49f0ab"
 
 
+def graded_matrix_over(rng, p, rows, cols, dim):
+    """Grade-valid matrix over F_p on the given grades: each entry at or
+    below its column's grade is a random unit with probability 1/2."""
+    entries = {}
+    for j, c in enumerate(cols):
+        for i, r in enumerate(rows):
+            if leq(r, c) and rng.below(2):
+                entries[(i, j)] = 1 + rng.below(p - 1)
+    return GradedMatrix(rows, cols, entries, field=p, dim=dim)
+
+
 def random_graded_matrix(rng, p, dim):
     """Grade-valid matrix over F_p: grades on {0..4}^dim, random units."""
 
@@ -256,12 +268,7 @@ def random_graded_matrix(rng, p, dim):
 
     rows = [grade() for _ in range(rng.below(7))]
     cols = [grade() for _ in range(1 + rng.below(11))]
-    entries = {}
-    for j, c in enumerate(cols):
-        for i, r in enumerate(rows):
-            if leq(r, c) and rng.below(2):
-                entries[(i, j)] = 1 + rng.below(p - 1)
-    return GradedMatrix(rows, cols, entries, field=p, dim=dim)
+    return graded_matrix_over(rng, p, rows, cols, dim)
 
 
 def test_kernel_output_pinned_over_odd_fields_in_one_and_two_parameters():
@@ -306,7 +313,7 @@ def test_kernel_check_catches_a_dropped_vector(monkeypatch):
     m = GradedMatrix([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], {(0, 0): 1, (0, 1): 1})
     good, _ = kernel_basis(m)
     nullspace = algebra._nullspace
-    monkeypatch.setattr(algebra, "_nullspace", lambda cols, p: nullspace(cols, p)[:-1])
+    monkeypatch.setattr(algebra, "_nullspace", lambda cols, p: list(nullspace(cols, p))[:-1])
     with pytest.raises(KernelCheckError, match=r"kernel_basis: .* grade \(1\.0, 1\.0\)"):
         kernel_basis(m)
     bad, _ = kernel_basis(m, verify=False)
@@ -384,6 +391,40 @@ def test_betti_signed_is_even_odd_split():
 
 # ---------------------------------------------------------------------------
 # homology_presentation and chain pairs
+
+
+def test_matmul_output_pinned_over_odd_fields():
+    # products with coefficients other than 1, where terms cancel mod p
+    digest = hashlib.sha256()
+    rng = SplitMix64(67)
+    for p in (3, 5):
+        for dim in (1, 2):
+            for _ in range(60):
+                z, y, x = (
+                    [tuple(float(rng.below(4)) for _ in range(dim)) for _ in range(1 + rng.below(k))]
+                    for k in (6, 9, 7)
+                )
+                a = graded_matrix_over(rng, p, z, y, dim)
+                prod = a.matmul(graded_matrix_over(rng, p, y, x, dim))
+                digest.update(repr((prod.row_grades, prod.col_grades, sorted(prod.entries.items()))).encode())
+    assert digest.hexdigest() == "4fa6e6ee7d8c803cfdd095c3d74bb55765e678b9b35dcd437ef5fd35ed0fc5b6"
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_homology_output_pinned_over_odd_fields(p):
+    # signed boundaries of an oriented grid: the relations carry
+    # coefficients other than 1 and the kernel generators are normalized
+    from test_cli import lower_star_square
+
+    bif = lower_star_square(20242, 5, 6, field=p)
+    digest = hashlib.sha256()
+    for degree in (0, 1):
+        chain = ChainPair(f=bif.boundary_matrix(degree + 1), g=bif.boundary_matrix(degree))
+        digest.update(serialize_presentation(homology_presentation(chain)).encode())
+    assert digest.hexdigest() == {
+        3: "7b469002fb3a5a283e5b115305edb88cacd84ad0b94fcd052517a10b2601d0d7",
+        5: "0d4c0a1e83cc0f659049ddaf3c3c2df387d977b291db323fc620ef569bd33d6c",
+    }[p]
 
 
 def test_chain_pair_requires_zero_composite():

@@ -243,6 +243,14 @@ def test_gen_field_reaches_the_output(capsys):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize("field", ["0", "1", "-3", "4"])
+def test_ingest_nonprime_field_is_usage_error(capsys, tmp_path, field):
+    # refused before the file is read: a missing file would be a data error
+    code, out, err = run(capsys, "ingest", str(tmp_path / "missing.mbif"), "--field", field)
+    assert code == 1 and out == ""
+    assert "field order must be prime, got %s" % field in err
+
+
 def test_gen_random_rejects_a_field_other_than_two(capsys):
     code, out, err = run(capsys, "gen", "random", "1", "3", "3", "4", "--field", "3")
     assert code == 1 and out == ""
@@ -268,11 +276,14 @@ def test_ingest_pipeline(capsys, tmp_path):
     assert res.by_degree[0].bars == ((1.0, 1.0),)
 
 
-def lower_star_square(seed, n, levels):
-    """Lower-star bifiltration of the triangulated n x n grid over F_2.
+def lower_star_square(seed, n, levels, field=2):
+    """Lower-star bifiltration of the triangulated n x n grid over F_field.
 
     Each vertex gets two seeded values in {0..levels-1}; an edge or a
-    triangle is born at the join of its vertices.
+    triangle is born at the join of its vertices.  Boundaries are
+    oriented (the faces of a simplex on sorted vertices alternate in
+    sign), so the boundary squares to zero over every field; over F_2
+    every coefficient is 1.
     """
     rng = SplitMix64(seed)
     vals = [(float(rng.below(levels)), float(rng.below(levels))) for _ in range(n * n)]
@@ -280,7 +291,7 @@ def lower_star_square(seed, n, levels):
 
     def add(dim, verts, faces):
         grade = tuple(max(vals[v][k] for v in verts) for k in (0, 1))
-        cells.append(Cell(dim, grade, tuple((f, 1) for f in sorted(faces))))
+        cells.append(Cell(dim, grade, tuple(sorted(faces))))
         return len(cells) - 1
 
     for v in range(n * n):
@@ -291,13 +302,13 @@ def lower_star_square(seed, n, levels):
             for r2, c2 in ((r, c + 1), (r + 1, c), (r + 1, c + 1)):
                 if r2 < n and c2 < n:
                     u, v = r * n + c, r2 * n + c2
-                    edge[u, v] = add(1, [u, v], [u, v])
+                    edge[u, v] = add(1, [u, v], [(u, -1), (v, 1)])
     for r in range(n - 1):
         for c in range(n - 1):
             a, b, d, e = r * n + c, r * n + c + 1, (r + 1) * n + c, (r + 1) * n + c + 1
-            add(2, [a, b, e], [edge[a, b], edge[b, e], edge[a, e]])
-            add(2, [a, d, e], [edge[a, d], edge[d, e], edge[a, e]])
-    return Bifiltration(cells, 2)
+            for m in (b, d):
+                add(2, [a, m, e], [(edge[m, e], 1), (edge[a, e], -1), (edge[a, m], 1)])
+    return Bifiltration(cells, field)
 
 
 @pytest.mark.parametrize(

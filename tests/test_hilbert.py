@@ -65,6 +65,10 @@ def test_eval_dimension_mismatch():
     s = SignedBarcode(Barcode([(0.0, 0.0)]), Barcode([], dim=2))
     with pytest.raises(DimensionMismatch):
         hilbert_eval(s, (1.0,))
+    # with no bar to compare against, the query is still checked
+    empty = SignedBarcode(Barcode([], dim=2), Barcode([], dim=2))
+    with pytest.raises(DimensionMismatch):
+        hilbert_eval(empty, (1.0,))
 
 
 def test_decomposition_of_chain():

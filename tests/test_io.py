@@ -284,6 +284,32 @@ def test_mbif_field_override():
     assert over.field == 3
 
 
+@pytest.mark.parametrize("field", [0, 1, 4, -3])
+def test_mbif_nonprime_field_rejected(field):
+    bif = hollow_triangle([(0.0, 0.0)] * 3)
+    message = "field order must be prime, got %d" % field
+    with pytest.raises(ValueError, match=message):
+        Bifiltration(bif.cells, field)
+    with pytest.raises(ValueError, match=message):
+        parse_bifiltration(serialize_bifiltration(bif), field=field)
+
+
+def test_boundary_matrices_built_once(monkeypatch):
+    # the matrices built for the boundary-squared check serve every later
+    # call, so the homology of every degree builds each boundary once
+    from msb import io
+
+    built = []
+    graded_matrix = io.GradedMatrix
+    monkeypatch.setattr(io, "GradedMatrix", lambda *a, **k: built.append(1) or graded_matrix(*a, **k))
+    bif = hollow_triangle([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], fill=(2.0, 2.0))
+    assert len(built) == 2  # d_1 and d_2, for the check
+    for degree in (0, 1, 2):
+        chain_to_presentation(bif, degree)
+    assert len(built) == 4  # and d_0, d_3
+    assert bif.boundary_matrix(1) is bif.boundary_matrix(1)
+
+
 # ---------------------------------------------------------------------------
 # homology from bifiltrations
 
