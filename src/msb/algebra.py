@@ -540,6 +540,11 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     grid points, and the counts are 2-D prefix sums of births.
     """
     _require_valid(m)
+    return _kernel_basis(m, verify)
+
+
+def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedMatrix]:
+    """:func:`kernel_basis` of a matrix its caller knows to be grade-valid."""
     p = m.field
     n = m.dim
     if n is not None and n > 2:
@@ -643,7 +648,7 @@ def betti(pres: Presentation) -> BettiResult:
     b0 = Barcode(mini.gens, dim=pres.dim)
     b1 = Barcode(mini.rels.col_grades, dim=pres.dim)
     if n == 2:
-        b2, _ = kernel_basis(mini.rels)
+        b2, _ = _kernel_basis(mini.rels)
         by_degree = (b0, b1, b2)
         positive = Barcode(b0.bars + b2.bars, dim=pres.dim)
     else:
@@ -686,7 +691,7 @@ def homology_presentation(chain: ChainPair) -> Presentation:
     column must reduce to zero using only generators at or below its grade.
     """
     p = chain.g.field
-    _, inc = kernel_basis(chain.g)
+    _, inc = _kernel_basis(chain.g)
     gen_grades = inc.col_grades
     span = _Reducer(p)
     for k, col in enumerate(_packed_columns(inc)):

@@ -19,13 +19,22 @@ from .io import (
     ParseError,
     chain_to_presentation,
     fmt_float,
+    _grade_lines,
     parse_any,
     parse_bifiltration,
     serialize_presentation,
     serialize_signed_barcode,
     sniff_format,
 )
-from .matching import bottleneck_signed, wasserstein_signed
+from .generators import (
+    gen_chain,
+    gen_free,
+    gen_hook,
+    gen_one_param_interval,
+    gen_random,
+    gen_staircase,
+)
+from .matching import wasserstein_signed
 from .stability import run_stability
 
 USAGE_ERROR = 1
@@ -94,10 +103,6 @@ def _parse_points(raw: str, dim: int) -> list[tuple]:
     return points
 
 
-def _grade_lines(bars) -> list[str]:
-    return [" ".join(fmt_float(c) for c in g) for g in bars]
-
-
 def cmd_betti(args) -> int:
     _, pres = _load(args.file, "mpres")
     result = betti(pres)
@@ -126,27 +131,18 @@ def cmd_hilbert(args) -> int:
     return 0
 
 
-def _metric(args):
-    p = math.inf
-    if args.metric == "wasserstein":
-        if args.p.strip().lower() in ("inf", "infinity"):
-            p = math.inf
-        else:
-            try:
-                p = float(args.p)
-            except ValueError:
-                raise _CliError("invalid --p value %r" % args.p, USAGE_ERROR)
-
-    def compute(sa, sb):
-        if args.metric == "bottleneck":
-            return bottleneck_signed(sa, sb)
-        return wasserstein_signed(sa, sb, p)
-
-    return compute
+def _metric(args) -> float:
+    """The order p of the chosen metric; the bottleneck distance is p = inf."""
+    if args.metric == "bottleneck" or args.p.strip().lower() in ("inf", "infinity"):
+        return math.inf
+    try:
+        return float(args.p)
+    except ValueError:
+        raise _CliError("invalid --p value %r" % args.p, USAGE_ERROR)
 
 
 def cmd_dist(args) -> int:
-    compute = _metric(args)
+    p = _metric(args)
     a = Path(args.a)
     b = Path(args.b)
     if a.is_dir() != b.is_dir():
@@ -160,13 +156,13 @@ def cmd_dist(args) -> int:
             raise _CliError("no common file names under %s and %s" % (a, b), DATA_ERROR)
         # compare every pair first, so a bad file leaves stdout empty
         results = [
-            compute(_load_signed(str(a / name)), _load_signed(str(b / name)))
+            wasserstein_signed(_load_signed(str(a / name)), _load_signed(str(b / name)), p)
             for name in names
         ]
         for name, res in zip(names, results):
             sys.stdout.write("%s %s\n" % (name, fmt_float(res.value)))
         return 0
-    res = compute(_load_signed(args.a), _load_signed(args.b))
+    res = wasserstein_signed(_load_signed(args.a), _load_signed(args.b), p)
     sys.stdout.write(fmt_float(res.value) + "\n")
     if args.print_matching and res.matching is not None:
         sys.stdout.write("match %d\n" % len(res.matching))
@@ -175,57 +171,46 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def cmd_gen(args) -> int:
-    from . import generators as G
-
-    def grade_of(tok):
-        try:
-            return tuple(float(x) for x in tok.split(","))
-        except ValueError:
-            raise _CliError("malformed grade %r" % tok, USAGE_ERROR)
-
-    name = args.name
-    params = args.params
+def _grade(tok: str) -> tuple:
     try:
-        if name == "free":
-            _expect_params(params, 1, "free GRADE")
-            pres = G.gen_free(grade_of(params[0]), field=args.field)
-        elif name == "hook":
-            _expect_params(params, 2, "hook BIRTH DEATH")
-            pres = G.gen_hook(grade_of(params[0]), grade_of(params[1]), field=args.field)
-        elif name == "staircase":
-            _expect_params(params, 1, "staircase K")
-            pres = G.gen_staircase(int(params[0]), field=args.field)
-        elif name == "chain":
-            _expect_params(params, 2, "chain M EPS")
-            pres = G.gen_chain(int(params[0]), float(params[1]), field=args.field)
-        elif name == "interval":
-            _expect_params(params, 2, "interval BIRTH DEATH")
-            pres = G.gen_one_param_interval(
-                float(params[0]), float(params[1]), field=args.field
-            )
-        elif name == "random":
-            _expect_params(params, 4, "random SEED GENS RELS GRID")
-            if args.field != 2:
-                raise _CliError(
-                    "gen random is over F_2 only, got --field %d" % args.field, USAGE_ERROR
-                )
-            pres = G.gen_random(
-                int(params[0]), int(params[1]), int(params[2]), int(params[3])
-            )
-        else:
-            raise _CliError("unknown generator %r" % name, USAGE_ERROR)
-    except _CliError:
-        raise
+        return tuple(float(x) for x in tok.split(","))
+    except ValueError:
+        raise _CliError("malformed grade %r" % tok, USAGE_ERROR)
+
+
+def _gen_random(seed, gens, rels, grid, field):
+    if field != 2:
+        raise _CliError("gen random is over F_2 only, got --field %d" % field, USAGE_ERROR)
+    return gen_random(int(seed), int(gens), int(rels), int(grid))
+
+
+# name -> (usage, builder from the parameters and --field)
+_GENERATORS = {
+    "free": ("free GRADE", lambda g, field: gen_free(_grade(g), field=field)),
+    "hook": (
+        "hook BIRTH DEATH",
+        lambda a, b, field: gen_hook(_grade(a), _grade(b), field=field),
+    ),
+    "staircase": ("staircase K", lambda k, field: gen_staircase(int(k), field=field)),
+    "chain": ("chain M EPS", lambda m, eps, field: gen_chain(int(m), float(eps), field=field)),
+    "interval": (
+        "interval BIRTH DEATH",
+        lambda a, b, field: gen_one_param_interval(float(a), float(b), field=field),
+    ),
+    "random": ("random SEED GENS RELS GRID", _gen_random),
+}
+
+
+def cmd_gen(args) -> int:
+    usage, build = _GENERATORS[args.name]
+    if len(args.params) != len(usage.split()) - 1:
+        raise _CliError("expected: gen %s" % usage, USAGE_ERROR)
+    try:
+        pres = build(*args.params, field=args.field)
     except ValueError as e:
         raise _CliError(str(e), USAGE_ERROR)
     _write_out(serialize_presentation(pres), args.output)
     return 0
-
-
-def _expect_params(params, n, usage):
-    if len(params) != n:
-        raise _CliError("expected: gen %s" % usage, USAGE_ERROR)
 
 
 def cmd_ingest(args) -> int:
@@ -290,9 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("gen", help="write a generated presentation")
-    p.add_argument(
-        "name", choices=("free", "hook", "staircase", "chain", "interval", "random")
-    )
+    p.add_argument("name", choices=_GENERATORS)
     p.add_argument("params", nargs="*")
     p.add_argument("--field", type=int, default=2)
     p.add_argument("-o", "--output")

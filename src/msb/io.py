@@ -71,6 +71,11 @@ def fmt_float(v: float) -> str:
     return repr(v)
 
 
+def _grade_lines(grades) -> list[str]:
+    """One line of space-separated coordinates per grade."""
+    return [" ".join(fmt_float(c) for c in g) for g in grades]
+
+
 _TOKEN_RE = re.compile(r"\S+")
 
 
@@ -111,19 +116,16 @@ class _Tokens:
         if tok != word:
             raise ParseError("expected '%s', got '%s'" % (word, tok), line, col)
 
-    def int_(self, what: str) -> int:
+    def _int(self, what: str, expected: str) -> tuple[int, int, int]:
+        """The next token as an integer, with its line and column."""
         tok, line, col = self.next(what)
         try:
-            return int(tok)
+            return int(tok), line, col
         except ValueError:
-            raise ParseError("expected integer %s, got '%s'" % (what, tok), line, col)
+            raise ParseError("expected %s, got '%s'" % (expected, tok), line, col)
 
     def count(self, what: str) -> int:
-        tok, line, col = self.next(what)
-        try:
-            n = int(tok)
-        except ValueError:
-            raise ParseError("expected count %s, got '%s'" % (what, tok), line, col)
+        n, line, col = self._int(what, "count " + what)
         if n < 0:
             raise ParseError("%s must be nonnegative, got %d" % (what, n), line, col)
         return n
@@ -174,22 +176,14 @@ class _Tokens:
 
     def field(self) -> int:
         self.keyword("field")
-        tok, line, col = self.next("field order")
-        try:
-            p = int(tok)
-        except ValueError:
-            raise ParseError("expected field order, got '%s'" % tok, line, col)
+        p, line, col = self._int("field order", "field order")
         if not _is_prime(p):
             raise ParseError("field order must be prime, got %d" % p, line, col)
         return p
 
     def ndim(self) -> int:
         self.keyword("n")
-        tok, line, col = self.next("grade dimension")
-        try:
-            n = int(tok)
-        except ValueError:
-            raise ParseError("expected grade dimension, got '%s'" % tok, line, col)
+        n, line, col = self._int("grade dimension", "grade dimension")
         if n < 1:
             raise ParseError("grade dimension must be positive, got %d" % n, line, col)
         return n
@@ -227,16 +221,32 @@ def serialize_signed_barcode(s: SignedBarcode) -> str:
     if dim is None:
         dim = 1
     lines = ["sbarc 1", "n %d" % dim, "positive %d" % len(s.positive)]
-    for g in s.positive:
-        lines.append(" ".join(fmt_float(c) for c in g))
+    lines += _grade_lines(s.positive)
     lines.append("negative %d" % len(s.negative))
-    for g in s.negative:
-        lines.append(" ".join(fmt_float(c) for c in g))
+    lines += _grade_lines(s.negative)
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # mpres
+
+
+def _parse_block(t: _Tokens, name: str, label: str, n: int, field: int, nrows: int):
+    """Grades, entries and input positions of the sparse columns after
+    keyword ``name``; messages call column j "``label`` j"."""
+    t.keyword(name)
+    count = t.count("%s count" % label)
+    grades = []
+    entries = {}
+    pos = []
+    for j in range(count):
+        pos.append(t.pos())
+        grades.append(t.grade(n, "%s %d" % (label, j)))
+        nnz = t.count("entry count of %s %d" % (label, j))
+        for _ in range(nnz):
+            i, coeff = t.pair("%s %d entry" % (label, j), nrows, field)
+            entries[(i, j)] = coeff
+    return grades, entries, pos
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -246,19 +256,7 @@ def parse_presentation(text: str) -> Presentation:
     n = t.ndim()
     t.keyword("gens")
     gens = [t.grade(n, "generator") for _ in range(t.count("generator count"))]
-    t.keyword("rels")
-    nrels = t.count("relation count")
-    col_grades = []
-    entries = {}
-    rel_pos = []
-    for j in range(nrels):
-        rel_pos.append(t.pos())
-        grade = t.grade(n, "relation %d" % j)
-        col_grades.append(grade)
-        nnz = t.count("entry count of relation %d" % j)
-        for _ in range(nnz):
-            i, coeff = t.pair("relation %d entry" % j, len(gens), field)
-            entries[(i, j)] = coeff
+    col_grades, entries, rel_pos = _parse_block(t, "rels", "relation", n, field, len(gens))
     t.done()
     m = GradedMatrix(tuple(gens), tuple(col_grades), entries, field=field, dim=n)
     _check_grade_order(m, "relation", "generator", rel_pos)
@@ -282,45 +280,24 @@ def _check_grade_order(m: GradedMatrix, col_what: str, row_what: str, col_pos) -
         )
 
 
-def _sparse_line(grade, col: dict) -> str:
-    parts = [fmt_float(c) for c in grade]
-    parts.append(str(len(col)))
-    for i in sorted(col):
-        parts.append("%d:%d" % (i, col[i]))
-    return " ".join(parts)
+def _block_lines(name: str, m: GradedMatrix) -> list[str]:
+    """The block that :func:`_parse_block` reads back as ``m``'s columns."""
+    lines = ["%s %d" % (name, m.num_cols)]
+    for grade, col in zip(m.col_grades, m.columns()):
+        pairs = ["%d:%d" % (i, col[i]) for i in sorted(col)]
+        lines.append(" ".join([fmt_float(c) for c in grade] + [str(len(col))] + pairs))
+    return lines
 
 
 def serialize_presentation(p: Presentation) -> str:
     dim = p.dim if p.dim is not None else 1
     lines = ["mpres 1", "field %d" % p.field, "n %d" % dim, "gens %d" % p.num_gens]
-    for g in p.gens:
-        lines.append(" ".join(fmt_float(c) for c in g))
-    lines.append("rels %d" % p.num_rels)
-    cols = p.rels.columns()
-    for j, grade in enumerate(p.rels.col_grades):
-        lines.append(_sparse_line(grade, cols[j]))
+    lines += _grade_lines(p.gens) + _block_lines("rels", p.rels)
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # mchain
-
-
-def _parse_block(t: _Tokens, name: str, n: int, field: int, nrows: int):
-    t.keyword(name)
-    count = t.count("%s column count" % name)
-    grades = []
-    entries = {}
-    pos = []
-    for j in range(count):
-        pos.append(t.pos())
-        grade = t.grade(n, "%s column %d" % (name, j))
-        grades.append(grade)
-        nnz = t.count("entry count of %s column %d" % (name, j))
-        for _ in range(nnz):
-            i, coeff = t.pair("%s column %d entry" % (name, j), nrows, field)
-            entries[(i, j)] = coeff
-    return grades, entries, pos
 
 
 def parse_chain_pair(text: str) -> ChainPair:
@@ -331,8 +308,8 @@ def parse_chain_pair(text: str) -> ChainPair:
     t.keyword("Z")
     zcount = t.count("Z grade count")
     zgrades = [t.grade(n, "Z grade") for _ in range(zcount)]
-    ygrades, gentries, ypos = _parse_block(t, "Y", n, field, zcount)
-    xgrades, fentries, xpos = _parse_block(t, "X", n, field, len(ygrades))
+    ygrades, gentries, ypos = _parse_block(t, "Y", "Y column", n, field, zcount)
+    xgrades, fentries, xpos = _parse_block(t, "X", "X column", n, field, len(ygrades))
     t.done()
     g = GradedMatrix(tuple(zgrades), tuple(ygrades), gentries, field=field, dim=n)
     f = GradedMatrix(tuple(ygrades), tuple(xgrades), fentries, field=field, dim=n)
@@ -348,16 +325,7 @@ def serialize_chain_pair(c: ChainPair) -> str:
     dim = c.g.dim if c.g.dim is not None else 1
     lines = ["mchain 1", "field %d" % c.g.field, "n %d" % dim]
     lines.append("Z %d" % c.g.num_rows)
-    for grade in c.g.row_grades:
-        lines.append(" ".join(fmt_float(x) for x in grade))
-    gcols = c.g.columns()
-    lines.append("Y %d" % c.g.num_cols)
-    for j, grade in enumerate(c.g.col_grades):
-        lines.append(_sparse_line(grade, gcols[j]))
-    fcols = c.f.columns()
-    lines.append("X %d" % c.f.num_cols)
-    for j, grade in enumerate(c.f.col_grades):
-        lines.append(_sparse_line(grade, fcols[j]))
+    lines += _grade_lines(c.g.row_grades) + _block_lines("Y", c.g) + _block_lines("X", c.f)
     return "\n".join(lines) + "\n"
 
 
@@ -479,7 +447,8 @@ def parse_bifiltration(text: str, field: int | None = None) -> Bifiltration:
     count = t.count("cell count")
     cells = []
     for k in range(count):
-        d = t.int_("dimension of cell %d" % k)
+        what = "dimension of cell %d" % k
+        d = t._int(what, "integer " + what)[0]
         grade = t.grade(n, "cell %d" % k)
         nnz = t.count("boundary size of cell %d" % k)
         boundary = tuple(

@@ -83,16 +83,14 @@ def _check_p(p) -> float:
     return p
 
 
-def _linf_matrix(b: Barcode, c: Barcode) -> np.ndarray:
-    A = np.asarray(b.bars, dtype=np.float64)
-    B = np.asarray(c.bars, dtype=np.float64)
-    return np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
-
-
-def _power_cost_matrix(b: Barcode, c: Barcode, p: float) -> np.ndarray:
+def _cost_matrix(b: Barcode, c: Barcode, p: float) -> np.ndarray:
+    """Pairwise l-infinity distances for ``p = inf``, else the sums of
+    p-th powers of coordinatewise displacements."""
     A = np.asarray(b.bars, dtype=np.float64)
     B = np.asarray(c.bars, dtype=np.float64)
     diff = np.abs(A[:, None, :] - B[None, :, :])
+    if p == math.inf:
+        return diff.max(axis=2)
     if p == 1.0:
         return diff.sum(axis=2)
     return (diff ** p).sum(axis=2)
@@ -190,7 +188,7 @@ def eps_bijection_exists(b, c, eps: float) -> bool:
         return False
     if K == 0:
         return True
-    D = _linf_matrix(b, c)
+    D = _cost_matrix(b, c, math.inf)
     match_l = [-1] * K
     match_r = [-1] * K
     return _feasible_at(D, eps, match_l, match_r)
@@ -210,7 +208,7 @@ def bottleneck(b, c) -> MatchingResult:
         return MatchingResult(math.inf, None)
     if K == 0:
         return MatchingResult(0.0, ())
-    D = _linf_matrix(b, c)
+    D = _cost_matrix(b, c, math.inf)
     cands = np.unique(D)
     lo_val = max(D.min(axis=1).max(), D.min(axis=0).max())
     li = int(np.searchsorted(cands, lo_val))
@@ -304,7 +302,7 @@ def wasserstein(b, c, p=1) -> MatchingResult:
         return MatchingResult(math.inf, None)
     if K == 0:
         return MatchingResult(0.0, ())
-    C = _power_cost_matrix(b, c, p)
+    C = _cost_matrix(b, c, p)
     col_of_row = _min_cost_assignment(C)
     total = 0.0
     for i in range(K):
@@ -316,9 +314,7 @@ def wasserstein(b, c, p=1) -> MatchingResult:
 
 def bottleneck_signed(s1: SignedBarcode, s2: SignedBarcode) -> MatchingResult:
     """Signed bottleneck dissimilarity d(B+ u C-, C+ u B-), unreduced."""
-    left = barcode_union(s1.positive, s2.negative)
-    right = barcode_union(s2.positive, s1.negative)
-    return bottleneck(left, right)
+    return wasserstein_signed(s1, s2, math.inf)
 
 
 def wasserstein_signed(s1: SignedBarcode, s2: SignedBarcode, p=1) -> MatchingResult:
@@ -346,10 +342,7 @@ def brute_force_matching(b, c, p=1) -> MatchingResult:
         )
     if K == 0:
         return MatchingResult(0.0, ())
-    if p == math.inf:
-        rows = _linf_matrix(b, c).tolist()
-    else:
-        rows = _power_cost_matrix(b, c, p).tolist()
+    rows = _cost_matrix(b, c, p).tolist()
     best = None
     best_perm = None
     for perm in itertools.permutations(range(K)):

@@ -469,7 +469,7 @@ def test_homology_of_staged_cycle():
 
 
 def _triangle_with_kernel(gens):
-    # a triangle's boundary pair, with kernel_basis replaced by one that
+    # a triangle's boundary pair, with _kernel_basis replaced by one that
     # returns the given (grade, column) generators of g's kernel
     g = GradedMatrix(
         [(0.0, 0.0)] * 3,
@@ -487,7 +487,7 @@ def test_homology_error_names_stage_column_and_grade(monkeypatch):
     # with a kernel that lost its generator, the boundary of the triangle
     # cannot be written in the kernel basis
     chain, kernel = _triangle_with_kernel([])
-    monkeypatch.setattr(algebra, "kernel_basis", kernel)
+    monkeypatch.setattr(algebra, "_kernel_basis", kernel)
     with pytest.raises(RuntimeError, match=r"homology_presentation: column 0 .*\(2\.0, 2\.0\)"):
         homology_presentation(chain)
 
@@ -496,7 +496,7 @@ def test_homology_error_when_generator_is_born_too_late(monkeypatch):
     # the cycle spans f's column, but only from grade (3, 3) on, above the
     # column's grade (2, 2)
     chain, kernel = _triangle_with_kernel([((3.0, 3.0), {0: 1, 1: 1, 2: 1})])
-    monkeypatch.setattr(algebra, "kernel_basis", kernel)
+    monkeypatch.setattr(algebra, "_kernel_basis", kernel)
     with pytest.raises(RuntimeError, match=r"homology_presentation: column 0 .*\(2\.0, 2\.0\)"):
         homology_presentation(chain)
 
@@ -504,10 +504,10 @@ def test_homology_error_when_generator_is_born_too_late(monkeypatch):
 def test_homology_error_when_generators_are_dependent(monkeypatch):
     cycle = ((1.0, 1.0), {0: 1, 1: 1, 2: 1})
     chain, kernel = _triangle_with_kernel([cycle])
-    monkeypatch.setattr(algebra, "kernel_basis", kernel)
+    monkeypatch.setattr(algebra, "_kernel_basis", kernel)
     assert homology_presentation(chain).rels.entries == {(0, 0): 1}
     chain, kernel = _triangle_with_kernel([cycle, cycle])
-    monkeypatch.setattr(algebra, "kernel_basis", kernel)
+    monkeypatch.setattr(algebra, "_kernel_basis", kernel)
     with pytest.raises(RuntimeError, match=r"homology_presentation: kernel generator 1 .*depends"):
         homology_presentation(chain)
 

@@ -259,6 +259,47 @@ def test_gen_random_rejects_a_field_other_than_two(capsys):
     assert code == 0 and out.startswith("mpres 1\nfield 2\n")
 
 
+# (msb gen arguments, the exact stderr of the refusal); each exits 1 with
+# nothing on stdout
+GEN_ERRORS = [
+    (["free"], "error: expected: gen free GRADE\n"),
+    (["free", "0,0", "1,1"], "error: expected: gen free GRADE\n"),
+    (["hook", "0,0"], "error: expected: gen hook BIRTH DEATH\n"),
+    (["staircase"], "error: expected: gen staircase K\n"),
+    (["chain", "2"], "error: expected: gen chain M EPS\n"),
+    (["interval", "0"], "error: expected: gen interval BIRTH DEATH\n"),
+    (["random", "1", "2", "3"], "error: expected: gen random SEED GENS RELS GRID\n"),
+    (["random", "1", "2", "3", "--field", "3"],
+     "error: expected: gen random SEED GENS RELS GRID\n"),
+    (["free", "0,x"], "error: malformed grade '0,x'\n"),
+    (["hook", "0,0", "x"], "error: malformed grade 'x'\n"),
+    (["hook", "1,1", "0,0"],
+     "error: hook needs a < b componentwise, got (1.0, 1.0), (0.0, 0.0)\n"),
+    (["staircase", "x"], "error: invalid literal for int() with base 10: 'x'\n"),
+    (["staircase", "0"], "error: staircase needs k >= 1, got 0\n"),
+    (["chain", "x", "1"], "error: invalid literal for int() with base 10: 'x'\n"),
+    (["chain", "2", "-1"], "error: chain step must be positive, got -1.0\n"),
+    (["interval", "a", "1"], "error: could not convert string to float: 'a'\n"),
+    (["interval", "2", "1"], "error: interval needs a < b, got 2.0, 1.0\n"),
+    (["random", "a", "2", "3", "4", "--field", "3"],
+     "error: gen random is over F_2 only, got --field 3\n"),
+    (["random", "a", "2", "3", "4"], "error: invalid literal for int() with base 10: 'a'\n"),
+    (["free", "0,0", "--field", "4"], "error: field order must be prime, got 4\n"),
+]
+
+
+@pytest.mark.parametrize("argv, message", GEN_ERRORS, ids=[" ".join(a) for a, _ in GEN_ERRORS])
+def test_gen_error_message_is_exact(capsys, argv, message):
+    assert run(capsys, "gen", *argv) == (1, "", message)
+
+
+def test_gen_unknown_name_lists_every_generator(capsys):
+    code, out, err = run(capsys, "gen", "foo")
+    assert code == 1 and out == ""
+    names = ("free", "hook", "staircase", "chain", "interval", "random")
+    assert "{%s}" % ",".join(names) in err
+
+
 def test_ingest_pipeline(capsys, tmp_path):
     cells = [Cell(0, (0.0, 0.0), ()) for _ in range(3)]
     cells += [

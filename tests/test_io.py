@@ -395,3 +395,111 @@ def test_parse_any_round_trips_random_presentations():
         back = parse_any(serialize_presentation(p))
         assert back.gens == p.gens
         assert back.rels.entries == p.rels.entries
+
+
+# ---------------------------------------------------------------------------
+# exact error messages
+
+_PRES = "mpres 1\nfield 2\nn 2\ngens 2\n0 0\n1 0\nrels "
+_CHAIN = "mchain 1\nfield 2\nn 2\nZ 2\n0 0\n0 0\nY 2\n1 0 2 0:1 1:1\n0 1 2 0:1 1:1\nX "
+_BIF = "mbif 1\nfield 2\nn 2\ncells "
+
+# (document, the full message of the ParseError that parse_any raises)
+PARSE_ERRORS = [
+    ("", "line 1, column 1: unexpected end of input, expected format magic"),
+    ("mpres", "line 1, column 1: unexpected end of input, expected format version"),
+    ("spres 1", "line 1, column 1: unknown format 'spres'"),
+    ("sbarc 2\n", "line 1, column 7: unsupported sbarc version '2'"),
+    ("sbarc 1\nn x\n", "line 2, column 3: expected grade dimension, got 'x'"),
+    ("sbarc 1\nn 0\n", "line 2, column 3: grade dimension must be positive, got 0"),
+    ("sbarc 1\nm 2\n", "line 2, column 1: expected 'n', got 'm'"),
+    ("sbarc 1\nn 2\npositive two\n",
+     "line 3, column 10: expected count positive bar count, got 'two'"),
+    ("sbarc 1\nn 2\npositive -1\n",
+     "line 3, column 10: positive bar count must be nonnegative, got -1"),
+    ("sbarc 1\nn 2\npositive 1\n0 zero\n",
+     "line 4, column 3: expected number bar coordinate, got 'zero'"),
+    ("sbarc 1\nn 2\npositive 1\n0 inf\n",
+     "line 4, column 3: bar coordinate must be finite, got 'inf'"),
+    ("sbarc 1\nn 2\npositive 1\n0 nan\n",
+     "line 4, column 3: bar coordinate must be finite, got 'nan'"),
+    ("sbarc 1\nn 2\npositive 1\n0\n",
+     "line 4, column 1: unexpected end of input, expected bar coordinate"),
+    ("sbarc 1\nn 2\npositive 0\nnegative 0\n0 0 # trailing\n",
+     "line 5, column 1: trailing input '0'"),
+    ("mpres 1\nfield x\n", "line 2, column 7: expected field order, got 'x'"),
+    ("mpres 1\nfield 4\n", "line 2, column 7: field order must be prime, got 4"),
+    ("mpres 1\nfield 2\nn 2\ngens x\n",
+     "line 4, column 6: expected count generator count, got 'x'"),
+    (_PRES + "x\n", "line 7, column 6: expected count relation count, got 'x'"),
+    ("mpres 1\nfield 2\nn 2\ngens 0\nrels -1\n",
+     "line 5, column 6: relation count must be nonnegative, got -1"),
+    (_PRES + "1\n1 y 1 0:1\n",
+     "line 8, column 3: expected number relation 0 coordinate, got 'y'"),
+    (_PRES + "1\n1 1 -2\n",
+     "line 8, column 5: entry count of relation 0 must be nonnegative, got -2"),
+    (_PRES + "1\n1 1 1 0\n",
+     "line 8, column 7: expected index:coeff pair for relation 0 entry, got '0'"),
+    (_PRES + "1\n1 1 1 a:1\n", "line 8, column 7: malformed pair 'a:1' for relation 0 entry"),
+    (_PRES + "1\n1 1 1 2:1\n",
+     "line 8, column 7: index 2 out of range [0, 2) for relation 0 entry"),
+    (_PRES + "1\n1 1 1 0:2\n",
+     "line 8, column 7: coefficient 2 outside [1, 2) for relation 0 entry"),
+    (_PRES + "2\n1 1 1 0:1\n0 0 1 1:1\n",
+     "line 9, column 1: relation 1 at grade (0, 0) has an entry on generator 1 "
+     "at grade (1, 0), which is not below it"),
+    (_PRES + "1\n1 1 2 0:1\n",
+     "line 8, column 7: unexpected end of input, expected relation 0 entry"),
+    (_PRES + "0\nrels\n", "line 8, column 1: trailing input 'rels'"),
+    ("mchain 1\nfield 3\nn 2\nZ x\n", "line 4, column 3: expected count Z grade count, got 'x'"),
+    ("mchain 1\nfield 3\nn 2\nZ 1\n0 0\nW 0\n", "line 6, column 1: expected 'Y', got 'W'"),
+    ("mchain 1\nfield 3\nn 2\nZ 1\n0 0\nY x\n",
+     "line 6, column 3: expected count Y column count, got 'x'"),
+    ("mchain 1\nfield 3\nn 2\nZ 1\n0 0\nY 1\nq 0 0\n",
+     "line 7, column 1: expected number Y column 0 coordinate, got 'q'"),
+    ("mchain 1\nfield 3\nn 2\nZ 1\n0 0\nY 1\n0 0 z\n",
+     "line 7, column 5: expected count entry count of Y column 0, got 'z'"),
+    ("mchain 1\nfield 3\nn 2\nZ 1\n0 0\nY 1\n0 0 1 1:1\n",
+     "line 7, column 7: index 1 out of range [0, 1) for Y column 0 entry"),
+    ("mchain 1\nfield 3\nn 2\nZ 1\n0 0\nY 1\n0 0 1 0:3\n",
+     "line 7, column 7: coefficient 3 outside [1, 3) for Y column 0 entry"),
+    ("mchain 1\nfield 3\nn 2\nZ 1\n1 1\nY 1\n0 0 1 0:1\nX 0\n",
+     "line 7, column 1: Y column 0 at grade (0, 0) has an entry on Z generator 0 "
+     "at grade (1, 1), which is not below it"),
+    (_CHAIN + "x\n", "line 10, column 3: expected count X column count, got 'x'"),
+    (_CHAIN + "1\n1 1 1 2:1\n",
+     "line 11, column 7: index 2 out of range [0, 2) for X column 0 entry"),
+    (_CHAIN + "1\n0 0 2 0:1 1:1\n",
+     "line 11, column 1: X column 0 at grade (0, 0) has an entry on Y column 0 "
+     "at grade (1, 0), which is not below it"),
+    (_CHAIN + "1\n1 1 1 0:1\n", "g @ f is not zero; not a chain pair"),
+    (_CHAIN + "1\n1 1 2 0:1\n",
+     "line 11, column 7: unexpected end of input, expected X column 0 entry"),
+    (_CHAIN + "0\nZ\n", "line 11, column 1: trailing input 'Z'"),
+    (_BIF + "x\n", "line 4, column 7: expected count cell count, got 'x'"),
+    (_BIF + "1\nd 0 0 0\n", "line 5, column 1: expected integer dimension of cell 0, got 'd'"),
+    (_BIF + "1\n0 0 0 q\n", "line 5, column 7: expected count boundary size of cell 0, got 'q'"),
+    ("mbif 1\nfield 2\nn 1\ncells 1\n0 0 -1\n",
+     "line 5, column 5: boundary size of cell 0 must be nonnegative, got -1"),
+    (_BIF + "2\n0 0 0 0\n1 0 0 1 1:1\n",
+     "line 6, column 9: index 1 out of range [0, 1) for cell 1 boundary"),
+    ("mbif 1\nfield 3\nn 1\ncells 2\n0 0 0\n1 0 1 0:3\n",
+     "line 6, column 7: coefficient 3 outside [1, 3) for cell 1 boundary"),
+    (_BIF + "2\n0 1 1 0\n1 0 0 1 0:1\n",
+     "cell 1 born at (0, 0) has boundary cell 0 born later at (1, 1)"),
+    (_BIF + "2\n0 0 0 0\n2 0 0 1 0:1\n",
+     "cell 1 (dimension 2) has boundary cell 0 of dimension 0"),
+    (_BIF + "1\n-1 0 0 0\n", "cell 0 has negative dimension"),
+    (_BIF + "4\n0 0 0 0\n0 0 0 0\n1 0 0 2 0:1 1:1\n2 0 0 1 2:1\n",
+     "boundary of boundary is nonzero in dimension 2"),
+    (_BIF + "2\n0 0 0 0\n",
+     "line 5, column 7: unexpected end of input, expected dimension of cell 1"),
+    (_BIF + "1\n0 0 0 0\n1\n", "line 6, column 1: trailing input '1'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS, ids=[m for _, m in PARSE_ERRORS])
+def test_parse_error_message_is_exact(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_any(text)
+    assert str(info.value) == message

@@ -1,5 +1,6 @@
 """Bottleneck and Wasserstein matchings, oracles, and pair costs."""
 
+import hashlib
 import math
 
 import pytest
@@ -417,3 +418,57 @@ def test_result_to_text_infinite():
 def test_result_value_matches_metric_in_force():
     r = MatchingResult(0.5, ((0, 0),))
     assert r.value == 0.5 and r.matching == ((0, 0),)
+
+
+def pin_corpus(seed=2024, cases=30):
+    """Seeded signed-barcode pairs of 1-40 bars a part on a quarter grid:
+    bars repeat within and across the two sides, and in turn the pair has
+    equal parts, equal cross-sign unions only, or unrelated sizes."""
+    rng = SplitMix64(seed)
+    for k in range(cases):
+        pool = [(rng.below(24) / 4, rng.below(24) / 4) for _ in range(1 + rng.below(12))]
+
+        def bars(size):
+            return Barcode(
+                [
+                    pool[rng.below(len(pool))]
+                    if rng.below(2)
+                    else (rng.below(40) / 4, rng.below(40) / 4)
+                    for _ in range(size)
+                ],
+                dim=2,
+            )
+
+        bp, bn, cp, cn = (1 + rng.below(40) for _ in range(4))
+        if k % 3 == 0:
+            cp, cn = bp, bn
+        elif k % 3 == 1:
+            cn = max(1, cp + bn - bp)
+        yield SignedBarcode(bars(bp), bars(bn)), SignedBarcode(bars(cp), bars(cn))
+
+
+# sha256 of the concatenated MatchingResult.to_text() over pin_corpus()
+MATCHING_DIGESTS = {
+    "bottleneck": "52fe3ff11a4319c27e2027e6656637010885862bddb75e1fd0865efc558ef464",
+    "bottleneck_signed": "367a3ceb6f55bed6f8e58a05935a16d6109ef29bae3ac99f1e7f631cc2acdf17",
+    "wasserstein_signed_1": "c738fd5966ff9a6f27d186ee089b2f1d4baacdbf25b72320fbafd4f2ca5c8a14",
+    "wasserstein_signed_2.5": "413fc4a9c132c211726eac214a1d4589086f8c569fc7b952f906d44717b9f02b",
+    "wasserstein_signed_inf": "367a3ceb6f55bed6f8e58a05935a16d6109ef29bae3ac99f1e7f631cc2acdf17",
+}
+
+
+@pytest.mark.parametrize(
+    "name, compute",
+    [
+        ("bottleneck", lambda s1, s2: bottleneck(s1.positive, s2.positive)),
+        ("bottleneck_signed", bottleneck_signed),
+        ("wasserstein_signed_1", lambda s1, s2: wasserstein_signed(s1, s2, 1)),
+        ("wasserstein_signed_2.5", lambda s1, s2: wasserstein_signed(s1, s2, 2.5)),
+        ("wasserstein_signed_inf", lambda s1, s2: wasserstein_signed(s1, s2, math.inf)),
+    ],
+)
+def test_matching_results_pinned(name, compute):
+    digest = hashlib.sha256()
+    for s1, s2 in pin_corpus():
+        digest.update(compute(s1, s2).to_text().encode())
+    assert digest.hexdigest() == MATCHING_DIGESTS[name]
