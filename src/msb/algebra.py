@@ -24,6 +24,8 @@ from .grades import (
     DimensionMismatch,
     Grade,
     SignedBarcode,
+    _Frozen,
+    _merge_dims,
     as_grade,
     leq,
 )
@@ -72,7 +74,7 @@ def _colex(g: Grade):
 # ---------------------------------------------------------------------------
 
 
-class GradedMatrix:
+class GradedMatrix(_Frozen):
     """Sparse matrix over a prime field with graded rows and columns.
 
     ``entries`` maps ``(row, col)`` to a nonzero field element.  ``dim``
@@ -86,13 +88,7 @@ class GradedMatrix:
         _require_prime(field)
         rg = tuple(as_grade(g) for g in row_grades)
         cg = tuple(as_grade(g) for g in col_grades)
-        for g in rg + cg:
-            if dim is None:
-                dim = len(g)
-            elif len(g) != dim:
-                raise DimensionMismatch(
-                    "grade of dimension %d in a %d-parameter matrix" % (len(g), dim)
-                )
+        dim = _merge_dims(dim, *map(len, rg + cg))
         norm = {}
         for (i, j), v in entries.items():
             i = int(i)
@@ -102,14 +98,7 @@ class GradedMatrix:
             v = int(v) % field
             if v:
                 norm[(i, j)] = v
-        object.__setattr__(self, "row_grades", rg)
-        object.__setattr__(self, "col_grades", cg)
-        object.__setattr__(self, "entries", norm)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedMatrix is immutable")
+        self._freeze(row_grades=rg, col_grades=cg, entries=norm, field=field, dim=dim)
 
     @property
     def num_rows(self) -> int:
@@ -186,7 +175,7 @@ def _require_valid(m: GradedMatrix) -> None:
         )
 
 
-class Presentation:
+class Presentation(_Frozen):
     """Generators with grades plus a grade-valid relation matrix.
 
     Rows of ``rels`` are the generators, columns the relations; the
@@ -203,10 +192,7 @@ class Presentation:
             if tuple(as_grade(g) for g in gens) != rels.row_grades:
                 raise ValueError("generator grades disagree with relation row grades")
         _require_valid(rels)
-        object.__setattr__(self, "rels", rels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
+        self._freeze(rels=rels)
 
     @classmethod
     def from_relations(cls, gens, rel_specs, field=2, dim=None):
@@ -267,11 +253,7 @@ def direct_sum(*presentations: Presentation) -> Presentation:
     for pr in presentations:
         if pr.field != field:
             raise ValueError("field mismatch in direct sum")
-        if pr.dim is not None:
-            if dim is None:
-                dim = pr.dim
-            elif dim != pr.dim:
-                raise DimensionMismatch("dimension mismatch in direct sum")
+        dim = _merge_dims(dim, pr.dim)
         off = len(gens)
         gens.extend(pr.gens)
         cols = pr.rels.columns()
@@ -501,8 +483,7 @@ def pointwise_dim(pres: Presentation, x) -> int:
     rank oracle used to cross-check barcode computations.
     """
     x = as_grade(x)
-    if pres.dim is not None and len(x) != pres.dim:
-        raise DimensionMismatch("query grade has wrong dimension")
+    _merge_dims(pres.dim, len(x))
     gens_in = sum(1 for g in pres.gens if leq(g, x))
     cols = _packed_columns(pres.rels)
     rank = _Reducer(pres.field)
@@ -690,8 +671,13 @@ def homology_presentation(chain: ChainPair) -> Presentation:
     one reducer over them gives each column its unique coefficients; the
     column must reduce to zero using only generators at or below its grade.
     """
-    p = chain.g.field
-    _, inc = _kernel_basis(chain.g)
+    return _homology_presentation(chain.f, chain.g)
+
+
+def _homology_presentation(f: GradedMatrix, g: GradedMatrix) -> Presentation:
+    """:func:`homology_presentation` of maps known to form a :class:`ChainPair`."""
+    p = g.field
+    _, inc = _kernel_basis(g)
     gen_grades = inc.col_grades
     span = _Reducer(p)
     for k, col in enumerate(_packed_columns(inc)):
@@ -700,9 +686,9 @@ def homology_presentation(chain: ChainPair) -> Presentation:
                 "homology_presentation: kernel generator %d (grade %r) depends "
                 "linearly on the generators before it" % (k, gen_grades[k])
             )
-    fcols = _packed_columns(chain.f)
+    fcols = _packed_columns(f)
     rel_specs = []
-    for j, cgrade in enumerate(chain.f.col_grades):
+    for j, cgrade in enumerate(f.col_grades):
         cur, comb = span.reduce(fcols[j], 0 if p == 2 else {})
         comb = dict(_items(comb))
         if cur or not all(leq(gen_grades[k], cgrade) for k in comb):
@@ -712,6 +698,4 @@ def homology_presentation(chain: ChainPair) -> Presentation:
             )
         # the reduction subtracted sum(x_k * generator k) from the column
         rel_specs.append((cgrade, {k: -comb[k] % p for k in sorted(comb)}))
-    return Presentation.from_relations(
-        gen_grades, rel_specs, field=p, dim=chain.g.dim
-    )
+    return Presentation.from_relations(gen_grades, rel_specs, field=p, dim=g.dim)

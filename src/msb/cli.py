@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage error, 2 parse or validity error,
+Exit codes: 0 success, 1 usage error (a bad option value among them,
+refused before any file is read), 2 parse or validity error,
 3 stability assertion failure.  Values go to stdout, diagnostics to
 stderr.  Output is byte-deterministic for fixed inputs.
 """
@@ -34,7 +35,7 @@ from .generators import (
     gen_random,
     gen_staircase,
 )
-from .matching import wasserstein_signed
+from .matching import _check_p, wasserstein_signed
 from .stability import run_stability
 
 USAGE_ERROR = 1
@@ -46,6 +47,11 @@ class _CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
+
+
+def _bad_option(name: str, value, rule: str) -> _CliError:
+    """The usage error for ``value`` of option ``--name``, which must be ``rule``."""
+    return _CliError("invalid --%s value %r: must be %s" % (name, value, rule), USAGE_ERROR)
 
 
 def _read(path: str) -> str:
@@ -133,12 +139,14 @@ def cmd_hilbert(args) -> int:
 
 def _metric(args) -> float:
     """The order p of the chosen metric; the bottleneck distance is p = inf."""
-    if args.metric == "bottleneck" or args.p.strip().lower() in ("inf", "infinity"):
-        return math.inf
     try:
-        return float(args.p)
+        p = math.inf if args.metric == "bottleneck" else float(args.p)
     except ValueError:
         raise _CliError("invalid --p value %r" % args.p, USAGE_ERROR)
+    try:
+        return _check_p(p)
+    except ValueError:
+        raise _bad_option("p", args.p, "in [1, inf]")
 
 
 def cmd_dist(args) -> int:
@@ -216,6 +224,8 @@ def cmd_gen(args) -> int:
 def cmd_ingest(args) -> int:
     if args.field is not None and not _is_prime(args.field):
         raise _CliError("field order must be prime, got %d" % args.field, USAGE_ERROR)
+    if args.degree < 0:
+        raise _bad_option("degree", args.degree, "nonnegative")
     text = _read(args.file)
     if sniff_format(text) != "mbif":
         raise _CliError("%s: expected an mbif document" % args.file, DATA_ERROR)
@@ -226,6 +236,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_check_stability(args) -> int:
+    if args.trials < 0:
+        raise _bad_option("trials", args.trials, "nonnegative")
+    if not 0 <= args.delta < math.inf:
+        raise _bad_option("delta", args.delta, "finite and nonnegative")
     report = run_stability(args.trials, args.delta, args.seed)
     sys.stdout.write("trials %d\n" % len(report.trials))
     sys.stdout.write("delta %s\n" % fmt_float(args.delta))

@@ -7,6 +7,7 @@ identical presentations everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import Presentation
@@ -140,6 +141,11 @@ class PerturbResult:
     cost_linf: float
 
 
+def _check_delta(delta: float) -> None:
+    if not 0 <= delta < math.inf:
+        raise ValueError("delta must be finite and nonnegative, got %r" % (delta,))
+
+
 def perturb(pres: Presentation, spec: PerturbSpec) -> PerturbResult:
     """Shift every grade label independently, keeping the matrix fixed.
 
@@ -150,8 +156,7 @@ def perturb(pres: Presentation, spec: PerturbSpec) -> PerturbResult:
     validity.  The realized per-label displacement never exceeds
     2 * delta in the l-infinity norm.
     """
-    if spec.delta < 0:
-        raise ValueError("delta must be nonnegative, got %r" % (spec.delta,))
+    _check_delta(spec.delta)
     rng = SplitMix64(spec.seed)
     d = spec.delta
     new_gens = [

@@ -9,8 +9,12 @@ multiplicity is the reduction operation, whose output is the canonical
 reduced representative.
 
 Coordinates are floats compared exactly (no tolerance), so multiset
-semantics are well defined.  All objects are immutable after
-construction and every operation is a pure function.
+semantics are well defined.  Every operation is a pure function.
+
+Two rules hold for every value type of the package.  Grades combined in
+one object or operation share one dimension, checked by ``_merge_dims``,
+which raises :class:`DimensionMismatch` otherwise.  Values are immutable:
+they subclass ``_Frozen`` and set their fields once, with ``_freeze``.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ def dist_one(a: Grade, b: Grade) -> float:
 
 
 def _merge_dims(*dims: int | None) -> int | None:
+    """The common dimension of ``dims``, ignoring ``None`` (unknown)."""
     out: int | None = None
     for d in dims:
         if d is None:
@@ -88,7 +93,20 @@ def _merge_dims(*dims: int | None) -> int | None:
     return out
 
 
-class Barcode:
+class _Frozen:
+    """Base of the immutable value types: fields are set once, by ``_freeze``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _freeze(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
+class Barcode(_Frozen):
     """A finite multiset of grades of one common dimension.
 
     Bars are stored sorted lexicographically, so two barcodes are equal
@@ -102,19 +120,7 @@ class Barcode:
 
     def __init__(self, bars: Iterable[Iterable[float]] = (), dim: int | None = None):
         norm = sorted(as_grade(b) for b in bars)
-        if norm:
-            d = len(norm[0])
-            for g in norm:
-                if len(g) != d:
-                    raise DimensionMismatch(
-                        "bars of dimension %d and %d in one barcode" % (d, len(g))
-                    )
-            dim = _merge_dims(dim, d)
-        object.__setattr__(self, "bars", tuple(norm))
-        object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Barcode is immutable")
+        self._freeze(bars=tuple(norm), dim=_merge_dims(dim, *map(len, norm)))
 
     def __len__(self) -> int:
         return len(self.bars)
@@ -158,7 +164,7 @@ def barcode_eq(b1: Barcode, b2: Barcode) -> bool:
     return _as_barcode(b1).bars == _as_barcode(b2).bars
 
 
-class SignedBarcode:
+class SignedBarcode(_Frozen):
     """An ordered pair of barcodes of equal dimension.
 
     The positive part collects bars in even homological degrees, the
@@ -172,11 +178,7 @@ class SignedBarcode:
         pos = _as_barcode(positive)
         neg = _as_barcode(negative)
         _merge_dims(pos.dim, neg.dim)
-        object.__setattr__(self, "positive", pos)
-        object.__setattr__(self, "negative", neg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedBarcode is immutable")
+        self._freeze(positive=pos, negative=neg)
 
     @property
     def dim(self) -> int | None:

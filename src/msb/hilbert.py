@@ -10,14 +10,14 @@ disjoint barcodes realizing that dimension function.
 from __future__ import annotations
 
 from .algebra import Presentation, betti
-from .grades import DimensionMismatch, SignedBarcode, as_grade, leq, reduce_signed
+from .grades import SignedBarcode, _merge_dims, as_grade, leq, reduce_signed
+from .matching import wasserstein_signed
 
 
 def hilbert_eval(s: SignedBarcode, x) -> int:
     """Signed count of bars born by ``x``."""
     x = as_grade(x)
-    if s.dim is not None and len(x) != s.dim:
-        raise DimensionMismatch("query grade has wrong dimension")
+    _merge_dims(s.dim, len(x))
     born_pos = sum(1 for g in s.positive if leq(g, x))
     born_neg = sum(1 for g in s.negative if leq(g, x))
     return born_pos - born_neg
@@ -41,6 +41,4 @@ def hilbert_distance(s1: SignedBarcode, s2: SignedBarcode) -> float:
     triangle inequality.  The value is infinite when no bijection
     between the compared multisets exists.
     """
-    from .matching import wasserstein_signed
-
     return wasserstein_signed(reduce_signed(s1), reduce_signed(s2), p=1).value

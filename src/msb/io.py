@@ -41,11 +41,11 @@ from .algebra import (
     GradedMatrix,
     Presentation,
     _first_invalid,
+    _homology_presentation,
     _is_prime,
     _require_prime,
-    homology_presentation,
 )
-from .grades import Barcode, SignedBarcode, as_grade, leq
+from .grades import Barcode, SignedBarcode, _Frozen, as_grade, leq
 
 
 class ParseError(ValueError):
@@ -342,7 +342,7 @@ class Cell:
     boundary: tuple[tuple[int, int], ...]
 
 
-class Bifiltration:
+class Bifiltration(_Frozen):
     """A one-critical filtered complex: cells with grades and boundaries.
 
     Validity: boundary references point to earlier cells of dimension
@@ -387,14 +387,9 @@ class Bifiltration:
             norm.append(
                 Cell(cell.dim, grade, tuple((i, c % field) for i, c in cell.boundary))
             )
-        object.__setattr__(self, "cells", tuple(norm))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_boundary", {})  # degree -> built boundary matrix
+        # _boundary: degree -> built boundary matrix
+        self._freeze(cells=tuple(norm), field=field, dim=dim, _boundary={})
         self._check_boundary_squared()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Bifiltration is immutable")
 
     def max_cell_dim(self) -> int:
         return max((c.dim for c in self.cells), default=-1)
@@ -477,15 +472,15 @@ def serialize_bifiltration(b: Bifiltration) -> str:
 def chain_to_presentation(bif: Bifiltration, degree: int = 0) -> Presentation:
     """Presentation of the degree-d homology of a bifiltration.
 
-    Builds the boundary pair around degree ``degree`` and delegates to
-    :func:`homology_presentation`; the result is not necessarily
-    minimal.
+    Delegates to :func:`homology_presentation` on the boundary pair around
+    degree ``degree``, skipping the checks of :class:`ChainPair` that the
+    bifiltration has already made.  The result is not necessarily minimal.
     """
     if degree < 0:
         raise ValueError("homology degree must be nonnegative, got %d" % degree)
     g = bif.boundary_matrix(degree)
     f = bif.boundary_matrix(degree + 1)
-    return homology_presentation(ChainPair(f=f, g=g))
+    return _homology_presentation(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Presentation
-from .grades import Barcode, DimensionMismatch, SignedBarcode, _as_barcode, barcode_union
+from .grades import (
+    Barcode,
+    SignedBarcode,
+    _as_barcode,
+    _merge_dims,
+    barcode_union,
+    dist_inf,
+    dist_one,
+)
+from .io import fmt_float
 
 #: Matchings larger than this are refused by the brute-force oracle.
 BRUTE_FORCE_CAP = 8
@@ -57,8 +66,6 @@ class MatchingResult:
     def to_text(self) -> str:
         if self.matching is None:
             return "value inf\n"
-        from .io import fmt_float
-
         lines = ["value %s" % fmt_float(self.value)]
         lines.append("match %d" % len(self.matching))
         for i, j in self.matching:
@@ -69,10 +76,7 @@ class MatchingResult:
 def _check_pair(b, c) -> tuple[Barcode, Barcode]:
     b = _as_barcode(b)
     c = _as_barcode(c)
-    if b.dim is not None and c.dim is not None and b.dim != c.dim:
-        raise DimensionMismatch(
-            "cannot match barcodes of dimension %d and %d" % (b.dim, c.dim)
-        )
+    _merge_dims(b.dim, c.dim)
     return b, c
 
 
@@ -195,20 +199,19 @@ def eps_bijection_exists(b, c, eps: float) -> bool:
 
 
 def bottleneck(b, c) -> MatchingResult:
-    """Bottleneck distance with an optimal matching.
+    """Bottleneck distance with an optimal matching: :func:`wasserstein`
+    at ``p = inf``."""
+    return wasserstein(b, c, math.inf)
 
-    Returns the smallest pairwise l-infinity distance at which a perfect
-    matching exists, located by galloping plus binary search over the
-    sorted candidate values; infinite (with no matching) when the
-    barcodes have different cardinalities.
+
+def _bottleneck(D: np.ndarray) -> MatchingResult:
+    """Bottleneck value and matching of the square l-infinity matrix ``D``.
+
+    Returns the smallest entry of ``D`` at which a perfect matching
+    exists, located by galloping plus binary search over the sorted
+    candidate values.
     """
-    b, c = _check_pair(b, c)
-    K = len(b)
-    if K != len(c):
-        return MatchingResult(math.inf, None)
-    if K == 0:
-        return MatchingResult(0.0, ())
-    D = _cost_matrix(b, c, math.inf)
+    K = D.shape[0]
     cands = np.unique(D)
     lo_val = max(D.min(axis=1).max(), D.min(axis=0).max())
     li = int(np.searchsorted(cands, lo_val))
@@ -290,12 +293,11 @@ def wasserstein(b, c, p=1) -> MatchingResult:
     """p-Wasserstein distance with an optimal matching.
 
     Minimizes the sum of p-th powers of coordinatewise displacements
-    over all bijections and takes the p-th root; ``p = inf`` delegates
-    to :func:`bottleneck`.  Infinite on cardinality mismatch.
+    over all bijections and takes the p-th root; at ``p = inf`` it is
+    the bottleneck distance, found by :func:`_bottleneck`.  Infinite
+    (with no matching) on cardinality mismatch.
     """
     p = _check_p(p)
-    if p == math.inf:
-        return bottleneck(b, c)
     b, c = _check_pair(b, c)
     K = len(b)
     if K != len(c):
@@ -303,6 +305,8 @@ def wasserstein(b, c, p=1) -> MatchingResult:
     if K == 0:
         return MatchingResult(0.0, ())
     C = _cost_matrix(b, c, p)
+    if p == math.inf:
+        return _bottleneck(C)
     col_of_row = _min_cost_assignment(C)
     total = 0.0
     for i in range(K):
@@ -328,8 +332,8 @@ def wasserstein_signed(s1: SignedBarcode, s2: SignedBarcode, p=1) -> MatchingRes
 def brute_force_matching(b, c, p=1) -> MatchingResult:
     """Exhaustive oracle over all bijections; refuses more than 8 bars.
 
-    Kept deliberately independent of the optimized solvers so the two
-    routes can certify each other.
+    Kept deliberately independent of the optimized solvers, costs
+    included, so the two routes can certify each other.
     """
     p = _check_p(p)
     b, c = _check_pair(b, c)
@@ -342,7 +346,10 @@ def brute_force_matching(b, c, p=1) -> MatchingResult:
         )
     if K == 0:
         return MatchingResult(0.0, ())
-    rows = _cost_matrix(b, c, p).tolist()
+    if p == math.inf:
+        rows = [[dist_inf(u, v) for v in c] for u in b]
+    else:
+        rows = [[sum(abs(x - y) ** p for x, y in zip(u, v)) for v in c] for u in b]
     best = None
     best_perm = None
     for perm in itertools.permutations(range(K)):
@@ -380,13 +387,8 @@ def presentation_pair_cost(pm: Presentation, pn: Presentation, p=1) -> float:
         raise ValueError("presentations have different shapes")
     if pm.rels.entries != pn.rels.entries:
         raise ValueError("presentations have different underlying matrices")
-    if pm.dim is not None and pn.dim is not None and pm.dim != pn.dim:
-        raise DimensionMismatch("presentations of different grade dimensions")
-    pairs = list(zip(pm.gens, pn.gens)) + list(
-        zip(pm.rels.col_grades, pn.rels.col_grades)
-    )
-    if not pairs:
-        return 0.0
+    _merge_dims(pm.dim, pn.dim)
+    pairs = list(zip(pm.gens + pm.rels.col_grades, pn.gens + pn.rels.col_grades))
     if p == 1.0:
-        return float(sum(sum(abs(x - y) for x, y in zip(a, b)) for a, b in pairs))
-    return float(max(max(abs(x - y) for x, y in zip(a, b)) for a, b in pairs))
+        return float(sum(dist_one(a, b) for a, b in pairs))
+    return float(max((dist_inf(a, b) for a, b in pairs), default=0.0))

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import betti
-from .generators import PerturbSpec, SplitMix64, gen_random, perturb
-from .grades import reduce_signed
-from .matching import bottleneck_signed, wasserstein_signed
+from .generators import PerturbSpec, SplitMix64, _check_delta, gen_random, perturb
+from .hilbert import hilbert_distance
+from .matching import bottleneck_signed
 
 #: Two-parameter factor for the bottleneck bound.
 BOTTLENECK_FACTOR = 3.0
@@ -79,8 +79,7 @@ def run_stability(trials: int, delta: float, seed: int) -> StabilityReport:
     """Run ``trials`` seeded perturbation trials at amplitude ``delta``."""
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    _check_delta(delta)
     rng = SplitMix64(seed)
     report = StabilityReport()
     for t in range(trials):
@@ -97,9 +96,7 @@ def run_stability(trials: int, delta: float, seed: int) -> StabilityReport:
         sb_before = betti(pres).signed
         sb_after = betti(out.presentation).signed
         d_b = bottleneck_signed(sb_before, sb_after).value
-        d_w = wasserstein_signed(
-            reduce_signed(sb_before), reduce_signed(sb_after), p=1
-        ).value
+        d_w = hilbert_distance(sb_before, sb_after)
         bound_b = BOTTLENECK_FACTOR * out.cost_linf
         bound_w = WASSERSTEIN_FACTOR * out.cost_l1
         if not d_b <= bound_b + TOLERANCE:

@@ -123,6 +123,8 @@ def test_dist_bottleneck_value(capsys, square_files):
     code, out, err = run(capsys, "dist", m, n, "--metric", "bottleneck")
     assert code == 0
     assert out == "1\n"
+    # the bottleneck metric ignores --p
+    assert run(capsys, "dist", m, n, "--p", "abc") == (0, "1\n", "")
 
 
 def test_dist_accepts_presentations(capsys, tmp_path):
@@ -169,6 +171,8 @@ def test_dist_wasserstein_inf_order(capsys, square_files):
     code, out, err = run(capsys, "dist", m, n, "--metric", "wasserstein", "--p", "inf")
     assert code == 0
     assert out == "1\n"
+    for p in ("Infinity", " INF ", "+inf"):
+        assert run(capsys, "dist", m, n, "--metric", "wasserstein", "--p", p) == (0, "1\n", "")
 
 
 def test_dist_directory_mode(capsys, tmp_path):
@@ -445,6 +449,36 @@ def test_check_stability_zero_delta(capsys):
 def test_exit_code_usage(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "dist", "only_one")[0] == 1
+
+
+# (msb arguments, the exact stderr); each option value is refused with exit
+# 1 before any file is read: the files named here do not exist
+OPTION_ERRORS = [
+    (["dist", "a", "b", "--metric", "wasserstein", "--p", "abc"],
+     "error: invalid --p value 'abc'\n"),
+    (["dist", "a", "b", "--metric", "wasserstein", "--p", "0.5"],
+     "error: invalid --p value '0.5': must be in [1, inf]\n"),
+    (["dist", "a", "b", "--metric", "wasserstein", "--p", "nan"],
+     "error: invalid --p value 'nan': must be in [1, inf]\n"),
+    (["dist", "a", "b", "--metric", "wasserstein", "--p=-inf"],
+     "error: invalid --p value '-inf': must be in [1, inf]\n"),
+    (["check-stability", "--trials", "-1"],
+     "error: invalid --trials value -1: must be nonnegative\n"),
+    (["check-stability", "--delta", "-0.5"],
+     "error: invalid --delta value -0.5: must be finite and nonnegative\n"),
+    (["check-stability", "--delta", "nan"],
+     "error: invalid --delta value nan: must be finite and nonnegative\n"),
+    (["check-stability", "--delta", "inf"],
+     "error: invalid --delta value inf: must be finite and nonnegative\n"),
+    (["ingest", "a", "--degree", "-1"],
+     "error: invalid --degree value -1: must be nonnegative\n"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OPTION_ERRORS, ids=[" ".join(a) for a, _ in OPTION_ERRORS])
+def test_bad_option_value_is_usage_error(capsys, tmp_path, argv, message):
+    argv = [str(tmp_path / a) if a in ("a", "b") else a for a in argv]
+    assert run(capsys, *argv) == (1, "", message)
 
 
 def test_exit_code_missing_file(capsys):

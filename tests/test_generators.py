@@ -23,6 +23,7 @@ from msb import (
     pointwise_dim,
     presentation_pair_cost,
     reduce_signed,
+    run_stability,
     validate_graded,
 )
 from msb.algebra import direct_sum
@@ -200,6 +201,16 @@ def test_perturb_zero_delta_is_identity():
     assert out.presentation.rels.col_grades == p.rels.col_grades
     assert out.cost_l1 == 0.0
     assert out.cost_linf == 0.0
+
+
+@pytest.mark.parametrize("delta", [-0.5, math.nan, math.inf])
+def test_bad_delta_is_refused_up_front(delta):
+    # a non-finite delta used to fail deep inside, at the perturbed grades
+    with pytest.raises(ValueError, match="^delta must be finite and nonnegative"):
+        perturb(gen_staircase(3), PerturbSpec(delta, 1))
+    for trials in (0, 3):
+        with pytest.raises(ValueError, match="^delta must be finite and nonnegative"):
+            run_stability(trials, delta, seed=1)
 
 
 def test_perturb_is_deterministic():

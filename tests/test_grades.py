@@ -1,26 +1,39 @@
 """Grades, barcodes, signed barcodes, and cancellation."""
 
 import math
+import re
 
 import pytest
 
 from msb import (
     Barcode,
+    Bifiltration,
+    Cell,
     DimensionMismatch,
+    GradedMatrix,
+    Presentation,
     SignedBarcode,
     SplitMix64,
     as_grade,
     barcode_eq,
     barcode_union,
     betti,
+    bottleneck,
+    bottleneck_signed,
+    brute_force_matching,
     dist_inf,
     dist_one,
+    eps_bijection_exists,
     gen_one_param_interval,
     gen_staircase,
     hilbert_eval,
     join,
     leq,
+    pointwise_dim,
+    presentation_pair_cost,
     reduce_signed,
+    wasserstein,
+    wasserstein_signed,
 )
 from msb.algebra import direct_sum
 
@@ -210,3 +223,67 @@ def test_barcode_counts():
 def test_infinite_coordinates_rejected_everywhere():
     with pytest.raises(ValueError):
         Barcode([(math.inf, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# one rule per value type: grade dimensions agree, and values are immutable
+
+_B1 = Barcode([(0.0,)])
+_B2 = Barcode([(0.0, 0.0)])
+
+# (entry point, a call whose grades disagree in dimension)
+DIMENSION_MISMATCHES = [
+    ("GradedMatrix rows and columns", lambda: GradedMatrix([(0.0,)], [(1.0, 1.0)], {})),
+    ("GradedMatrix explicit dim", lambda: GradedMatrix([(0.0, 0.0)], [], {}, dim=1)),
+    ("Barcode bars", lambda: Barcode([(0.0, 0.0), (1.0,)])),
+    ("Barcode explicit dim", lambda: Barcode([(0.0,)], dim=2)),
+    ("SignedBarcode parts", lambda: SignedBarcode(_B1, _B2)),
+    ("barcode_union", lambda: barcode_union(_B1, _B2)),
+    ("direct_sum", lambda: direct_sum(Presentation([(0.0,)]), Presentation([(0.0, 0.0)]))),
+    ("pointwise_dim", lambda: pointwise_dim(Presentation([(0.0, 0.0)]), (1.0,))),
+    ("hilbert_eval", lambda: hilbert_eval(SignedBarcode(_B2), (1.0,))),
+    ("bottleneck", lambda: bottleneck(_B1, _B2)),
+    ("wasserstein p=1", lambda: wasserstein(_B1, _B2, 1)),
+    ("wasserstein p=2.5", lambda: wasserstein(_B1, _B2, 2.5)),
+    ("wasserstein p=inf", lambda: wasserstein(_B1, _B2, math.inf)),
+    ("eps_bijection_exists", lambda: eps_bijection_exists(_B1, _B2, 1.0)),
+    ("brute_force_matching", lambda: brute_force_matching(_B1, _B2)),
+    ("bottleneck_signed", lambda: bottleneck_signed(SignedBarcode(_B1), SignedBarcode(_B2))),
+    ("wasserstein_signed", lambda: wasserstein_signed(SignedBarcode(_B1), SignedBarcode(_B2))),
+    ("presentation_pair_cost",
+     lambda: presentation_pair_cost(Presentation((), dim=1), Presentation((), dim=2))),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [c for _, c in DIMENSION_MISMATCHES], ids=[n for n, _ in DIMENSION_MISMATCHES]
+)
+def test_dimension_disagreement_raises_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+def test_dimension_disagreement_has_one_message():
+    for name, call in DIMENSION_MISMATCHES:
+        with pytest.raises(DimensionMismatch) as info:
+            call()
+        assert re.fullmatch(r"grade dimensions differ: \d+ vs \d+", str(info.value)), name
+
+
+# (value type, an instance, one of its fields)
+VALUE_TYPES = [
+    ("GradedMatrix", lambda: GradedMatrix([(0.0,)], [(1.0,)], {(0, 0): 1}), "field"),
+    ("Presentation", lambda: Presentation([(0.0,)]), "rels"),
+    ("Barcode", lambda: Barcode([(0.0,)]), "bars"),
+    ("SignedBarcode", lambda: SignedBarcode(_B1), "positive"),
+    ("Bifiltration", lambda: Bifiltration([Cell(0, (0.0,), ())]), "cells"),
+]
+
+
+@pytest.mark.parametrize("name, make, field", VALUE_TYPES, ids=[n for n, _, _ in VALUE_TYPES])
+def test_value_types_are_immutable(name, make, field):
+    obj = make()
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError) as info:
+            setattr(obj, attr, None)
+        assert str(info.value) == "%s is immutable" % name
