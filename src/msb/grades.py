@@ -101,6 +101,9 @@ class _Frozen:
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
     def _freeze(self, **fields) -> None:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
