@@ -89,9 +89,11 @@ def _check_p(p) -> float:
 
 def _cost_matrix(b: Barcode, c: Barcode, p: float) -> np.ndarray:
     """Pairwise l-infinity distances for ``p = inf``, else the sums of
-    p-th powers of coordinatewise displacements."""
-    A = np.asarray(b.bars, dtype=np.float64)
-    B = np.asarray(c.bars, dtype=np.float64)
+    p-th powers of coordinatewise displacements; 0 x 0 for two empty
+    barcodes."""
+    n = b.dim or c.dim or 1
+    A = np.asarray(b.bars, dtype=np.float64).reshape(len(b), n)
+    B = np.asarray(c.bars, dtype=np.float64).reshape(len(c), n)
     diff = np.abs(A[:, None, :] - B[None, :, :])
     if p == math.inf:
         return diff.max(axis=2)
@@ -190,8 +192,6 @@ def eps_bijection_exists(b, c, eps: float) -> bool:
     K = len(b)
     if K != len(c):
         return False
-    if K == 0:
-        return True
     D = _cost_matrix(b, c, math.inf)
     match_l = [-1] * K
     match_r = [-1] * K

@@ -28,7 +28,7 @@ from msb import (
     wasserstein,
     wasserstein_signed,
 )
-from msb.matching import _hopcroft_karp
+from msb.matching import _cost_matrix, _hopcroft_karp
 
 EMPTY = SignedBarcode(Barcode([], dim=2), Barcode([], dim=2))
 
@@ -84,6 +84,15 @@ def test_eps_bijection_diagonal_swap():
 
 def test_eps_bijection_cardinality_mismatch_is_false():
     assert not eps_bijection_exists(Barcode([(0.0, 0.0)]), Barcode([], dim=2), 10.0)
+
+
+def test_empty_barcodes_have_an_empty_cost_matrix():
+    for dims in ((None, None), (2, None), (None, 1), (2, 2)):
+        b, c = Barcode([], dim=dims[0]), Barcode([], dim=dims[1])
+        for p in (1.0, 2.5, math.inf):
+            assert _cost_matrix(b, c, p).shape == (0, 0)
+        assert eps_bijection_exists(b, c, 0.0)
+    assert _cost_matrix(Barcode([(0.0, 1.0)]), Barcode([], dim=2), 1.0).shape == (1, 0)
 
 
 def test_hopcroft_karp_long_augmenting_path():
