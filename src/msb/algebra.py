@@ -267,10 +267,11 @@ def direct_sum(*presentations: Presentation) -> Presentation:
 # nonzero row r, so adding columns is XOR and the largest row is
 # ``bit_length() - 1``; over an odd prime it is a dict row -> coeff.  The
 # field fixes the encoding.  Columns are packed once per matrix, straight
-# from its entries; ``_unit`` builds one, ``_addmul`` combines two and
-# ``_items`` unpacks one.  Beyond these helpers and ``_Reducer`` only the
-# F_2 mask test of minimization's first pass and the zero columns that
-# start a sum (in ``matmul`` and ``homology_presentation``) test the field.
+# from its entries; ``_unit`` and ``_column`` build one, ``_addmul``
+# combines two, ``_lead`` finds its largest row and ``_items`` unpacks
+# one.  Beyond these helpers and ``_Reducer`` only the F_2 mask test of
+# minimization's first pass and the zero columns that start a sum (in
+# ``matmul`` and ``homology_presentation``) test the field.
 
 
 def _packed_columns(m: GradedMatrix) -> list:
@@ -300,6 +301,22 @@ def _addmul(dst, src, a: int, p: int):
         elif k in dst:
             del dst[k]
     return dst
+
+
+def _column(items, p: int):
+    """The column with the given ``(row, coeff)`` pairs, a later pair for
+    a row replacing an earlier one; the inverse of ``_items``."""
+    if p != 2:
+        return dict(items)
+    col = 0
+    for r, _ in items:
+        col |= 1 << r
+    return col
+
+
+def _lead(col) -> int:
+    """The largest row of a nonzero column in either encoding."""
+    return col.bit_length() - 1 if isinstance(col, int) else max(col)
 
 
 def _items(col):
@@ -380,6 +397,35 @@ class _Reducer:
             self.pivots[r] = col
             self.combs[r] = comb
         return col, comb
+
+    def clear(self, cols) -> list:
+        """Each of ``cols`` plus the multiples of stored columns that leave
+        it no entry on any pivot row.  The pivot of a stored column is its
+        largest row, so clearing the largest pivot row first only touches
+        rows below it; over F_2 the rows left to clear are ``col & mask``.
+        """
+        pivots, p = self.pivots, self.p
+        out = []
+        if p == 2:
+            mask = 0
+            for r in pivots:
+                mask |= 1 << r
+            for col in cols:
+                hit = col & mask
+                while hit:
+                    col ^= pivots[hit.bit_length() - 1]
+                    hit = col & mask
+                out.append(col)
+            return out
+        for col in cols:
+            col = dict(col)
+            hit = [r for r in col if r in pivots]
+            while hit:
+                r = max(hit)
+                _addmul(col, pivots[r], p - col[r], p)
+                hit = [r for r in col if r in pivots]
+            out.append(col)
+        return out
 
 
 def _nullspace(cols: dict, p: int):
@@ -674,17 +720,27 @@ def homology_presentation(chain: ChainPair) -> Presentation:
     return _homology_presentation(chain.f, chain.g)
 
 
-def _homology_presentation(f: GradedMatrix, g: GradedMatrix) -> Presentation:
-    """:func:`homology_presentation` of maps known to form a :class:`ChainPair`."""
+def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Presentation:
+    """:func:`homology_presentation` of maps known to form a :class:`ChainPair`.
+
+    ``cells``, when given, is the pair of tuples naming the input cell of
+    each column of ``g`` and of ``f``; errors then name those cells rather
+    than column indices.
+    """
     p = g.field
     _, inc = _kernel_basis(g)
     gen_grades = inc.col_grades
     span = _Reducer(p)
     for k, col in enumerate(_packed_columns(inc)):
         if not span.insert(col, _unit(k, p))[0]:
+            support = ""
+            if cells is not None:
+                support = ", a cycle on cells %s," % ", ".join(
+                    str(cells[0][i]) for i, _ in sorted(_items(col))
+                )
             raise RuntimeError(
-                "homology_presentation: kernel generator %d (grade %r) depends "
-                "linearly on the generators before it" % (k, gen_grades[k])
+                "homology_presentation: kernel generator %d (grade %r)%s depends "
+                "linearly on the generators before it" % (k, gen_grades[k], support)
             )
     fcols = _packed_columns(f)
     rel_specs = []
@@ -692,9 +748,10 @@ def _homology_presentation(f: GradedMatrix, g: GradedMatrix) -> Presentation:
         cur, comb = span.reduce(fcols[j], 0 if p == 2 else {})
         comb = dict(_items(comb))
         if cur or not all(leq(gen_grades[k], cgrade) for k in comb):
+            what = "column %d of f" % j if cells is None else "the boundary of cell %d" % cells[1][j]
             raise RuntimeError(
-                "homology_presentation: column %d of f (grade %r) is not in "
-                "the kernel of g at its grade" % (j, cgrade)
+                "homology_presentation: %s (grade %r) is not in "
+                "the kernel of g at its grade" % (what, cgrade)
             )
         # the reduction subtracted sum(x_k * generator k) from the column
         rel_specs.append((cgrade, {k: -comb[k] % p for k in sorted(comb)}))
