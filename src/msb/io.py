@@ -40,9 +40,14 @@ from .algebra import (
     ChainPair,
     GradedMatrix,
     Presentation,
+    _Reducer,
+    _colex,
+    _column,
     _first_invalid,
     _homology_presentation,
     _is_prime,
+    _items,
+    _lead,
     _require_prime,
 )
 from .grades import Barcode, SignedBarcode, _Frozen, as_grade, leq
@@ -350,7 +355,7 @@ class Bifiltration(_Frozen):
     in [1, field), and the composite boundary vanishes over the field.
     """
 
-    __slots__ = ("cells", "field", "dim", "_boundary")
+    __slots__ = ("cells", "field", "dim", "_boundary", "_chunks")
 
     def __init__(self, cells, field: int = 2, dim: int | None = None):
         _require_prime(field)
@@ -387,8 +392,9 @@ class Bifiltration(_Frozen):
             norm.append(
                 Cell(cell.dim, grade, tuple((i, c % field) for i, c in cell.boundary))
             )
-        # _boundary: degree -> built boundary matrix
-        self._freeze(cells=tuple(norm), field=field, dim=dim, _boundary={})
+        # _boundary: degree -> built boundary matrix; _chunks: degree ->
+        # chunk-reduced boundary and its column cells, all built at once
+        self._freeze(cells=tuple(norm), field=field, dim=dim, _boundary={}, _chunks={})
         self._check_boundary_squared()
 
     def max_cell_dim(self) -> int:
@@ -417,6 +423,16 @@ class Bifiltration(_Frozen):
             )
         return self._boundary[d]
 
+    def _chunked(self, d: int) -> tuple[GradedMatrix, tuple[int, ...]]:
+        """The boundary of degree ``d`` of the chunk-reduced complex and the
+        index in ``cells`` of each of its columns; every degree is reduced
+        on the first call."""
+        if not self._chunks:
+            self._chunks.update(_chunk_reduce(self))
+        if d in self._chunks:
+            return self._chunks[d]
+        return GradedMatrix((), (), {}, field=self.field, dim=self.dim), ()
+
     def _check_boundary_squared(self):
         for d in range(2, self.max_cell_dim() + 1):
             if self.boundary_matrix(d - 1).matmul(self.boundary_matrix(d)).entries:
@@ -429,6 +445,71 @@ class Bifiltration(_Frozen):
 
     def __repr__(self):
         return "Bifiltration(%d cells, F_%d)" % (len(self.cells), self.field)
+
+
+def _chunk_reduce(bif: Bifiltration) -> dict:
+    """Chunk reduction (Fugacci-Kerber, arXiv:1812.08580) of every degree.
+
+    A local pair is a d-cell and a (d-1)-cell of the same grade on which
+    the d-cell's reduced boundary has its largest row; the pair adds
+    nothing to homology, so both cells leave the complex.  The cells of
+    each degree are numbered in colex grade order, ties by index, so a
+    column's largest row has the column's grade exactly when one of its
+    entries does.
+
+    Phase 1 goes from the top degree down.  It skips the d-cells that left
+    as rows of degree d + 1, reduces every other d-cell's boundary by the
+    local columns found so far, and keeps it as a local column when its
+    largest row has its grade.  Phase 2 clears the entries of each
+    remaining boundary on cells that left as rows by adding their local
+    columns, which have their pivot rows' grades and so keep the matrix
+    grade-valid, and drops its entries on cells that left as columns.
+
+    Returns, per degree d from 0 to the top degree + 1, the boundary from
+    the remaining d-cells to the remaining (d-1)-cells, both in colex
+    order, and the indices in ``bif.cells`` of those d-cells.
+    """
+    p = bif.field
+    cells = bif.cells
+    top = bif.max_cell_dim()
+    order = [[] for _ in range(top + 2)]  # degree -> cells in colex order
+    for k, cell in enumerate(cells):
+        order[cell.dim].append(k)
+    at = {}  # cell -> its position in the order of its degree
+    for ks in order:
+        ks.sort(key=lambda k: _colex(cells[k].grade))
+        at.update((k, j) for j, k in enumerate(ks))
+    gone = [set() for _ in order]  # positions of the cells in a local pair
+    kept = [{} for _ in order]  # position of a remaining cell -> its column
+    local = [_Reducer(p) for _ in order]  # the local columns of each degree
+    for d in range(top, -1, -1):
+        for j, k in enumerate(order[d]):
+            if j in gone[d]:
+                continue
+            col = _column(((at[i], c) for i, c in cells[k].boundary), p)
+            col, _ = local[d].reduce(col)
+            if col and cells[order[d - 1][_lead(col)]].grade == cells[k].grade:
+                local[d].insert(col)
+                gone[d].add(j)
+                gone[d - 1].add(_lead(col))
+            else:
+                kept[d][j] = col
+    out = {}
+    for d in range(top + 2):
+        below = list(kept[d - 1]) if d else []
+        row = {j: n for n, j in enumerate(below)}
+        cols = local[d].clear(kept[d].values())
+        entries = {(row[i], n): v for n, col in enumerate(cols) for i, v in _items(col) if i in row}
+        ks = tuple(order[d][j] for j in kept[d])
+        m = GradedMatrix(
+            tuple(cells[order[d - 1][j]].grade for j in below),
+            tuple(cells[k].grade for k in ks),
+            entries,
+            field=p,
+            dim=bif.dim,
+        )
+        out[d] = (m, ks)
+    return out
 
 
 def parse_bifiltration(text: str, field: int | None = None) -> Bifiltration:
@@ -472,15 +553,18 @@ def serialize_bifiltration(b: Bifiltration) -> str:
 def chain_to_presentation(bif: Bifiltration, degree: int = 0) -> Presentation:
     """Presentation of the degree-d homology of a bifiltration.
 
-    Delegates to :func:`homology_presentation` on the boundary pair around
-    degree ``degree``, skipping the checks of :class:`ChainPair` that the
-    bifiltration has already made.  The result is not necessarily minimal.
+    The complex is first chunk-reduced (see :func:`_chunk_reduce`), once per
+    bifiltration: its local pairs, which add nothing to homology, leave it.
+    The result is :func:`homology_presentation` of the boundary pair of the
+    remaining cells around degree ``degree``: a presentation of the same
+    module as on the full complex, with fewer generators and relations,
+    but not necessarily minimal.  Errors name the cells of the input.
     """
     if degree < 0:
         raise ValueError("homology degree must be nonnegative, got %d" % degree)
-    g = bif.boundary_matrix(degree)
-    f = bif.boundary_matrix(degree + 1)
-    return _homology_presentation(f, g)
+    g, ycells = bif._chunked(degree)
+    f, xcells = bif._chunked(degree + 1)
+    return _homology_presentation(f, g, (ycells, xcells))
 
 
 # ---------------------------------------------------------------------------

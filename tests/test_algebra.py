@@ -14,6 +14,7 @@ from msb import (
     SplitMix64,
     UnsupportedDimension,
     betti,
+    chain_to_presentation,
     gen_free,
     gen_hook,
     gen_random,
@@ -29,6 +30,7 @@ from msb import (
 )
 from msb import algebra
 from msb.algebra import direct_sum
+from msb.io import Bifiltration, Cell
 
 
 def grid_points(pres, grid=8):
@@ -510,6 +512,48 @@ def test_homology_error_when_generators_are_dependent(monkeypatch):
     monkeypatch.setattr(algebra, "_kernel_basis", kernel)
     with pytest.raises(RuntimeError, match=r"homology_presentation: kernel generator 1 .*depends"):
         homology_presentation(chain)
+
+
+def _padded_triangle():
+    # the triangle of _triangle_with_kernel as a bifiltration, after a
+    # vertex and an edge both born at (5, 5); chunk reduction removes that
+    # local pair, so the triangle's edges, cells 5-7, are chunked columns
+    # 0-2 of d_1 and its face, cell 8, is column 0 of d_2
+    v = Cell(0, (0.0, 0.0), ())
+    return Bifiltration(
+        [
+            v, v, v,
+            Cell(0, (5.0, 5.0), ()),
+            Cell(1, (5.0, 5.0), ((0, 1), (3, 1))),
+            Cell(1, (1.0, 0.0), ((0, 1), (1, 1))),
+            Cell(1, (0.0, 1.0), ((1, 1), (2, 1))),
+            Cell(1, (1.0, 1.0), ((0, 1), (2, 1))),
+            Cell(2, (2.0, 2.0), ((5, 1), (6, 1), (7, 1))),
+        ]
+    )
+
+
+def test_ingest_errors_name_input_cells(monkeypatch):
+    # on the chunked complex a column index points at nothing in the
+    # input, so the errors reached from chain_to_presentation name cells
+    bif = _padded_triangle()
+    assert bif._chunked(1)[1] == (5, 6, 7) and bif._chunked(2)[1] == (8,)
+    _, kernel = _triangle_with_kernel([])
+    monkeypatch.setattr(algebra, "_kernel_basis", kernel)
+    with pytest.raises(
+        RuntimeError,
+        match=r"homology_presentation: the boundary of cell 8 \(grade \(2\.0, 2\.0\)\) is not",
+    ):
+        chain_to_presentation(bif, 1)
+    cycle = ((1.0, 1.0), {0: 1, 1: 1, 2: 1})
+    _, kernel = _triangle_with_kernel([cycle, cycle])
+    monkeypatch.setattr(algebra, "_kernel_basis", kernel)
+    with pytest.raises(
+        RuntimeError,
+        match=r"homology_presentation: kernel generator 1 \(grade \(1\.0, 1\.0\)\), "
+        r"a cycle on cells 5, 6, 7, depends linearly",
+    ):
+        chain_to_presentation(bif, 1)
 
 
 def test_homology_matches_rank_oracle():

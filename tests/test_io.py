@@ -1,5 +1,6 @@
 """Text formats: parsing, serialization, round trips, error positions."""
 
+import itertools
 import math
 
 import pytest
@@ -19,11 +20,14 @@ from msb import (
     gen_one_param_interval,
     gen_random,
     gen_staircase,
+    homology_presentation,
+    join,
     parse_any,
     parse_bifiltration,
     parse_chain_pair,
     parse_presentation,
     parse_signed_barcode,
+    pointwise_dim,
     serialize_bifiltration,
     serialize_chain_pair,
     serialize_presentation,
@@ -296,7 +300,7 @@ def test_mbif_nonprime_field_rejected(field):
 
 def test_boundary_matrices_built_once(monkeypatch):
     # the matrices built for the boundary-squared check serve every later
-    # call, so the homology of every degree builds each boundary once
+    # call, and one chunk reduction serves the homology of every degree
     from msb import io
 
     built = []
@@ -306,7 +310,10 @@ def test_boundary_matrices_built_once(monkeypatch):
     assert len(built) == 2  # d_1 and d_2, for the check
     for degree in (0, 1, 2):
         chain_to_presentation(bif, degree)
-    assert len(built) == 4  # and d_0, d_3
+    assert len(built) == 6  # and the chunk-reduced d_0 .. d_3, once
+    for degree in (0, 1, 2):
+        chain_to_presentation(bif, degree)
+    assert len(built) == 6
     assert bif.boundary_matrix(1) is bif.boundary_matrix(1)
 
 
@@ -342,14 +349,21 @@ def test_merging_components_presentation():
         Cell(0, (1.0, 0.0), ()),
         Cell(1, (1.0, 0.0), ((0, 1), (1, 1))),
     ]
-    pres = chain_to_presentation(Bifiltration(cells, 2), 0)
-    # raw output keeps both components and the merge relation
-    assert sorted(pres.gens) == [(0.0, 0.0), (1.0, 0.0)]
-    assert pres.rels.col_grades == ((1.0, 0.0),)
+    bif = Bifiltration(cells, 2)
+    raw = homology_presentation(ChainPair(f=bif.boundary_matrix(1), g=bif.boundary_matrix(0)))
+    # the presentation of the full complex keeps both components and the
+    # merge relation
+    assert sorted(raw.gens) == [(0.0, 0.0), (1.0, 0.0)]
+    assert raw.rels.col_grades == ((1.0, 0.0),)
+    # the edge and the vertex born with it are a local pair, which chunk
+    # reduction removes before the presentation is built
+    pres = chain_to_presentation(bif, 0)
+    assert pres.gens == ((0.0, 0.0),)
+    assert pres.num_rels == 0
     # minimal form is a single free summand
-    res = betti(pres)
-    assert res.by_degree[0].bars == ((0.0, 0.0),)
-    assert res.by_degree[1].bars == ()
+    for res in (betti(raw), betti(pres)):
+        assert res.by_degree[0].bars == ((0.0, 0.0),)
+        assert res.by_degree[1].bars == ()
 
 
 def test_degree_defaults_and_validation():
@@ -366,6 +380,81 @@ def test_homology_degree_above_complex_dimension():
     bif = hollow_triangle([(0.0, 0.0)] * 3)
     pres = chain_to_presentation(bif, 2)
     assert pres.num_gens == 0
+
+
+# ---------------------------------------------------------------------------
+# chunk reduction against the presentation of the full complex
+
+
+def random_simplicial_bifiltration(rng, p, levels):
+    """A random simplicial complex on at most 7 vertices over F_p, with
+    vertex grades on {0 .. levels - 1}^2 and each simplex born at the join
+    of its faces' grades or one step above it in one coordinate.  Small
+    grids put many cells at one grade, so local pairs cascade."""
+    cells = []
+    index = {}
+    vertices = range(3 + rng.below(5))
+    for v in vertices:
+        index[(v,)] = len(cells)
+        cells.append(Cell(0, (float(rng.below(levels)), float(rng.below(levels))), ()))
+    for size in (2, 3, 4):
+        for simplex in itertools.combinations(vertices, size):
+            faces = [simplex[:i] + simplex[i + 1 :] for i in range(size)]
+            if not all(f in index for f in faces) or rng.below(3) == 0:
+                continue
+            grade = list(join(*(cells[index[f]].grade for f in faces)))
+            if rng.below(4) == 0:
+                grade[rng.below(2)] += 1.0
+            boundary = tuple((index[f], (-1) ** i % p) for i, f in enumerate(faces))
+            index[simplex] = len(cells)
+            cells.append(Cell(size - 1, tuple(grade), boundary))
+    return Bifiltration(cells, p)
+
+
+def chunk_corpus():
+    from test_cli import lower_star_square
+
+    rng = SplitMix64(113)
+    for p in (2, 3):
+        for trial in range(40):
+            yield random_simplicial_bifiltration(rng, p, 1 + trial % 3)
+        for seed in range(3):
+            yield lower_star_square(700 + seed, 4, 3, field=p)
+
+
+def test_chunk_reduction_presents_the_same_module():
+    # on every degree 0-2, the presentation of the chunk-reduced complex
+    # has the dimension of the full complex's at every point of the grid of
+    # cell grades, the same Betti barcodes, and no more generators plus
+    # relations; and the chunk-reduced boundaries still form chain pairs
+    shrunk = 0
+    for bif in chunk_corpus():
+        xs = sorted({c.grade[0] for c in bif.cells})
+        ys = sorted({c.grade[1] for c in bif.cells})
+        for degree in (0, 1, 2):
+            ChainPair(f=bif._chunked(degree + 1)[0], g=bif._chunked(degree)[0])
+            full = homology_presentation(
+                ChainPair(f=bif.boundary_matrix(degree + 1), g=bif.boundary_matrix(degree))
+            )
+            pres = chain_to_presentation(bif, degree)
+            assert pres.field == full.field
+            for x in itertools.product(xs, ys):
+                assert pointwise_dim(pres, x) == pointwise_dim(full, x)
+            assert betti(pres).by_degree == betti(full).by_degree
+            size = pres.num_gens + pres.num_rels
+            assert size <= full.num_gens + full.num_rels
+            shrunk += size < full.num_gens + full.num_rels
+    assert shrunk > 100
+
+
+def test_chunk_cache_is_immutable():
+    bif = hollow_triangle([(0.0, 0.0)] * 3)
+    chain_to_presentation(bif, 1)
+    with pytest.raises(AttributeError, match="Bifiltration is immutable"):
+        bif._chunks = {}
+    with pytest.raises(AttributeError, match="Bifiltration is immutable"):
+        del bif._chunks
+    assert chain_to_presentation(bif, 1).gens == ((0.0, 0.0),)
 
 
 # ---------------------------------------------------------------------------
