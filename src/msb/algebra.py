@@ -736,7 +736,7 @@ def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Pres
             support = ""
             if cells is not None:
                 support = ", a cycle on cells %s," % ", ".join(
-                    str(cells[0][i]) for i, _ in sorted(_items(col))
+                    map(str, sorted(cells[0][i] for i, _ in _items(col)))
                 )
             raise RuntimeError(
                 "homology_presentation: kernel generator %d (grade %r)%s depends "
