@@ -269,9 +269,8 @@ def direct_sum(*presentations: Presentation) -> Presentation:
 # field fixes the encoding.  Columns are packed once per matrix, straight
 # from its entries; ``_unit`` and ``_column`` build one, ``_addmul``
 # combines two, ``_lead`` finds its largest row and ``_items`` unpacks
-# one.  Beyond these helpers and ``_Reducer`` only the F_2 mask test of
-# minimization's first pass and the zero columns that start a sum (in
-# ``matmul`` and ``homology_presentation``) test the field.
+# one.  Beyond these helpers and ``_Reducer`` only the zero columns that
+# start a sum (in ``matmul`` and ``homology_presentation``) test the field.
 
 
 def _packed_columns(m: GradedMatrix) -> list:
@@ -428,6 +427,35 @@ class _Reducer:
         return out
 
 
+def _local_pairs(cols, row_grades, col_grades, p: int, skip=()) -> tuple:
+    """The local pairs (Lesnick-Wright, arXiv:1902.05708) of a grade-valid
+    matrix whose rows and columns are numbered in colex grade order, ties
+    by index.
+
+    Each column not in ``skip`` is reduced by the local columns before it,
+    and is local when its largest row then has its grade.  A grade-valid
+    column's rows are at or below its grade, so under this numbering that
+    largest row is the largest row of the column's grade, if it has one.
+    The row and column of a local pair leave together: they add nothing to
+    the cokernel, nor to homology.  Returns the pivot rows of the local
+    columns, and (position -> column) every other column not in ``skip``
+    plus the unique combination of local columns that leaves it no entry
+    on those rows (``_Reducer.clear``); clearing with columns of their
+    pivot rows' grades keeps the matrix grade-valid.
+    """
+    local = _Reducer(p)
+    rest = {}
+    for j, col in enumerate(cols):
+        if j in skip:
+            continue
+        col, _ = local.reduce(col)
+        if col and row_grades[_lead(col)] == col_grades[j]:
+            local.insert(col)
+        else:
+            rest[j] = col
+    return set(local.pivots), dict(zip(rest, local.clear(rest.values())))
+
+
 def _nullspace(cols: dict, p: int):
     """Kernel basis, lazily: the tracked combinations (over the keys of
     ``cols``, column index -> column) of the columns that reduce to zero,
@@ -446,73 +474,54 @@ def _nullspace(cols: dict, p: int):
 def minimize_presentation(pres: Presentation) -> Presentation:
     """Return a presentation of an isomorphic module with no removable part.
 
-    Two passes.  First, pivot on a nonzero entry whose row grade equals
-    its column grade (the coefficient is a unit there) and delete that
-    generator/relation pair; columns are visited once in colexicographic
-    grade order, and within a column the pivot is the largest eligible
-    row.  Second, drop every relation column lying in the span, at its own
-    grade, of the columns before it that are at or below that grade.  The
-    live columns go in x-major order through one reducer per grade row
-    (the grade without its x coordinate; a single row in one parameter),
-    which holds the kept columns of that row and of every row below it; a
-    column is kept unless it reduces to zero in its own row's reducer, and
-    is then added to the reducers of the rows above.  After both passes
-    the generator grades are the degree-0 Betti barcode and the relation
-    grades the degree-1 Betti barcode of the module.
+    Two passes.  First, delete the local pairs of :func:`_local_pairs`,
+    with generators and relations numbered in colexicographic grade order:
+    a relation whose reduced column has its largest entry on a generator
+    of its own grade (the coefficient is a unit there) takes that
+    generator with it, and the other relations are cleared of the
+    generators that leave.  Second, drop every relation column lying in the
+    span, at its own grade, of the columns before it that are at or below
+    that grade.  The live columns go in x-major order through one reducer
+    per grade row (the grade without its x coordinate; a single row in one
+    parameter), which holds the kept columns of that row and of every row
+    below it; a column is kept unless it reduces to zero in its own row's
+    reducer, and is then added to the reducers of the rows above.  After
+    both passes the generator grades are the degree-0 Betti barcode and
+    the relation grades the degree-1 Betti barcode of the module.
     """
     p = pres.field
-    row_grades = pres.gens
-    col_grades = pres.rels.col_grades
-    cols = _packed_columns(pres.rels)
-    row_alive = [True] * len(row_grades)
-    col_alive = [True] * len(col_grades)
-    order = sorted(range(len(col_grades)), key=lambda j: (_colex(col_grades[j]), j))
+    gens, rels = pres.gens, pres.rels
+    # sorted() is stable, so ties keep index order
+    rows = sorted(range(len(gens)), key=lambda i: _colex(gens[i]))
+    order = sorted(range(len(rels.col_grades)), key=lambda j: _colex(rels.col_grades[j]))
+    at = {i: r for r, i in enumerate(rows)}
+    pos = {j: n for n, j in enumerate(order)}
+    cols = [[] for _ in order]
+    for (i, j), v in rels.entries.items():
+        cols[pos[j]].append((at[i], v))
+    row_grades = [gens[i] for i in rows]
+    col_grades = [rels.col_grades[j] for j in order]
+    gone, live = _local_pairs([_column(c, p) for c in cols], row_grades, col_grades, p)
 
-    # a pivot on row i edits only the live columns holding row i; one before
-    # j in colex order would have row i's grade and so row i as a pivot
-    # candidate, hence only later columns change and one pass finds every pivot
-    for pos, j in enumerate(order):
-        cands = [i for i, _ in _items(cols[j]) if row_grades[i] == col_grades[j]]
-        if not cands:
-            continue
-        i = max(cands, key=lambda i: (_colex(row_grades[i]), i))
-        piv = cols[j]
-        if p == 2:
-            bit = 1 << i
-            for j2 in [j2 for j2 in order[pos + 1 :] if cols[j2] & bit]:
-                cols[j2] ^= piv
-        else:
-            f = p - _inv(piv[i], p)
-            for j2 in order[pos + 1 :]:
-                a = cols[j2].get(i)
-                if a:
-                    _addmul(cols[j2], piv, a * f, p)
-        col_alive[j] = False
-        row_alive[i] = False
-
-    # x-major and colex order both extend "grade <=, then index", so the
+    # x-major and colex order both extend "grade <=, then position", so the
     # columns before j at or below its grade, and which of them are kept,
     # are the same in both; the reducer of j's row holds exactly those kept
-    live = sorted(
-        (j for j in range(len(col_grades)) if col_alive[j]),
-        key=lambda j: (col_grades[j][0], _colex(col_grades[j]), j),
-    )
     spans = {col_grades[j][1:]: _Reducer(p) for j in live}
     above = {t: [spans[u] for u in spans if u != t and leq(t, u)] for t in spans}
     kept: list[int] = []
-    for j in live:
+    for j in sorted(live, key=lambda j: col_grades[j][0]):
         tail = col_grades[j][1:]
-        if spans[tail].insert(cols[j])[0]:
+        if spans[tail].insert(live[j])[0]:
             kept.append(j)
             for span in above[tail]:
-                span.insert(cols[j])
-    kept.sort()
+                span.insert(live[j])
+    kept.sort(key=order.__getitem__)
 
-    new_rows = [i for i in range(len(row_grades)) if row_alive[i]]
-    remap = {old: new for new, old in enumerate(new_rows)}
-    entries = {(remap[i], jj): v for jj, j in enumerate(kept) for i, v in _items(cols[j])}
+    new_rows = [i for i in range(len(gens)) if at[i] not in gone]
+    remap = {at[i]: new for new, i in enumerate(new_rows)}
+    entries = {(remap[r], jj): v for jj, j in enumerate(kept) for r, v in _items(live[j])}
     m = GradedMatrix(
-        tuple(row_grades[i] for i in new_rows),
+        tuple(gens[i] for i in new_rows),
         tuple(col_grades[j] for j in kept),
         entries,
         field=p,

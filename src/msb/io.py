@@ -40,14 +40,14 @@ from .algebra import (
     ChainPair,
     GradedMatrix,
     Presentation,
-    _Reducer,
+    _addmul,
     _colex,
     _column,
     _first_invalid,
     _homology_presentation,
     _is_prime,
     _items,
-    _lead,
+    _local_pairs,
     _require_prime,
 )
 from .grades import Barcode, SignedBarcode, _Frozen, as_grade, leq
@@ -353,9 +353,11 @@ class Bifiltration(_Frozen):
     Validity: boundary references point to earlier cells of dimension
     one less, born at or below the referencing cell, coefficients lie
     in [1, field), and the composite boundary vanishes over the field.
+    The complex is chunk-reduced (see :func:`_chunk_reduce`) once, at
+    construction.
     """
 
-    __slots__ = ("cells", "field", "dim", "_boundary", "_chunks")
+    __slots__ = ("cells", "field", "dim", "_chunks")
 
     def __init__(self, cells, field: int = 2, dim: int | None = None):
         _require_prime(field)
@@ -392,10 +394,9 @@ class Bifiltration(_Frozen):
             norm.append(
                 Cell(cell.dim, grade, tuple((i, c % field) for i, c in cell.boundary))
             )
-        # _boundary: degree -> built boundary matrix; _chunks: degree ->
-        # chunk-reduced boundary and its column cells, all built at once
-        self._freeze(cells=tuple(norm), field=field, dim=dim, _boundary={}, _chunks={})
-        self._check_boundary_squared()
+        # _chunks: degree -> chunk-reduced boundary and its column cells
+        chunks = _chunk_reduce(norm, field, dim)
+        self._freeze(cells=tuple(norm), field=field, dim=dim, _chunks=chunks)
 
     def max_cell_dim(self) -> int:
         return max((c.dim for c in self.cells), default=-1)
@@ -405,38 +406,29 @@ class Bifiltration(_Frozen):
 
     def boundary_matrix(self, d: int) -> GradedMatrix:
         """Boundary map from d-cells to (d-1)-cells as a graded matrix,
-        built once per degree."""
-        if d not in self._boundary:
-            rows = self.cells_of_dim(d - 1)
-            cols = self.cells_of_dim(d)
-            rowpos = {k: i for i, k in enumerate(rows)}
-            entries = {}
-            for j, k in enumerate(cols):
-                for idx, coeff in self.cells[k].boundary:
-                    entries[(rowpos[idx], j)] = coeff
-            self._boundary[d] = GradedMatrix(
-                tuple(self.cells[k].grade for k in rows),
-                tuple(self.cells[k].grade for k in cols),
-                entries,
-                field=self.field,
-                dim=self.dim,
-            )
-        return self._boundary[d]
+        built anew on each call; the homology route reads the chunk-reduced
+        complex instead."""
+        rows = self.cells_of_dim(d - 1)
+        cols = self.cells_of_dim(d)
+        rowpos = {k: i for i, k in enumerate(rows)}
+        entries = {}
+        for j, k in enumerate(cols):
+            for idx, coeff in self.cells[k].boundary:
+                entries[(rowpos[idx], j)] = coeff
+        return GradedMatrix(
+            tuple(self.cells[k].grade for k in rows),
+            tuple(self.cells[k].grade for k in cols),
+            entries,
+            field=self.field,
+            dim=self.dim,
+        )
 
     def _chunked(self, d: int) -> tuple[GradedMatrix, tuple[int, ...]]:
         """The boundary of degree ``d`` of the chunk-reduced complex and the
-        index in ``cells`` of each of its columns; every degree is reduced
-        on the first call."""
-        if not self._chunks:
-            self._chunks.update(_chunk_reduce(self))
+        index in ``cells`` of each of its columns."""
         if d in self._chunks:
             return self._chunks[d]
         return GradedMatrix((), (), {}, field=self.field, dim=self.dim), ()
-
-    def _check_boundary_squared(self):
-        for d in range(2, self.max_cell_dim() + 1):
-            if self.boundary_matrix(d - 1).matmul(self.boundary_matrix(d)).entries:
-                raise ValueError("boundary of boundary is nonzero in dimension %d" % d)
 
     def __eq__(self, other):
         if not isinstance(other, Bifiltration):
@@ -447,66 +439,58 @@ class Bifiltration(_Frozen):
         return "Bifiltration(%d cells, F_%d)" % (len(self.cells), self.field)
 
 
-def _chunk_reduce(bif: Bifiltration) -> dict:
+def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
     """Chunk reduction (Fugacci-Kerber, arXiv:1812.08580) of every degree.
 
-    A local pair is a d-cell and a (d-1)-cell of the same grade on which
-    the d-cell's reduced boundary has its largest row; the pair adds
-    nothing to homology, so both cells leave the complex.  The cells of
-    each degree are numbered in colex grade order, ties by index, so a
-    column's largest row has the column's grade exactly when one of its
-    entries does.
-
-    Phase 1 goes from the top degree down.  It skips the d-cells that left
-    as rows of degree d + 1, reduces every other d-cell's boundary by the
-    local columns found so far, and keeps it as a local column when its
-    largest row has its grade.  Phase 2 clears the entries of each
-    remaining boundary on cells that left as rows by adding their local
-    columns, which have their pivot rows' grades and so keep the matrix
-    grade-valid, and drops its entries on cells that left as columns.
+    The boundary of each cell is packed once, over the cells of the degree
+    below numbered in colex grade order, ties by index.  ``ValueError``
+    names the first cell, in input order, whose boundary has a nonzero
+    boundary.  Then, from the top degree down, :func:`_local_pairs` takes
+    the local pairs of each boundary, skipping the cells that left as rows
+    of the degree above; both cells of a pair leave the complex.  The
+    remaining boundaries drop their entries on cells that left as columns.
 
     Returns, per degree d from 0 to the top degree + 1, the boundary from
     the remaining d-cells to the remaining (d-1)-cells, both in colex
-    order, and the indices in ``bif.cells`` of those d-cells.
+    order, and the indices in ``cells`` of those d-cells.
     """
-    p = bif.field
-    cells = bif.cells
-    top = bif.max_cell_dim()
-    order = [[] for _ in range(top + 2)]  # degree -> cells in colex order
+    top = max((c.dim for c in cells), default=-1)
+    # degree -> cells in colex order; here degree -1 reads as the empty
+    # degree top + 1
+    order = [[] for _ in range(top + 2)]
     for k, cell in enumerate(cells):
         order[cell.dim].append(k)
     at = {}  # cell -> its position in the order of its degree
     for ks in order:
         ks.sort(key=lambda k: _colex(cells[k].grade))
         at.update((k, j) for j, k in enumerate(ks))
-    gone = [set() for _ in order]  # positions of the cells in a local pair
-    kept = [{} for _ in order]  # position of a remaining cell -> its column
-    local = [_Reducer(p) for _ in order]  # the local columns of each degree
+    cols = [[_column(((at[i], c) for i, c in cells[k].boundary), p) for k in ks] for ks in order]
+    for k, cell in enumerate(cells):
+        dd = _column((), p)
+        for i, c in _items(cols[cell.dim][at[k]]):
+            dd = _addmul(dd, cols[cell.dim - 1][i], c, p)
+        if dd:
+            raise ValueError(
+                "cell %d (dimension %d) born at %s has a boundary whose boundary is nonzero"
+                % (k, cell.dim, _grade_str(cell.grade))
+            )
+    grades = [[cells[k].grade for k in ks] for ks in order]
+    rest = [{} for _ in order]  # position of a remaining cell -> its column
+    skip = ()
     for d in range(top, -1, -1):
-        for j, k in enumerate(order[d]):
-            if j in gone[d]:
-                continue
-            col = _column(((at[i], c) for i, c in cells[k].boundary), p)
-            col, _ = local[d].reduce(col)
-            if col and cells[order[d - 1][_lead(col)]].grade == cells[k].grade:
-                local[d].insert(col)
-                gone[d].add(j)
-                gone[d - 1].add(_lead(col))
-            else:
-                kept[d][j] = col
+        skip, rest[d] = _local_pairs(cols[d], grades[d - 1], grades[d], p, skip)
     out = {}
     for d in range(top + 2):
-        below = list(kept[d - 1]) if d else []
-        row = {j: n for n, j in enumerate(below)}
-        cols = local[d].clear(kept[d].values())
-        entries = {(row[i], n): v for n, col in enumerate(cols) for i, v in _items(col) if i in row}
-        ks = tuple(order[d][j] for j in kept[d])
+        row = {j: n for n, j in enumerate(rest[d - 1])}
+        kept = rest[d].values()
+        entries = {(row[i], n): v for n, col in enumerate(kept) for i, v in _items(col) if i in row}
+        ks = tuple(order[d][j] for j in rest[d])
         m = GradedMatrix(
-            tuple(cells[order[d - 1][j]].grade for j in below),
+            tuple(grades[d - 1][j] for j in row),
             tuple(cells[k].grade for k in ks),
             entries,
             field=p,
-            dim=bif.dim,
+            dim=dim,
         )
         out[d] = (m, ks)
     return out
@@ -553,12 +537,13 @@ def serialize_bifiltration(b: Bifiltration) -> str:
 def chain_to_presentation(bif: Bifiltration, degree: int = 0) -> Presentation:
     """Presentation of the degree-d homology of a bifiltration.
 
-    The complex is first chunk-reduced (see :func:`_chunk_reduce`), once per
-    bifiltration: its local pairs, which add nothing to homology, leave it.
-    The result is :func:`homology_presentation` of the boundary pair of the
-    remaining cells around degree ``degree``: a presentation of the same
-    module as on the full complex, with fewer generators and relations,
-    but not necessarily minimal.  Errors name the cells of the input.
+    The complex was chunk-reduced (see :func:`_chunk_reduce`) when the
+    bifiltration was built: its local pairs, which add nothing to homology,
+    left it.  The result is :func:`homology_presentation` of the boundary
+    pair of the remaining cells around degree ``degree``: a presentation of
+    the same module as on the full complex, with fewer generators and
+    relations, but not necessarily minimal.  Errors name the cells of the
+    input.
     """
     if degree < 0:
         raise ValueError("homology degree must be nonnegative, got %d" % degree)

@@ -299,22 +299,19 @@ def test_mbif_nonprime_field_rejected(field):
 
 
 def test_boundary_matrices_built_once(monkeypatch):
-    # the matrices built for the boundary-squared check serve every later
-    # call, and one chunk reduction serves the homology of every degree
+    # construction builds the chunk-reduced d_0 .. d_3 and nothing else, and
+    # they serve the homology of every degree
     from msb import io
 
     built = []
     graded_matrix = io.GradedMatrix
     monkeypatch.setattr(io, "GradedMatrix", lambda *a, **k: built.append(1) or graded_matrix(*a, **k))
     bif = hollow_triangle([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], fill=(2.0, 2.0))
-    assert len(built) == 2  # d_1 and d_2, for the check
-    for degree in (0, 1, 2):
-        chain_to_presentation(bif, degree)
-    assert len(built) == 6  # and the chunk-reduced d_0 .. d_3, once
-    for degree in (0, 1, 2):
-        chain_to_presentation(bif, degree)
-    assert len(built) == 6
-    assert bif.boundary_matrix(1) is bif.boundary_matrix(1)
+    assert len(built) == 4
+    for _ in range(2):
+        for degree in (0, 1, 2):
+            chain_to_presentation(bif, degree)
+    assert len(built) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +577,16 @@ PARSE_ERRORS = [
      "cell 1 (dimension 2) has boundary cell 0 of dimension 0"),
     (_BIF + "1\n-1 0 0 0\n", "cell 0 has negative dimension"),
     (_BIF + "4\n0 0 0 0\n0 0 0 0\n1 0 0 2 0:1 1:1\n2 0 0 1 2:1\n",
-     "boundary of boundary is nonzero in dimension 2"),
+     "cell 3 (dimension 2) born at (0, 0) has a boundary whose boundary is nonzero"),
+    # unit coefficients: the triangle's boundary is a cycle over F_2, not over F_3
+    ("mbif 1\nfield 3\nn 2\ncells 7\n0 0 0 0\n0 0 0 0\n0 0 0 0\n1 0 0 2 0:1 1:1\n"
+     "1 0 0 2 1:1 2:1\n1 0 0 2 0:1 2:1\n2 1 1 3 3:1 4:1 5:1\n",
+     "cell 6 (dimension 2) born at (1, 1) has a boundary whose boundary is nonzero"),
+    # a signed triangle is a cycle over F_3; the first bad cell in input order
+    # is the 3-cell on it, not the later 2-cell on one edge
+    ("mbif 1\nfield 3\nn 2\ncells 9\n0 0 0 0\n0 0 0 0\n0 0 0 0\n1 0 0 2 0:2 1:1\n"
+     "1 0 0 2 1:2 2:1\n1 0 0 2 0:2 2:1\n2 0 0 3 3:1 4:1 5:2\n3 0 2 1 6:1\n2 1 0 1 3:1\n",
+     "cell 7 (dimension 3) born at (0, 2) has a boundary whose boundary is nonzero"),
     (_BIF + "2\n0 0 0 0\n",
      "line 5, column 7: unexpected end of input, expected dimension of cell 1"),
     (_BIF + "1\n0 0 0 0\n1\n", "line 6, column 1: trailing input '1'"),
