@@ -18,11 +18,11 @@ in general and vanishing does not imply equality of reduced forms.
 
 Bottleneck values are found by binary search over the finite candidate
 set of pairwise l-infinity distances, testing each threshold with a
-maximum-cardinality bipartite matching (Hopcroft-Karp); minimum-cost
-matchings use the shortest-augmenting-path algorithm with potentials
-on a dense cost matrix.  Ties in the search always resolve to the
-smallest feasible candidate, and the returned value is by construction
-one of the pairwise distances.
+maximum-cardinality bipartite matching (Hopcroft-Karp), so the value is
+one of the pairwise distances.  Minimum-cost matchings use shortest
+augmenting paths with lazy potentials, updated once per search on what
+it reached, and finalize the lowest-index column among equally near
+ones; of several optimal matchings, float rounding picks the one given.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class MatchingResult:
 
     ``matching`` lists index pairs ``(i, j)`` into the canonical
     (lexicographically sorted) order of the two compared barcodes; it
-    is ``None`` exactly when the value is infinite, which happens
-    exactly when the cardinalities differ.
+    is ``None`` exactly when the cardinalities differ, and the value is
+    then infinite (as it also is when a cost overflows to infinity).
     """
 
     value: float
@@ -94,12 +94,14 @@ def _cost_matrix(b: Barcode, c: Barcode, p: float) -> np.ndarray:
     n = b.dim or c.dim or 1
     A = np.asarray(b.bars, dtype=np.float64).reshape(len(b), n)
     B = np.asarray(c.bars, dtype=np.float64).reshape(len(c), n)
-    diff = np.abs(A[:, None, :] - B[None, :, :])
-    if p == math.inf:
-        return diff.max(axis=2)
-    if p == 1.0:
-        return diff.sum(axis=2)
-    return (diff ** p).sum(axis=2)
+    D = np.zeros((len(b), len(c)))
+    for k in range(n):
+        d = np.abs(A[:, k, None] - B[None, :, k])
+        if p == math.inf:
+            np.maximum(D, d, out=D)
+        else:
+            D += d if p == 1.0 else d ** p
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +195,7 @@ def eps_bijection_exists(b, c, eps: float) -> bool:
     if K != len(c):
         return False
     D = _cost_matrix(b, c, math.inf)
-    match_l = [-1] * K
-    match_r = [-1] * K
+    match_l, match_r = [-1] * K, [-1] * K
     return _feasible_at(D, eps, match_l, match_r)
 
 
@@ -215,8 +216,7 @@ def _bottleneck(D: np.ndarray) -> MatchingResult:
     cands = np.unique(D)
     lo_val = max(D.min(axis=1).max(), D.min(axis=0).max())
     li = int(np.searchsorted(cands, lo_val))
-    match_l = [-1] * K
-    match_r = [-1] * K
+    match_l, match_r = [-1] * K, [-1] * K
 
     idx = li
     step = 1
@@ -244,49 +244,52 @@ def _bottleneck(D: np.ndarray) -> MatchingResult:
 
 
 # ---------------------------------------------------------------------------
-# minimum-cost perfect matching: shortest augmenting paths with potentials
+# minimum-cost perfect matching: shortest augmenting paths, lazy potentials
 
 
-def _min_cost_assignment(C: np.ndarray) -> np.ndarray:
-    """Column assigned to each row of the square cost matrix ``C``."""
+def _min_cost_assignment(C: np.ndarray) -> list[int]:
+    """Column assigned to each row of the square cost matrix ``C``.
+
+    Each row joins by a Dijkstra search for the cheapest augmenting path in
+    the reduced costs ``C[i, j] - u[i] - v[j]`` (Jonker-Volgenant, after
+    Crouse 2016): a step relaxes one row against the absolute distances
+    ``d`` and finalizes the nearest open column, the lowest index among
+    equals.  At a path of length ``mu`` the potentials move once, by
+    ``mu - d[j]``, on the final columns and rows.
+    """
     n = C.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    assigned = np.zeros(n + 1, dtype=np.int64)  # row held by column; 0 = free
-    way = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        assigned[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+    u, v = np.zeros(n), np.zeros(n)
+    row_of_col, col_of_row = np.full(n, -1), np.full(n, -1)
+    r, better, pred = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
+    for row in range(n):
+        d = np.full(n, np.inf)
+        vw = v.copy()  # -inf on final columns, so their d never moves
+        i, mu, done, dist = row, 0.0, [], []
         while True:
-            used[j0] = True
-            i0 = assigned[j0]
-            cur = C[i0 - 1, :] - u[i0] - v[1:]
-            free = ~used[1:]
-            better = free & (cur < minv[1:])
-            if better.any():
-                minv[1:][better] = cur[better]
-                way[np.flatnonzero(better) + 1] = j0
-            free_idx = np.flatnonzero(free) + 1
-            k = int(np.argmin(minv[free_idx]))
-            delta = minv[free_idx[k]]
-            j1 = int(free_idx[k])
-            used_idx = np.flatnonzero(used)
-            u[assigned[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[free_idx] -= delta
-            j0 = j1
-            if assigned[j0] == 0:
+            np.subtract(C[i], vw, out=r)
+            r += mu - u[i]
+            np.less(r, d, out=better)
+            np.copyto(d, r, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(d.argmin())
+            mu, d[j], vw[j] = float(d[j]), np.inf, -np.inf
+            if mu == np.inf:  # no finite augmenting path: every matching costs inf
+                col_of_row[col_of_row < 0] = np.flatnonzero(row_of_col < 0)
+                return col_of_row.tolist()
+            i = int(row_of_col[j])
+            if i < 0:
                 break
-        while j0:
-            j1 = int(way[j0])
-            assigned[j0] = assigned[j1]
-            j0 = j1
-    col_of_row = np.zeros(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        col_of_row[assigned[j] - 1] = j - 1
-    return col_of_row
+            done.append(j)
+            dist.append(mu)
+        shift = mu - np.array(dist)
+        u[row] += mu
+        v[done] -= shift
+        u[row_of_col[done]] += shift
+        while j >= 0:  # augment back along the predecessors to row
+            i = int(pred[j])
+            row_of_col[j] = i
+            j, col_of_row[i] = col_of_row[i], j
+    return col_of_row.tolist()
 
 
 def wasserstein(b, c, p=1) -> MatchingResult:
@@ -308,12 +311,9 @@ def wasserstein(b, c, p=1) -> MatchingResult:
     if p == math.inf:
         return _bottleneck(C)
     col_of_row = _min_cost_assignment(C)
-    total = 0.0
-    for i in range(K):
-        total += float(C[i, col_of_row[i]])
+    total = sum(C[np.arange(K), col_of_row].tolist())
     value = total if p == 1.0 else total ** (1.0 / p)
-    matching = tuple((i, int(col_of_row[i])) for i in range(K))
-    return MatchingResult(value, matching)
+    return MatchingResult(value, tuple(enumerate(col_of_row)))
 
 
 def bottleneck_signed(s1: SignedBarcode, s2: SignedBarcode) -> MatchingResult:

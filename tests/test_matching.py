@@ -3,6 +3,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from msb import (
@@ -37,6 +38,15 @@ def random_barcode(rng, size, grid=8):
     return Barcode(
         [(float(rng.below(grid)), float(rng.below(grid))) for _ in range(size)], dim=2
     )
+
+
+def tied_barcode(rng, pool, size):
+    """``size`` bars drawn from the few points of ``pool``."""
+    return Barcode([pool[rng.below(len(pool))] for _ in range(size)], dim=2)
+
+
+def point_pool(rng, grid=8):
+    return [(float(rng.below(grid)), float(rng.below(grid))) for _ in range(2 + rng.below(2))]
 
 
 def random_signed(rng, grid=6, max_bars=4):
@@ -268,6 +278,68 @@ def test_wasserstein_matches_brute_force():
         assert abs(fast2 - slow2) <= 1e-12
 
 
+def test_matchers_agree_with_brute_force_on_tied_bars():
+    rng = SplitMix64(137)
+    for trial in range(40):
+        pool = point_pool(rng)
+        k = rng.below(9)
+        b, c = tied_barcode(rng, pool, k), tied_barcode(rng, pool, k)
+        assert wasserstein(b, c, 1).value == brute_force_matching(b, c, 1).value
+        assert bottleneck(b, c).value == brute_force_matching(b, c, math.inf).value
+        fast, slow = wasserstein(b, c, 2.5).value, brute_force_matching(b, c, 2.5).value
+        assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
+
+
+def least_rotation_gain(b, c, p, matching):
+    """Least cost change over cycles of columns rotated along ``matching``.
+
+    The edge j -> j2 weighs C[i, j2] - C[i, j] for the row i matched to
+    j, so a cycle of negative weight is a cheaper matching; Floyd-Warshall
+    leaves the least cycle weight through each column on the diagonal.
+    Costs are built as the brute-force oracle builds them.
+    """
+    C = np.array([[sum(abs(x - y) ** p for x, y in zip(u, w)) for w in c.bars] for u in b.bars])
+    K = len(matching)
+    row_of = [0] * K
+    for i, j in matching:
+        row_of[j] = i
+    W = C[row_of] - C[row_of, range(K)][:, None]
+    for k in range(K):
+        W = np.minimum(W, W[:, k, None] + W[None, k, :])
+    return W.diagonal().min()
+
+
+def test_wasserstein_matching_has_no_cheaper_rotation():
+    # beyond the brute-force cap the returned matching is certified
+    # optimal by the absence of a negative alternating cycle
+    rng = SplitMix64(139)
+    for K in range(9, 61):
+        pool = point_pool(rng)
+        for b, c in (
+            (random_barcode(rng, K, 40), random_barcode(rng, K, 40)),
+            (tied_barcode(rng, pool, K), tied_barcode(rng, pool, K)),
+        ):
+            r = wasserstein(b, c, 1)
+            assert sorted(j for _, j in r.matching) == list(range(K))
+            assert least_rotation_gain(b, c, 1, r.matching) == 0.0
+            r = wasserstein(b, c, 2.5)
+            assert least_rotation_gain(b, c, 2.5, r.matching) >= -1e-9 * r.value ** 2.5
+
+
+def test_wasserstein_with_overflowing_costs():
+    # grades need only be finite, so a p-th power can overflow to inf; the
+    # last pair has no finite matching once its first row is placed
+    near = Barcode([(0.0, 0.0), (1e200, 0.0)])
+    with np.errstate(over="ignore"):
+        r = wasserstein(near, Barcode([(1.0, 0.0), (1e200, 1.0)]), 2.5)
+        assert r.matching == ((0, 0), (1, 1)) and r.value == 2.0 ** (1.0 / 2.5)
+        for far in ([(-1e200, 0.0), (2e200, 0.0)], [(-1e200, 0.0), (1.0, 0.0), (1e200, 2.0)]):
+            b = Barcode([(0.0, 0.0), (3.0, 1.0), (1e200, 0.0)][: len(far)])
+            r = wasserstein(b, Barcode(far), 2.5)
+            assert math.isinf(r.value)
+            assert sorted(j for _, j in r.matching) == list(range(len(far)))
+
+
 def test_wasserstein_infinite_p_is_bottleneck():
     rng = SplitMix64(107)
     for trial in range(100):
@@ -315,10 +387,10 @@ def test_wasserstein_signed_triangle_inequality():
     checked = 0
     for trial in range(200):
         # equal euler characteristic keeps all three distances finite
-        np = rng.below(4)
-        nn = rng.below(4)
+        n_pos = rng.below(4)
+        n_neg = rng.below(4)
         triple = [
-            SignedBarcode(random_barcode(rng, np, 6), random_barcode(rng, nn, 6))
+            SignedBarcode(random_barcode(rng, n_pos, 6), random_barcode(rng, n_neg, 6))
             for _ in range(3)
         ]
         d02 = wasserstein_signed(triple[0], triple[2], 1).value
@@ -456,12 +528,14 @@ def pin_corpus(seed=2024, cases=30):
         yield SignedBarcode(bars(bp), bars(bn)), SignedBarcode(bars(cp), bars(cn))
 
 
-# sha256 of the concatenated MatchingResult.to_text() over pin_corpus()
+# sha256 of the concatenated MatchingResult.to_text() over pin_corpus(); at
+# p = 2.5 float rounding picks among tied optimal matchings, so that digest
+# also pins the float bits of numpy's ``**`` and the solver's arithmetic
 MATCHING_DIGESTS = {
     "bottleneck": "52fe3ff11a4319c27e2027e6656637010885862bddb75e1fd0865efc558ef464",
     "bottleneck_signed": "367a3ceb6f55bed6f8e58a05935a16d6109ef29bae3ac99f1e7f631cc2acdf17",
     "wasserstein_signed_1": "c738fd5966ff9a6f27d186ee089b2f1d4baacdbf25b72320fbafd4f2ca5c8a14",
-    "wasserstein_signed_2.5": "413fc4a9c132c211726eac214a1d4589086f8c569fc7b952f906d44717b9f02b",
+    "wasserstein_signed_2.5": "c95d7cd1ae283056b9aafa0869ec422843499095b3b24cd8adc8ee50c85807ed",
     "wasserstein_signed_inf": "367a3ceb6f55bed6f8e58a05935a16d6109ef29bae3ac99f1e7f631cc2acdf17",
 }
 
