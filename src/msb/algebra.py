@@ -456,18 +456,6 @@ def _local_pairs(cols, row_grades, col_grades, p: int, skip=()) -> tuple:
     return set(local.pivots), dict(zip(rest, local.clear(rest.values())))
 
 
-def _nullspace(cols: dict, p: int):
-    """Kernel basis, lazily: the tracked combinations (over the keys of
-    ``cols``, column index -> column) of the columns that reduce to zero,
-    in key order.
-    """
-    red = _Reducer(p)
-    for idx, col in cols.items():
-        cur, comb = red.insert(col, _unit(idx, p))
-        if not cur:
-            yield comb
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -552,21 +540,18 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     """Minimal generators of the kernel of a graded matrix (n <= 2).
 
     Column grades become index pairs ``(i, j)`` on the sorted axes (``j``
-    = 0 in one parameter), swept in colexicographic order.  A rank gate
-    picks the points where a generator is born: per y index ``j``, the
-    columns with y index <= ``j`` go in x order into a rank-only reducer
-    that persists along the row, so the corank of the fiber at ``(i, j)``
-    is the count of columns that reduced to zero, and running counts give
-    the generators found at or below the point.  Those generators are
-    independent kernel vectors of the fiber, so when the two counts agree
-    they span its kernel and the point is skipped.  Elsewhere the fiber
-    kernel comes lazily from column reduction in column order; each kernel
-    vector independent of the generators at or below the point is made
-    monic by their reducer and recorded with the point (the join of its
-    columns' grades) as grade, until the generators at or below the point
-    number its corank.
+    = 0 in one parameter), swept in colexicographic order with two reducers
+    per y index ``j``.  The gate takes the columns with y index <= ``j`` in
+    x order, each tracking its own index, so the combinations of the columns
+    that reduce to zero span the fiber kernel at ``(i, j)`` once x index
+    ``i`` is in.  The echelon reducer holds the generators at or below the
+    point: before x index ``i`` it takes those of the rows below ``j`` at
+    ``i``, then each combination from the gate.  A combination it does not
+    reduce to zero is a generator born at ``(i, j)``, the join of its
+    columns' grades, kept monic.
     Returns the generator grades and the inclusion matrix of the
-    generators in ``m``'s column basis, in discovery order.
+    generators in ``m``'s column basis, in discovery order.  The grades
+    are the minimal ones; the generators are one generating set of many.
 
     With ``verify`` (default), :class:`KernelCheckError` is raised unless
     at every grid point the generators born at or below it number the
@@ -599,37 +584,30 @@ def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, Graded
     at_x = [[k for k in range(C) if cx[k] == i] for i in range(nx)]
 
     gens: list[tuple[int, int, int | dict]] = []  # (i, j, column over column indices)
-    born_x = [0] * nx  # generators found so far at each x index
+    # the generators by x index; one born at (i, j) joins after row j passed i
+    below: list[list] = [[] for _ in range(nx)]
     for j in range(ny):
-        gate = _Reducer(p)
-        nullity = found = 0  # at (i, j): fiber corank, generators at or below
+        gate, ech = _Reducer(p), _Reducer(p)
         for i in range(nx):
+            for vec in below[i]:
+                ech.insert(vec)
             for k in at_x[i]:
-                if cy[k] <= j and not gate.insert(cols[k])[0]:
-                    nullity += 1
-            found += born_x[i]
-            if nullity == found:
-                continue
-            ech = _Reducer(p)
-            for gi, gj, vec in gens:
-                if gi <= i and gj <= j:
-                    ech.insert(vec)
-            fiber = {k: cols[k] for k in range(C) if cx[k] <= i and cy[k] <= j}
-            for vec in _nullspace(fiber, p):
-                cur, _ = ech.insert(vec)
+                if cy[k] > j:
+                    continue
+                cur, comb = gate.insert(cols[k], _unit(k, p))
+                if cur:
+                    continue
+                cur, _ = ech.insert(comb)
                 if not cur:
                     continue
-                ks = [k for k, _ in _items(cur)]
-                if (max(cx[k] for k in ks), max(cy[k] for k in ks)) != (i, j):
+                ks = [c for c, _ in _items(cur)]
+                if (max(cx[c] for c in ks), max(cy[c] for c in ks)) != (i, j):
                     raise KernelCheckError(
                         "kernel_basis: generator born at grade %r is not the "
                         "join of the grades of its columns" % ((xs[i], ys[j])[:n],)
                     )
                 gens.append((i, j, cur))
-                born_x[i] += 1
-                found += 1
-                if found == nullity:  # the rest would reduce to zero against ech
-                    break
+                below[i].append(cur)
 
     if verify:
         by_x = [[gj for gi, gj, _ in gens if gi == i] for i in range(nx)]

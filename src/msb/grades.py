@@ -12,9 +12,10 @@ Coordinates are floats compared exactly (no tolerance), so multiset
 semantics are well defined.  Every operation is a pure function.
 
 Two rules hold for every value type of the package.  Grades combined in
-one object or operation share one dimension, checked by ``_merge_dims``,
-which raises :class:`DimensionMismatch` otherwise.  Values are immutable:
-they subclass ``_Frozen`` and set their fields once, with ``_freeze``.
+one object or operation share one dimension, a positive integer, checked
+by ``_merge_dims``, which raises :class:`DimensionMismatch` otherwise.
+Values are immutable: they subclass ``_Frozen`` and set their fields
+once, with ``_freeze``.
 """
 
 from __future__ import annotations
@@ -79,11 +80,14 @@ def dist_one(a: Grade, b: Grade) -> float:
 
 
 def _merge_dims(*dims: int | None) -> int | None:
-    """The common dimension of ``dims``, ignoring ``None`` (unknown)."""
+    """The common dimension of ``dims``, ignoring ``None`` (unknown); a
+    dimension that is not a positive integer raises ``ValueError``."""
     out: int | None = None
     for d in dims:
         if d is None:
             continue
+        if not isinstance(d, int) or d < 1:
+            raise ValueError("grade dimension must be a positive integer, got %r" % (d,))
         if out is None:
             out = d
         elif out != d:

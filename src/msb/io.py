@@ -50,7 +50,7 @@ from .algebra import (
     _local_pairs,
     _require_prime,
 )
-from .grades import Barcode, SignedBarcode, _Frozen, as_grade, leq
+from .grades import Barcode, SignedBarcode, _Frozen, _merge_dims, as_grade, leq
 
 
 class ParseError(ValueError):
@@ -364,10 +364,7 @@ class Bifiltration(_Frozen):
         norm = []
         for k, cell in enumerate(cells):
             grade = as_grade(cell.grade)
-            if dim is None:
-                dim = len(grade)
-            elif len(grade) != dim:
-                raise ValueError("cell %d grade has wrong dimension" % k)
+            dim = _merge_dims(dim, len(grade))
             if cell.dim < 0:
                 raise ValueError("cell %d has negative dimension" % k)
             for idx, coeff in cell.boundary:

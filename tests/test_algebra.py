@@ -1,6 +1,7 @@
 """Graded matrices, minimization, kernels, Betti barcodes, homology."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -21,6 +22,7 @@ from msb import (
     gen_staircase,
     hilbert_eval,
     homology_presentation,
+    join,
     kernel_basis,
     leq,
     minimize_presentation,
@@ -214,33 +216,40 @@ def test_kernel_with_incomparable_column_grades():
     assert m.matmul(inc).entries == {}
 
 
+def assert_kernel_sound(m, top):
+    """Check the kernel of ``m`` against routes other than its own sweep:
+    every inclusion column is in the nullspace and its support joins to its
+    recorded grade, and the count of generators at or below each point of
+    the coordinate grid (with ``top`` added on each axis) is the nullity of
+    the columns there."""
+    bars, inc = kernel_basis(m)
+    assert m.matmul(inc).entries == {}
+    for k, col in enumerate(inc.columns()):
+        assert join(*(m.col_grades[i] for i in col)) == inc.col_grades[k]
+    as_pres = Presentation(m.row_grades, m)
+    axes = [sorted({c[a] for c in m.col_grades} | {top}) for a in range(m.dim)]
+    for pt in itertools.product(*axes):
+        ncols_below = sum(1 for c in m.col_grades if leq(c, pt))
+        nrows_below = sum(1 for r in m.row_grades if leq(r, pt))
+        # pointwise_dim gives rows minus rank, so rank falls out
+        rank_below = nrows_below - pointwise_dim(as_pres, pt)
+        ker_below = sum(1 for b in bars if leq(b, pt))
+        assert ker_below == ncols_below - rank_below
+
+
 def test_kernel_rank_identity_random():
-    # count of kernel generators below x equals nullity of the
-    # submatrix below x, on the full coordinate grid
     rng = SplitMix64(31)
     for trial in range(120):
         p = gen_random(5000 + trial, 1 + rng.below(6), rng.below(7), 5)
-        m = minimize_presentation(p).rels
-        bars, inc = kernel_basis(m)
-        assert m.matmul(inc).entries == {}
-        as_pres = Presentation(m.row_grades, m)
-        xs = sorted({c[0] for c in m.col_grades} | {5.0})
-        ys = sorted({c[1] for c in m.col_grades} | {5.0})
-        for x in xs:
-            for y in ys:
-                pt = (x, y)
-                ncols_below = sum(1 for c in m.col_grades if leq(c, pt))
-                nrows_below = sum(1 for r in m.row_grades if leq(r, pt))
-                # pointwise_dim gives rows minus rank, so rank falls out
-                rank_below = nrows_below - pointwise_dim(as_pres, pt)
-                ker_below = sum(1 for b in bars if leq(b, pt))
-                assert ker_below == ncols_below - rank_below
+        # the minimized relations all have zero kernel; the raw ones do not
+        for m in (p.rels, minimize_presentation(p).rels):
+            assert_kernel_sound(m, 5.0)
 
 
 def test_kernel_output_pinned_on_random_corpus():
     # generator grades, inclusion columns and their coefficients are
-    # pinned over the corpus above, raw and minimized, so a faster sweep
-    # must find exactly the same kernel vectors in the same order
+    # pinned over the corpus above, raw and minimized, so a rewrite of the
+    # sweep cannot move a kernel vector or its order unnoticed
     digest = hashlib.sha256()
     rng = SplitMix64(31)
     for trial in range(120):
@@ -248,7 +257,7 @@ def test_kernel_output_pinned_on_random_corpus():
         for m in (p.rels, minimize_presentation(p).rels):
             bars, inc = kernel_basis(m)
             digest.update(repr((bars.bars, inc.col_grades, sorted(inc.entries.items()))).encode())
-    assert digest.hexdigest() == "c3fd6042188d2e56fa6bba9a76540e2c94617ef2b6a19258481048fe7f49f0ab"
+    assert digest.hexdigest() == "3f5330cb111233ac7afe061463627960db977ce3cb63479c4a36ac82eeefb616"
 
 
 def graded_matrix_over(rng, p, rows, cols, dim):
@@ -273,6 +282,14 @@ def random_graded_matrix(rng, p, dim):
     return graded_matrix_over(rng, p, rows, cols, dim)
 
 
+def test_kernel_rank_identity_over_odd_fields_in_one_and_two_parameters():
+    rng = SplitMix64(59)
+    for p in (3, 5, 7):
+        for dim in (1, 2):
+            for _ in range(40):
+                assert_kernel_sound(random_graded_matrix(rng, p, dim), 4.0)
+
+
 def test_kernel_output_pinned_over_odd_fields_in_one_and_two_parameters():
     # the pin above is F_2 in two parameters only; here coefficients other
     # than 1 and the one-parameter sweep are pinned too
@@ -283,22 +300,17 @@ def test_kernel_output_pinned_over_odd_fields_in_one_and_two_parameters():
             for _ in range(40):
                 bars, inc = kernel_basis(random_graded_matrix(rng, p, dim))
                 digest.update(repr((bars.bars, inc.col_grades, sorted(inc.entries.items()))).encode())
-    assert digest.hexdigest() == "f5b68e4d8892a02249b094e2ae8acdf3c8c07cde069be7ade7f72e609ca0292c"
+    assert digest.hexdigest() == "cc7d0cabe05a5939f31893ef3db7051c43eda53eb183793f5472007593d3d41d"
 
 
 @pytest.mark.parametrize("degree, grades", [(0, 25), (1, 22)])
-def test_kernel_nullspace_runs_once_per_generator_grade(monkeypatch, degree, grades):
-    # the rank gate skips every grid point whose fiber kernel is already
-    # spanned by the generators at or below it, so the full nullspace runs
-    # only where a generator is born
+def test_kernel_birth_grades_on_lower_star_grid(degree, grades):
+    # the generators of a boundary kernel of a seeded lower-star grid are
+    # born at this many distinct grades, under the exhaustive check
     from test_cli import lower_star_square
 
-    calls = []
-    nullspace = algebra._nullspace
-    monkeypatch.setattr(algebra, "_nullspace", lambda cols, p: calls.append(1) or nullspace(cols, p))
-    bars, _ = kernel_basis(lower_star_square(20240, 5, 50).boundary_matrix(degree))
+    bars, _ = kernel_basis(lower_star_square(20240, 5, 50).boundary_matrix(degree), verify=True)
     assert len(set(bars.bars)) == grades
-    assert len(calls) == grades
 
 
 def test_kernel_verify_flag_runs_clean():
@@ -309,14 +321,25 @@ def test_kernel_verify_flag_runs_clean():
 
 
 def test_kernel_check_catches_a_dropped_vector(monkeypatch):
-    # the exhaustive check shares no step with the sweep: when the sweep's
-    # nullspace loses a vector the unchecked kernel is wrong, and the
-    # checked one is refused at the grade where the generator is missing
+    # the exhaustive check shares no step with the sweep: when the gate
+    # hands on a zero combination for a column that reduces to zero, the
+    # unchecked kernel is wrong, and the checked one is refused at the
+    # grade where the generator is missing
     m = GradedMatrix([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], {(0, 0): 1, (0, 1): 1})
     good, _ = kernel_basis(m)
-    nullspace = algebra._nullspace
-    monkeypatch.setattr(algebra, "_nullspace", lambda cols, p: list(nullspace(cols, p))[:-1])
-    with pytest.raises(KernelCheckError, match=r"kernel_basis: .* grade \(1\.0, 1\.0\)"):
+
+    class Lossy(algebra._Reducer):
+        def insert(self, col, comb=None):
+            col, comb = super().insert(col, comb)
+            if comb is not None and not col:  # only the gate tracks combinations
+                comb = 0 if self.p == 2 else {}
+            return col, comb
+
+    monkeypatch.setattr(algebra, "_Reducer", Lossy)
+    with pytest.raises(
+        KernelCheckError,
+        match=r"grade \(1\.0, 1\.0\): 0 generators born, fiber kernel has dimension 1$",
+    ):
         kernel_basis(m)
     bad, _ = kernel_basis(m, verify=False)
     assert bad != good
@@ -424,8 +447,8 @@ def test_homology_output_pinned_over_odd_fields(p):
         chain = ChainPair(f=bif.boundary_matrix(degree + 1), g=bif.boundary_matrix(degree))
         digest.update(serialize_presentation(homology_presentation(chain)).encode())
     assert digest.hexdigest() == {
-        3: "7b469002fb3a5a283e5b115305edb88cacd84ad0b94fcd052517a10b2601d0d7",
-        5: "0d4c0a1e83cc0f659049ddaf3c3c2df387d977b291db323fc620ef569bd33d6c",
+        3: "e15120872d82438e2bf93099400e49300135f739d74a88d355108bf3383e7c83",
+        5: "d19eaae5076865d678d606716b70eb74a8ab761dfefdf17e671c6c887222ee56",
     }[p]
 
 

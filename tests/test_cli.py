@@ -361,7 +361,7 @@ def lower_star_square(seed, n, levels, field=2):
     "degree, digest",
     [
         (0, "b6403c8ed57477665070bc129d44617d1ced3c52270b935ca78ad7428ae5f7f7"),
-        (1, "84818fa43a16c09df11cf755073bdb97838226b4db524ae71cca112b8c19fe47"),
+        (1, "5d31bb0b0046fc5678001b084cfce5c94af1431204f6e64ad49b8e5a4ee3f629"),
     ],
 )
 def test_ingest_output_bytes_pinned(capsys, tmp_path, degree, digest):

@@ -252,6 +252,19 @@ DIMENSION_MISMATCHES = [
     ("wasserstein_signed", lambda: wasserstein_signed(SignedBarcode(_B1), SignedBarcode(_B2))),
     ("presentation_pair_cost",
      lambda: presentation_pair_cost(Presentation((), dim=1), Presentation((), dim=2))),
+    ("Bifiltration cells", lambda: Bifiltration([Cell(0, (0.0, 0.0), ()), Cell(0, (0.0,), ())])),
+]
+
+# (entry point, a call given a dimension that is not a positive integer)
+BAD_DIMENSIONS = [
+    ("Barcode dim 0", lambda: Barcode([], dim=0)),
+    ("Barcode dim -1", lambda: Barcode([], dim=-1)),
+    ("Barcode dim 2.5", lambda: Barcode([], dim=2.5)),
+    ("Barcode dim 2.0 with bars", lambda: Barcode([(0.0, 0.0)], dim=2.0)),
+    ("GradedMatrix dim 0", lambda: GradedMatrix([], [], {}, dim=0)),
+    ("Presentation dim -1", lambda: Presentation((), dim=-1)),
+    ("Bifiltration dim 0", lambda: Bifiltration([], dim=0)),
+    ("Bifiltration dim 2.5", lambda: Bifiltration([Cell(0, (0.0, 0.0), ())], dim=2.5)),
 ]
 
 
@@ -268,6 +281,13 @@ def test_dimension_disagreement_has_one_message():
         with pytest.raises(DimensionMismatch) as info:
             call()
         assert re.fullmatch(r"grade dimensions differ: \d+ vs \d+", str(info.value)), name
+
+
+@pytest.mark.parametrize("call", [c for _, c in BAD_DIMENSIONS], ids=[n for n, _ in BAD_DIMENSIONS])
+def test_dimension_must_be_a_positive_integer(call):
+    with pytest.raises(ValueError, match=r"^grade dimension must be a positive integer, got ") as e:
+        call()
+    assert not isinstance(e.value, DimensionMismatch)
 
 
 # (value type, an instance, one of its fields)
