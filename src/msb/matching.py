@@ -16,10 +16,13 @@ computed on the pair as given, without reduction.  The signed
 barcodes; the signed bottleneck version fails the triangle inequality
 in general and vanishing does not imply equality of reduced forms.
 
-Bottleneck values are found by binary search over the finite candidate
-set of pairwise l-infinity distances, testing each threshold with a
-maximum-cardinality bipartite matching (Hopcroft-Karp), so the value is
-one of the pairwise distances.  Minimum-cost matchings use shortest
+Bottleneck values are found by galloping and binary search over the
+finite candidate set of pairwise l-infinity distances, testing each
+threshold with a maximum-cardinality bipartite matching (Hopcroft-Karp),
+so the value is one of the pairwise distances.  Each probe warm-starts
+from the maximum matching at the largest threshold that failed, which
+stays valid at every higher one; the matching returned is the one found
+at the smallest feasible threshold.  Minimum-cost matchings use shortest
 augmenting paths with lazy potentials, updated once per search on what
 it reached, and finalize the lowest-index column among equally near
 ones; of several optimal matchings, float rounding picks the one given.
@@ -90,17 +93,18 @@ def _check_p(p) -> float:
 def _cost_matrix(b: Barcode, c: Barcode, p: float) -> np.ndarray:
     """Pairwise l-infinity distances for ``p = inf``, else the sums of
     p-th powers of coordinatewise displacements; 0 x 0 for two empty
-    barcodes."""
+    barcodes.  A cost that overflows is ``inf``, without a warning."""
     n = b.dim or c.dim or 1
     A = np.asarray(b.bars, dtype=np.float64).reshape(len(b), n)
     B = np.asarray(c.bars, dtype=np.float64).reshape(len(c), n)
-    D = np.zeros((len(b), len(c)))
-    for k in range(n):
-        d = np.abs(A[:, k, None] - B[None, :, k])
-        if p == math.inf:
-            np.maximum(D, d, out=D)
-        else:
-            D += d if p == 1.0 else d ** p
+    D, d = np.zeros((len(b), len(c))), np.empty((len(b), len(c)))
+    combine = np.maximum if p == math.inf else np.add
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            np.abs(np.subtract(A[:, k, None], B[None, :, k], out=d), out=d)
+            if p not in (1.0, math.inf):
+                d **= p
+            combine(D, d, out=D)
     return D
 
 
@@ -171,32 +175,34 @@ def _hopcroft_karp(adj: list[list[int]], match_l: list[int], match_r: list[int])
                 augment(i)
 
 
+def _adjacency(D: np.ndarray, t: float) -> list[list[int]]:
+    """Per row of ``D``, the columns with ``D <= t`` in increasing order."""
+    rows, cols = np.divmod(np.flatnonzero(D <= t), D.shape[1])
+    starts = np.searchsorted(rows, np.arange(D.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip(starts, starts[1:])]
+
+
 def _feasible_at(D: np.ndarray, t: float, match_l: list[int], match_r: list[int]) -> bool:
     """Whether a perfect matching exists among pairs with D <= t.
 
-    The match arrays act as a warm start: surviving edges are kept,
-    edges above the threshold are dropped before augmenting.
+    The match arrays, which may hold only such pairs, are augmented in
+    place to a maximum matching.
     """
-    K = len(match_l)
-    for i in range(K):
-        j = match_l[i]
-        if j >= 0 and D[i, j] > t:
-            match_l[i] = -1
-            match_r[j] = -1
-    adj = [np.flatnonzero(D[i] <= t).tolist() for i in range(K)]
-    _hopcroft_karp(adj, match_l, match_r)
-    return all(j >= 0 for j in match_l)
+    _hopcroft_karp(_adjacency(D, t), match_l, match_r)
+    return -1 not in match_l
 
 
 def eps_bijection_exists(b, c, eps: float) -> bool:
     """Whether some bijection moves every bar by at most ``eps`` (l-inf)."""
+    eps = float(eps)
+    if math.isnan(eps):
+        raise ValueError("eps must be a number, got %r" % eps)
     b, c = _check_pair(b, c)
     K = len(b)
     if K != len(c):
         return False
-    D = _cost_matrix(b, c, math.inf)
-    match_l, match_r = [-1] * K, [-1] * K
-    return _feasible_at(D, eps, match_l, match_r)
+    return _feasible_at(_cost_matrix(b, c, math.inf), eps, [-1] * K, [-1] * K)
 
 
 def bottleneck(b, c) -> MatchingResult:
@@ -210,37 +216,30 @@ def _bottleneck(D: np.ndarray) -> MatchingResult:
 
     Returns the smallest entry of ``D`` at which a perfect matching
     exists, located by galloping plus binary search over the sorted
-    candidate values.
+    candidate values.  Every probe lies above all failed ones, so each
+    starts from a copy of the maximum matching at the largest failed
+    threshold; the matching returned is the one found by the smallest
+    feasible probe.
     """
     K = D.shape[0]
     cands = np.unique(D)
     lo_val = max(D.min(axis=1).max(), D.min(axis=0).max())
-    li = int(np.searchsorted(cands, lo_val))
-    match_l, match_r = [-1] * K, [-1] * K
-
-    idx = li
-    step = 1
-    last_fail = li - 1
-    while True:
+    lo = idx = int(np.searchsorted(cands, lo_val))
+    hi, step = len(cands) - 1, 1
+    failed, found = ([-1] * K, [-1] * K), None
+    while found is None or lo < hi:
+        match_l, match_r = failed[0][:], failed[1][:]
         if _feasible_at(D, cands[idx], match_l, match_r):
-            hi = idx
-            break
-        last_fail = idx
-        if idx == len(cands) - 1:
+            hi, found = idx, match_l
+        elif idx == len(cands) - 1:
             raise AssertionError("complete candidate graph must be feasible")
-        idx = min(idx + step, len(cands) - 1)
-        step *= 2
-    lo = last_fail + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible_at(D, cands[mid], match_l, match_r):
-            hi = mid
         else:
-            lo = mid + 1
-    if not _feasible_at(D, cands[hi], match_l, match_r):
-        raise AssertionError("binary search lost feasibility")
-    matching = tuple((i, match_l[i]) for i in range(K))
-    return MatchingResult(float(cands[hi]), matching)
+            lo, failed = idx + 1, (match_l, match_r)
+        if found is None:  # gallop up from the lower bound ...
+            idx, step = min(idx + step, hi), 2 * step
+        else:  # ... then bisect below the first feasible probe
+            idx = (lo + hi) // 2
+    return MatchingResult(float(cands[hi]), tuple(enumerate(found)))
 
 
 # ---------------------------------------------------------------------------

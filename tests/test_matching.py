@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from msb import (
     wasserstein,
     wasserstein_signed,
 )
-from msb.matching import _cost_matrix, _hopcroft_karp
+import msb.matching
+from msb.matching import _adjacency, _cost_matrix, _hopcroft_karp
 
 EMPTY = SignedBarcode(Barcode([], dim=2), Barcode([], dim=2))
 
@@ -47,6 +49,21 @@ def tied_barcode(rng, pool, size):
 
 def point_pool(rng, grid=8):
     return [(float(rng.below(grid)), float(rng.below(grid))) for _ in range(2 + rng.below(2))]
+
+
+def quarter_grid_pool(rng):
+    return [(rng.below(24) / 4, rng.below(24) / 4) for _ in range(1 + rng.below(12))]
+
+
+def quarter_grid_barcode(rng, pool, size):
+    """``size`` bars on a quarter grid, each by a coin flip from ``pool`` or fresh."""
+    return Barcode(
+        [
+            pool[rng.below(len(pool))] if rng.below(2) else (rng.below(40) / 4, rng.below(40) / 4)
+            for _ in range(size)
+        ],
+        dim=2,
+    )
 
 
 def random_signed(rng, grid=6, max_bars=4):
@@ -96,6 +113,15 @@ def test_eps_bijection_cardinality_mismatch_is_false():
     assert not eps_bijection_exists(Barcode([(0.0, 0.0)]), Barcode([], dim=2), 10.0)
 
 
+def test_eps_bijection_checks_eps():
+    b = Barcode([(0.0, 0.0)])
+    with pytest.raises(ValueError, match="eps must be a number, got nan"):
+        eps_bijection_exists(b, b, float("nan"))
+    with pytest.raises(ValueError, match="'one'"):
+        eps_bijection_exists(b, b, "one")
+    assert eps_bijection_exists(b, b, "0.5") and not eps_bijection_exists(b, b, -math.inf)
+
+
 def test_empty_barcodes_have_an_empty_cost_matrix():
     for dims in ((None, None), (2, None), (None, 1), (2, 2)):
         b, c = Barcode([], dim=dims[0]), Barcode([], dim=dims[1])
@@ -115,6 +141,18 @@ def test_hopcroft_karp_long_augmenting_path():
     _hopcroft_karp(adj, match_l, match_r)
     assert match_l == [i + 1 for i in range(K - 1)] + [0]
     assert all(match_r[j] == i for i, j in enumerate(match_l))
+
+
+def test_adjacency_lists_every_row_in_column_order():
+    rng = SplitMix64(131)
+    D = np.array([[3.0, 1.0, 2.0], [5.0, 5.0, 5.0], [0.0, 2.0, 1.0]])
+    # K = 1; a row with no edge; no edge at all; the complete graph
+    cases = [(np.array([[0.5]]), 0.0), (np.array([[0.5]]), 0.5), (D, 2.0), (D, -1.0), (D, 5.0)]
+    for K in (2, 7, 30):
+        R = np.array([[float(rng.below(10)) for _ in range(K)] for _ in range(K)])
+        cases += [(R, t) for t in (0.0, 4.0, 8.5, 9.0)]
+    for D, t in cases:
+        assert _adjacency(D, t) == [np.flatnonzero(D[i] <= t).tolist() for i in range(len(D))]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +210,98 @@ def test_bottleneck_matches_brute_force():
         b = random_barcode(rng, k)
         c = random_barcode(rng, k)
         assert bottleneck(b, c).value == brute_force_matching(b, c, math.inf).value
+
+
+def has_perfect_matching(allowed):
+    """Whether the boolean K x K matrix ``allowed`` admits a perfect
+    matching: plain augmenting paths (Kuhn), one left vertex at a time."""
+    adj = [[j for j, ok in enumerate(row) if ok] for row in allowed]
+    owner = [-1] * len(adj)
+
+    def claim(i, seen):
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] < 0 or claim(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(claim(i, set()) for i in range(len(adj)))
+
+
+def row_column_bound(b, c):
+    """The search's lower bound: no bar is matched closer than its nearest."""
+    D = [[dist_inf(u, v) for v in c.bars] for u in b.bars]
+    return max(max(min(row) for row in D), max(min(col) for col in zip(*D)))
+
+
+def gallop_to_the_top():
+    """A pair whose only optimal value is the largest pairwise distance,
+    far above the row/column bound: four bars near x = 0 must share three
+    partners there, and every pair across is exactly 100 apart."""
+    b = Barcode([(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, 3.0), (100.0, 0.0), (100.0, 1.0)])
+    c = Barcode([(0.0, 0.0), (0.0, 2.0), (0.0, 5.0), (100.0, 1.0), (100.0, 3.0), (100.0, 4.0)])
+    return b, c
+
+
+def certificate_cases():
+    rng = SplitMix64(137)
+    yield Barcode([(0.0, 0.0)]), Barcode([(3.0, 1.0)])
+    b = Barcode([(10.0 * i, 10.0 * (i % 3)) for i in range(12)])
+    yield b, Barcode([(x + 1.0, y - 0.5) for x, y in b.bars])  # feasible at the bound
+    yield gallop_to_the_top()
+    for K in (9, 10, 17, 33, 64, 100, 150):
+        pool = point_pool(rng, grid=12)
+        yield random_barcode(rng, K, grid=40), random_barcode(rng, K, grid=40)
+        yield tied_barcode(rng, pool, K), tied_barcode(rng, pool, K)
+        pool = quarter_grid_pool(rng)
+        yield quarter_grid_barcode(rng, pool, K), quarter_grid_barcode(rng, pool, K)
+
+
+def test_bottleneck_optimality_certificate_beyond_brute_force():
+    # the matching is a bijection realizing the value, and no perfect
+    # matching uses only pairs strictly closer than the value
+    for b, c in certificate_cases():
+        r = bottleneck(b, c)
+        K = len(b)
+        assert sorted(i for i, _ in r.matching) == sorted(j for _, j in r.matching) == list(range(K))
+        assert max(dist_inf(b.bars[i], c.bars[j]) for i, j in r.matching) == r.value
+        assert not has_perfect_matching([[dist_inf(u, v) < r.value for v in c.bars] for u in b.bars])
+
+
+def test_bottleneck_probes_warm_start_from_the_largest_failed_one(monkeypatch):
+    probes = []
+    feasible_at = msb.matching._feasible_at
+
+    def spy(D, t, match_l, match_r):
+        start = list(match_l)
+        ok = feasible_at(D, t, match_l, match_r)
+        probes.append((float(t), start, ok, list(match_l)))
+        return ok
+
+    monkeypatch.setattr(msb.matching, "_feasible_at", spy)
+    for n, (b, c) in enumerate(certificate_cases()):
+        probes.clear()
+        r = bottleneck(b, c)
+        # no threshold is probed twice; the matching is the smallest feasible probe's
+        assert len({t for t, *_ in probes}) == len(probes)
+        t, _, _, final = min(probe for probe in probes if probe[2])
+        assert t == r.value and tuple(enumerate(final)) == r.matching
+        failed = [-1] * len(b)
+        for t, start, ok, end in probes:
+            # each probe starts from the maximum matching of the largest
+            # failed threshold, which holds only pairs allowed at t
+            assert start == failed
+            assert all(dist_inf(b.bars[i], c.bars[j]) <= t for i, j in enumerate(start) if j >= 0)
+            assert (t >= r.value) == ok
+            if not ok:
+                failed = end
+        if n < 2:  # K = 1, and a pair feasible at the row/column bound
+            assert r.value == row_column_bound(b, c) and len(probes) == 1
+        if n == 2:
+            assert r.value == _cost_matrix(b, c, math.inf).max() > row_column_bound(b, c)
+            assert len(probes) >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +457,12 @@ def test_wasserstein_matching_has_no_cheaper_rotation():
 
 
 def test_wasserstein_with_overflowing_costs():
-    # grades need only be finite, so a p-th power can overflow to inf; the
-    # last pair has no finite matching once its first row is placed
+    # grades need only be finite, so a difference or a p-th power can
+    # overflow to inf: a documented result, so numpy must not warn; the
+    # last wasserstein pair has no finite matching once its first row is placed
     near = Barcode([(0.0, 0.0), (1e200, 0.0)])
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         r = wasserstein(near, Barcode([(1.0, 0.0), (1e200, 1.0)]), 2.5)
         assert r.matching == ((0, 0), (1, 1)) and r.value == 2.0 ** (1.0 / 2.5)
         for far in ([(-1e200, 0.0), (2e200, 0.0)], [(-1e200, 0.0), (1.0, 0.0), (1e200, 2.0)]):
@@ -338,6 +470,12 @@ def test_wasserstein_with_overflowing_costs():
             r = wasserstein(b, Barcode(far), 2.5)
             assert math.isinf(r.value)
             assert sorted(j for _, j in r.matching) == list(range(len(far)))
+        b = Barcode([(1e308, 0.0), (-1e308, 0.0)])
+        assert math.isinf(_cost_matrix(b, b, math.inf).max())
+        r = bottleneck(b, Barcode([(-1e308, 0.0), (1e308, 0.0)]))
+        assert r.value == 0.0 and r.matching == ((0, 0), (1, 1))
+        r = bottleneck(Barcode([(1e308, 0.0)]), Barcode([(-1e308, 0.0)]))
+        assert math.isinf(r.value) and r.matching == ((0, 0),)
 
 
 def test_wasserstein_infinite_p_is_bottleneck():
@@ -507,18 +645,10 @@ def pin_corpus(seed=2024, cases=30):
     equal parts, equal cross-sign unions only, or unrelated sizes."""
     rng = SplitMix64(seed)
     for k in range(cases):
-        pool = [(rng.below(24) / 4, rng.below(24) / 4) for _ in range(1 + rng.below(12))]
+        pool = quarter_grid_pool(rng)
 
         def bars(size):
-            return Barcode(
-                [
-                    pool[rng.below(len(pool))]
-                    if rng.below(2)
-                    else (rng.below(40) / 4, rng.below(40) / 4)
-                    for _ in range(size)
-                ],
-                dim=2,
-            )
+            return quarter_grid_barcode(rng, pool, size)
 
         bp, bn, cp, cn = (1 + rng.below(40) for _ in range(4))
         if k % 3 == 0:
@@ -532,11 +662,11 @@ def pin_corpus(seed=2024, cases=30):
 # p = 2.5 float rounding picks among tied optimal matchings, so that digest
 # also pins the float bits of numpy's ``**`` and the solver's arithmetic
 MATCHING_DIGESTS = {
-    "bottleneck": "52fe3ff11a4319c27e2027e6656637010885862bddb75e1fd0865efc558ef464",
-    "bottleneck_signed": "367a3ceb6f55bed6f8e58a05935a16d6109ef29bae3ac99f1e7f631cc2acdf17",
+    "bottleneck": "f793c78565b3f1f9c8fecfd40aeee52ee86ebe1d8ba44cdbca595db5b31bb37c",
+    "bottleneck_signed": "41fef078c35e8e50bbeaa7ff09b12ed40a85c34da3bdb83cbe4087d435862013",
     "wasserstein_signed_1": "c738fd5966ff9a6f27d186ee089b2f1d4baacdbf25b72320fbafd4f2ca5c8a14",
     "wasserstein_signed_2.5": "c95d7cd1ae283056b9aafa0869ec422843499095b3b24cd8adc8ee50c85807ed",
-    "wasserstein_signed_inf": "367a3ceb6f55bed6f8e58a05935a16d6109ef29bae3ac99f1e7f631cc2acdf17",
+    "wasserstein_signed_inf": "41fef078c35e8e50bbeaa7ff09b12ed40a85c34da3bdb83cbe4087d435862013",
 }
 
 
