@@ -1,29 +1,29 @@
 """Text formats for barcodes, presentations, chain pairs, bifiltrations.
 
-Four whitespace-tokenized formats, one object per file, with ``#``
-starting a comment that runs to end of line:
+A file holds one object as a sequence of tokens.  Its lines are those of
+``str.splitlines``; a ``#`` starts a comment that runs to the end of its
+line, and the rest splits into tokens at whitespace as ``str.split``
+defines it.  Line breaks matter only there and in the line and column a
+:class:`ParseError` names.  Counts, indices, coefficients and the field
+order are read by ``int()``, coordinates by ``float()`` and must be
+finite, so ``1_0`` reads as 10 and ``+3`` as 3.  The formats:
 
 ``sbarc 1``
-    ``n <dim>``, then ``positive <count>`` followed by count grade
-    lines, then ``negative <count>`` likewise.
-
+    ``n <dim>``, then ``positive <count>`` followed by count grades,
+    then ``negative <count>`` likewise.
 ``mpres 1``
     ``field <p>``, ``n <dim>``, ``gens <count>`` followed by count
-    grade lines, then ``rels <count>`` followed by one line per
-    relation: the grade, an entry count, and that many ``row:coeff``
-    pairs.
-
+    grades, then ``rels <count>`` followed by per relation its grade,
+    an entry count, and that many ``row:coeff`` pairs.
 ``mchain 1``
     ``field <p>``, ``n <dim>``, then blocks ``Z``, ``Y``, ``X``.  The
-    ``Z`` block lists target grades; each ``Y`` line carries a grade
-    plus a sparse column of the map into Z (row references are Z
-    indices); each ``X`` line likewise defines a column of the map
-    into Y.
-
+    ``Z`` block lists target grades; each ``Y`` column is a grade plus
+    a sparse column of the map into Z (rows are Z indices), as in a
+    ``rels`` block; each ``X`` column likewise maps into Y.
 ``mbif 1``
-    ``field <p>``, ``n <dim>``, ``cells <count>``, then one line per
-    cell: its dimension, its grade, an entry count, and that many
-    ``index:coeff`` boundary pairs referring to earlier cells.
+    ``field <p>``, ``n <dim>``, ``cells <count>``, then per cell its
+    dimension, its grade, an entry count, and that many ``index:coeff``
+    boundary pairs referring to earlier cells.
 
 Serialization is canonical: barcodes are emitted in sorted order,
 floats use the shortest decimal that round-trips (integral values drop
@@ -33,8 +33,11 @@ objects always produce identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
+from math import isfinite
+from operator import le
 
 from .algebra import (
     ChainPair,
@@ -50,7 +53,7 @@ from .algebra import (
     _local_pairs,
     _require_prime,
 )
-from .grades import Barcode, SignedBarcode, _Frozen, _merge_dims, as_grade, leq
+from .grades import Barcode, SignedBarcode, _Frozen, _merge_dims, as_grade
 
 
 class ParseError(ValueError):
@@ -87,119 +90,125 @@ _TOKEN_RE = re.compile(r"\S+")
 def _scan(text: str):
     """Yield ``(token, line, column)`` outside ``#`` comments, in order."""
     for lineno, line in enumerate(text.splitlines(), 1):
-        hash_at = line.find("#")
-        if hash_at >= 0:
-            line = line[:hash_at]
-        for m in _TOKEN_RE.finditer(line):
+        for m in _TOKEN_RE.finditer(line.partition("#")[0]):
             yield m.group(), lineno, m.start() + 1
 
 
-class _Tokens:
-    """Token stream with line/column tracking and typed readers."""
+class _Reader:
+    """Typed reads, in order, of ``toks``, the tokens :func:`_scan` yields
+    without positions; ``i`` indexes the next.  A read's label is a format
+    string and its arguments, formatted only when the read fails."""
+
+    __slots__ = ("text", "toks", "i")
 
     def __init__(self, text: str):
-        self._toks = list(_scan(text))
-        self._pos = 0
-        self._last = (1, 1)
+        self.text = text
+        if "#" in text:
+            text = "\n".join(line.partition("#")[0] for line in text.splitlines())
+        self.toks = text.split()
+        self.i = 0
 
-    def next(self, what: str) -> tuple[str, int, int]:
-        if self._pos >= len(self._toks):
-            raise ParseError("unexpected end of input, expected %s" % what, *self._last)
-        tok = self._toks[self._pos]
-        self._pos += 1
-        self._last = (tok[1], tok[2])
-        return tok
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """ParseError at token ``i``, by default the last one read; past the end, the last."""
+        at = (1, 1)
+        for _, line, col in itertools.islice(_scan(self.text), self.i if i is None else i + 1):
+            at = line, col
+        return ParseError(message, *at)
 
-    def pos(self) -> tuple[int, int]:
-        if self._pos < len(self._toks):
-            tok = self._toks[self._pos]
-            return tok[1], tok[2]
-        return self._last
+    def end(self, what: str) -> ParseError:
+        return self.error("unexpected end of input, expected " + what, len(self.toks))
+
+    def next(self, what: str, *args) -> str:
+        if self.i == len(self.toks):
+            raise self.end(what % args)
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def keyword(self, word: str) -> None:
-        tok, line, col = self.next("'%s'" % word)
-        if tok != word:
-            raise ParseError("expected '%s', got '%s'" % (word, tok), line, col)
+        if self.next("'%s'", word) != word:
+            raise self.error("expected '%s', got '%s'" % (word, self.toks[self.i - 1]))
 
-    def _int(self, what: str, expected: str) -> tuple[int, int, int]:
-        """The next token as an integer, with its line and column."""
-        tok, line, col = self.next(what)
+    def int_(self, kind: str, what: str, *args) -> int:
+        """The next token as ``int()`` reads it; ``kind`` prefixes the label if it is none."""
+        tok = self.next(what, *args)
         try:
-            return int(tok), line, col
+            return int(tok)
         except ValueError:
-            raise ParseError("expected %s, got '%s'" % (expected, tok), line, col)
+            raise self.error("expected %s%s, got '%s'" % (kind, what % args, tok))
 
-    def count(self, what: str) -> int:
-        n, line, col = self._int(what, "count " + what)
+    def count(self, what: str, *args) -> int:
+        n = self.int_("count ", what, *args)
         if n < 0:
-            raise ParseError("%s must be nonnegative, got %d" % (what, n), line, col)
+            raise self.error("%s must be nonnegative, got %d" % (what % args, n))
         return n
 
-    def float_(self, what: str) -> float:
-        tok, line, col = self.next(what)
-        try:
-            v = float(tok)
-        except ValueError:
-            raise ParseError("expected number %s, got '%s'" % (what, tok), line, col)
-        if v != v or v in (float("inf"), float("-inf")):
-            raise ParseError("%s must be finite, got '%s'" % (what, tok), line, col)
-        return v
+    def grade(self, n: int, what: str, *args) -> tuple:
+        """The next ``n`` tokens as finite floats, the coordinates of ``what``."""
+        i = self.i
+        g = []
+        for j, tok in enumerate(self.toks[i : i + n], i):
+            try:
+                g.append(float(tok))
+            except ValueError:
+                raise self.error("expected number %s coordinate, got '%s'" % (what % args, tok), j)
+            if not isfinite(g[-1]):
+                raise self.error("%s coordinate must be finite, got '%s'" % (what % args, tok), j)
+        if len(g) < n:
+            raise self.end(what % args + " coordinate")
+        self.i = i + n
+        return tuple(g)
 
-    def grade(self, n: int, what: str) -> tuple:
-        return tuple(self.float_("%s coordinate" % what) for _ in range(n))
-
-    def pair(self, what: str, limit: int, field: int) -> tuple[int, int]:
-        tok, line, col = self.next(what)
-        head, sep, tail = tok.partition(":")
-        if not sep:
-            raise ParseError("expected index:coeff pair for %s, got '%s'" % (what, tok), line, col)
-        try:
-            idx = int(head)
-            coeff = int(tail)
-        except ValueError:
-            raise ParseError("malformed pair '%s' for %s" % (tok, what), line, col)
-        if not 0 <= idx < limit:
-            raise ParseError(
-                "index %d out of range [0, %d) for %s" % (idx, limit, what), line, col
-            )
-        if not 0 < coeff < field:
-            raise ParseError(
-                "coefficient %d outside [1, %d) for %s" % (coeff, field, what), line, col
-            )
-        return idx, coeff
+    def pairs(self, count: int, limit: int, p: int, what: str, *args) -> tuple:
+        """The next ``count`` tokens as ``index:coeff`` pairs in [0, limit) x [1, p)."""
+        i = self.i
+        out = []
+        for j, tok in enumerate(self.toks[i : i + count], i):
+            head, sep, tail = tok.partition(":")
+            if not sep:
+                raise self.error("expected index:coeff pair for %s, got '%s'" % (what % args, tok), j)
+            try:
+                idx, coeff = int(head), int(tail)
+            except ValueError:
+                raise self.error("malformed pair '%s' for %s" % (tok, what % args), j)
+            if not 0 <= idx < limit:
+                raise self.error("index %d out of range [0, %d) for %s" % (idx, limit, what % args), j)
+            if not 0 < coeff < p:
+                raise self.error("coefficient %d outside [1, %d) for %s" % (coeff, p, what % args), j)
+            out.append((idx, coeff))
+        if len(out) < count:
+            raise self.end(what % args)
+        self.i = i + count
+        return tuple(out)
 
     def done(self) -> None:
-        if self._pos < len(self._toks):
-            tok, line, col = self._toks[self._pos]
-            raise ParseError("trailing input '%s'" % tok, line, col)
+        if self.i < len(self.toks):
+            raise self.error("trailing input '%s'" % self.toks[self.i], self.i)
 
     def header(self, magic: str) -> None:
         self.keyword(magic)
-        tok, line, col = self.next("format version")
-        if tok != "1":
-            raise ParseError("unsupported %s version '%s'" % (magic, tok), line, col)
+        if self.next("format version") != "1":
+            raise self.error("unsupported %s version '%s'" % (magic, self.toks[self.i - 1]))
 
     def field(self) -> int:
         self.keyword("field")
-        p, line, col = self._int("field order", "field order")
+        p = self.int_("", "field order")
         if not _is_prime(p):
-            raise ParseError("field order must be prime, got %d" % p, line, col)
+            raise self.error("field order must be prime, got %d" % p)
         return p
 
     def ndim(self) -> int:
         self.keyword("n")
-        n, line, col = self._int("grade dimension", "grade dimension")
+        n = self.int_("", "grade dimension")
         if n < 1:
-            raise ParseError("grade dimension must be positive, got %d" % n, line, col)
+            raise self.error("grade dimension must be positive, got %d" % n)
         return n
 
 
 def sniff_format(text: str) -> str:
     """First token of the file: one of sbarc, mpres, mchain, mbif."""
-    first = next(_scan(text), None)
-    if first is None:
-        raise ParseError("unexpected end of input, expected format magic", 1, 1)
-    tok, line, col = first
+    tok, line, col = next(_scan(text), (None, 1, 1))
+    if tok is None:
+        raise ParseError("unexpected end of input, expected format magic", line, col)
     if tok not in ("sbarc", "mpres", "mchain", "mbif"):
         raise ParseError("unknown format '%s'" % tok, line, col)
     return tok
@@ -210,21 +219,19 @@ def sniff_format(text: str) -> str:
 
 
 def parse_signed_barcode(text: str) -> SignedBarcode:
-    t = _Tokens(text)
-    t.header("sbarc")
-    n = t.ndim()
-    t.keyword("positive")
-    pos = [t.grade(n, "bar") for _ in range(t.count("positive bar count"))]
-    t.keyword("negative")
-    neg = [t.grade(n, "bar") for _ in range(t.count("negative bar count"))]
-    t.done()
+    r = _Reader(text)
+    r.header("sbarc")
+    n = r.ndim()
+    r.keyword("positive")
+    pos = [r.grade(n, "bar") for _ in range(r.count("positive bar count"))]
+    r.keyword("negative")
+    neg = [r.grade(n, "bar") for _ in range(r.count("negative bar count"))]
+    r.done()
     return SignedBarcode(Barcode(pos, dim=n), Barcode(neg, dim=n))
 
 
 def serialize_signed_barcode(s: SignedBarcode) -> str:
-    dim = s.dim
-    if dim is None:
-        dim = 1
+    dim = s.dim if s.dim is not None else 1
     lines = ["sbarc 1", "n %d" % dim, "positive %d" % len(s.positive)]
     lines += _grade_lines(s.positive)
     lines.append("negative %d" % len(s.negative))
@@ -236,35 +243,32 @@ def serialize_signed_barcode(s: SignedBarcode) -> str:
 # mpres
 
 
-def _parse_block(t: _Tokens, name: str, label: str, n: int, field: int, nrows: int):
-    """Grades, entries and input positions of the sparse columns after
+def _parse_block(r: _Reader, name: str, label: str, n: int, field: int, nrows: int):
+    """Grades, entries and first token indices of the sparse columns after
     keyword ``name``; messages call column j "``label`` j"."""
-    t.keyword(name)
-    count = t.count("%s count" % label)
-    grades = []
-    entries = {}
-    pos = []
+    r.keyword(name)
+    count = r.count("%s count", label)
+    grades, entries, starts = [], {}, []
     for j in range(count):
-        pos.append(t.pos())
-        grades.append(t.grade(n, "%s %d" % (label, j)))
-        nnz = t.count("entry count of %s %d" % (label, j))
-        for _ in range(nnz):
-            i, coeff = t.pair("%s %d entry" % (label, j), nrows, field)
+        starts.append(r.i)
+        grades.append(r.grade(n, "%s %d", label, j))
+        nnz = r.count("entry count of %s %d", label, j)
+        for i, coeff in r.pairs(nnz, nrows, field, "%s %d entry", label, j):
             entries[(i, j)] = coeff
-    return grades, entries, pos
+    return grades, entries, starts
 
 
 def parse_presentation(text: str) -> Presentation:
-    t = _Tokens(text)
-    t.header("mpres")
-    field = t.field()
-    n = t.ndim()
-    t.keyword("gens")
-    gens = [t.grade(n, "generator") for _ in range(t.count("generator count"))]
-    col_grades, entries, rel_pos = _parse_block(t, "rels", "relation", n, field, len(gens))
-    t.done()
+    r = _Reader(text)
+    r.header("mpres")
+    field = r.field()
+    n = r.ndim()
+    r.keyword("gens")
+    gens = [r.grade(n, "generator") for _ in range(r.count("generator count"))]
+    col_grades, entries, rel_starts = _parse_block(r, "rels", "relation", n, field, len(gens))
+    r.done()
     m = GradedMatrix(tuple(gens), tuple(col_grades), entries, field=field, dim=n)
-    _check_grade_order(m, "relation", "generator", rel_pos)
+    _check_grade_order(m, "relation", "generator", r, rel_starts)
     return Presentation(m.row_grades, m)
 
 
@@ -272,16 +276,16 @@ def _grade_str(g) -> str:
     return "(" + ", ".join(fmt_float(c) for c in g) + ")"
 
 
-def _check_grade_order(m: GradedMatrix, col_what: str, row_what: str, col_pos) -> None:
-    """ParseError at the input position of the column holding the least
-    entry whose row grade is not at or below its column grade."""
+def _check_grade_order(m: GradedMatrix, col_what: str, row_what: str, r: _Reader, starts) -> None:
+    """ParseError at the first token of the column holding the least entry
+    whose row grade is not at or below its column grade."""
     bad = _first_invalid(m)
     if bad is not None:
         i, j = bad
-        raise ParseError(
+        raise r.error(
             "%s %d at grade %s has an entry on %s %d at grade %s, which is not below it"
             % (col_what, j, _grade_str(m.col_grades[j]), row_what, i, _grade_str(m.row_grades[i])),
-            *col_pos[j],
+            starts[j],
         )
 
 
@@ -306,20 +310,20 @@ def serialize_presentation(p: Presentation) -> str:
 
 
 def parse_chain_pair(text: str) -> ChainPair:
-    t = _Tokens(text)
-    t.header("mchain")
-    field = t.field()
-    n = t.ndim()
-    t.keyword("Z")
-    zcount = t.count("Z grade count")
-    zgrades = [t.grade(n, "Z grade") for _ in range(zcount)]
-    ygrades, gentries, ypos = _parse_block(t, "Y", "Y column", n, field, zcount)
-    xgrades, fentries, xpos = _parse_block(t, "X", "X column", n, field, len(ygrades))
-    t.done()
+    r = _Reader(text)
+    r.header("mchain")
+    field = r.field()
+    n = r.ndim()
+    r.keyword("Z")
+    zcount = r.count("Z grade count")
+    zgrades = [r.grade(n, "Z grade") for _ in range(zcount)]
+    ygrades, gentries, ystarts = _parse_block(r, "Y", "Y column", n, field, zcount)
+    xgrades, fentries, xstarts = _parse_block(r, "X", "X column", n, field, len(ygrades))
+    r.done()
     g = GradedMatrix(tuple(zgrades), tuple(ygrades), gentries, field=field, dim=n)
     f = GradedMatrix(tuple(ygrades), tuple(xgrades), fentries, field=field, dim=n)
-    _check_grade_order(g, "Y column", "Z generator", ypos)
-    _check_grade_order(f, "X column", "Y column", xpos)
+    _check_grade_order(g, "Y column", "Z generator", r, ystarts)
+    _check_grade_order(f, "X column", "Y column", r, xstarts)
     try:
         return ChainPair(f=f, g=g)
     except ValueError as e:
@@ -365,38 +369,38 @@ class Bifiltration(_Frozen):
         for k, cell in enumerate(cells):
             grade = as_grade(cell.grade)
             dim = _merge_dims(dim, len(grade))
-            if cell.dim < 0:
-                raise ValueError("cell %d has negative dimension" % k)
             for idx, coeff in cell.boundary:
                 if not 0 <= idx < k:
                     raise ValueError(
-                        "cell %d boundary references cell %d, not an earlier cell"
-                        % (k, idx)
+                        "cell %d boundary references cell %d, not an earlier cell" % (k, idx)
                     )
-                face = norm[idx]
+                if not 0 < coeff % field:
+                    raise ValueError("cell %d has zero boundary coefficient on cell %d" % (k, idx))
+            norm.append(Cell(cell.dim, grade, tuple((i, c % field) for i, c in cell.boundary)))
+        self._build(norm, field, dim)
+
+    def _build(self, cells: list, field: int, dim: int | None) -> Bifiltration:
+        """Check and chunk-reduce ``cells``, whose grades and boundary entries
+        (earlier cells, coefficients in [1, field)) are known to be valid."""
+        for k, cell in enumerate(cells):
+            if cell.dim < 0:
+                raise ValueError("cell %d has negative dimension" % k)
+            for idx, _ in cell.boundary:
+                face = cells[idx]
                 if face.dim != cell.dim - 1:
                     raise ValueError(
                         "cell %d (dimension %d) has boundary cell %d of dimension %d"
                         % (k, cell.dim, idx, face.dim)
                     )
-                if not leq(face.grade, grade):
+                if not all(map(le, face.grade, cell.grade)):
                     raise ValueError(
                         "cell %d born at %s has boundary cell %d born later at %s"
-                        % (k, _grade_str(grade), idx, _grade_str(face.grade))
+                        % (k, _grade_str(cell.grade), idx, _grade_str(face.grade))
                     )
-                if not 0 < coeff % field:
-                    raise ValueError(
-                        "cell %d has zero boundary coefficient on cell %d" % (k, idx)
-                    )
-            norm.append(
-                Cell(cell.dim, grade, tuple((i, c % field) for i, c in cell.boundary))
-            )
         # _chunks: degree -> chunk-reduced boundary and its column cells
-        chunks = _chunk_reduce(norm, field, dim)
-        self._freeze(cells=tuple(norm), field=field, dim=dim, _chunks=chunks)
-
-    def max_cell_dim(self) -> int:
-        return max((c.dim for c in self.cells), default=-1)
+        chunks = _chunk_reduce(cells, field, dim)
+        self._freeze(cells=tuple(cells), field=field, dim=dim, _chunks=chunks)
+        return self
 
     def cells_of_dim(self, d: int) -> list[int]:
         return [k for k, c in enumerate(self.cells) if c.dim == d]
@@ -494,27 +498,22 @@ def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
 
 
 def parse_bifiltration(text: str, field: int | None = None) -> Bifiltration:
-    t = _Tokens(text)
-    t.header("mbif")
-    file_field = t.field()
+    r = _Reader(text)
+    r.header("mbif")
+    file_field = r.field()
     p = file_field if field is None else field
     _require_prime(p)
-    n = t.ndim()
-    t.keyword("cells")
-    count = t.count("cell count")
+    n = r.ndim()
+    r.keyword("cells")
     cells = []
-    for k in range(count):
-        what = "dimension of cell %d" % k
-        d = t._int(what, "integer " + what)[0]
-        grade = t.grade(n, "cell %d" % k)
-        nnz = t.count("boundary size of cell %d" % k)
-        boundary = tuple(
-            t.pair("cell %d boundary" % k, k, p) for _ in range(nnz)
-        )
-        cells.append(Cell(d, grade, boundary))
-    t.done()
-    try:
-        return Bifiltration(cells, field=p, dim=n)
+    for k in range(r.count("cell count")):
+        d = r.int_("integer ", "dimension of cell %d", k)
+        grade = r.grade(n, "cell %d", k)
+        nnz = r.count("boundary size of cell %d", k)
+        cells.append(Cell(d, grade, r.pairs(nnz, k, p, "cell %d boundary", k)))
+    r.done()
+    try:  # the reader checked what Bifiltration.__init__ checks before _build
+        return Bifiltration.__new__(Bifiltration)._build(cells, p, n)
     except ValueError as e:
         raise ParseError(str(e))
 

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,7 @@ from msb import (
     ChainPair,
     GradedMatrix,
     ParseError,
+    Presentation,
     SignedBarcode,
     SplitMix64,
     betti,
@@ -33,7 +36,8 @@ from msb import (
     serialize_presentation,
     serialize_signed_barcode,
 )
-from msb.io import Bifiltration, Cell, fmt_float, sniff_format
+from msb.algebra import _first_invalid, _is_prime, _require_prime
+from msb.io import Bifiltration, Cell, _grade_str, fmt_float, sniff_format
 
 
 def all_sample_presentations():
@@ -598,3 +602,377 @@ def test_parse_error_message_is_exact(text, message):
     with pytest.raises(ParseError) as info:
         parse_any(text)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the token reader against a copy of the reader it replaced
+#
+# The oracle below is the per-token reader the package used before its flat
+# reader: a (token, line, column) tuple per token and one typed read per
+# token.  It builds bifiltrations through the public constructor, so it also
+# checks the parser's checked-once route into Bifiltration.
+
+
+def _old_scan(text):
+    for lineno, line in enumerate(text.splitlines(), 1):
+        hash_at = line.find("#")
+        if hash_at >= 0:
+            line = line[:hash_at]
+        for m in re.finditer(r"\S+", line):
+            yield m.group(), lineno, m.start() + 1
+
+
+class _OldTokens:
+    def __init__(self, text):
+        self._toks = list(_old_scan(text))
+        self._pos = 0
+        self._last = (1, 1)
+
+    def next(self, what):
+        if self._pos >= len(self._toks):
+            raise ParseError("unexpected end of input, expected %s" % what, *self._last)
+        tok = self._toks[self._pos]
+        self._pos += 1
+        self._last = (tok[1], tok[2])
+        return tok
+
+    def pos(self):
+        if self._pos < len(self._toks):
+            tok = self._toks[self._pos]
+            return tok[1], tok[2]
+        return self._last
+
+    def keyword(self, word):
+        tok, line, col = self.next("'%s'" % word)
+        if tok != word:
+            raise ParseError("expected '%s', got '%s'" % (word, tok), line, col)
+
+    def int_(self, what, expected):
+        tok, line, col = self.next(what)
+        try:
+            return int(tok), line, col
+        except ValueError:
+            raise ParseError("expected %s, got '%s'" % (expected, tok), line, col)
+
+    def count(self, what):
+        n, line, col = self.int_(what, "count " + what)
+        if n < 0:
+            raise ParseError("%s must be nonnegative, got %d" % (what, n), line, col)
+        return n
+
+    def float_(self, what):
+        tok, line, col = self.next(what)
+        try:
+            v = float(tok)
+        except ValueError:
+            raise ParseError("expected number %s, got '%s'" % (what, tok), line, col)
+        if v != v or v in (float("inf"), float("-inf")):
+            raise ParseError("%s must be finite, got '%s'" % (what, tok), line, col)
+        return v
+
+    def grade(self, n, what):
+        return tuple(self.float_("%s coordinate" % what) for _ in range(n))
+
+    def pair(self, what, limit, field):
+        tok, line, col = self.next(what)
+        head, sep, tail = tok.partition(":")
+        if not sep:
+            raise ParseError("expected index:coeff pair for %s, got '%s'" % (what, tok), line, col)
+        try:
+            idx = int(head)
+            coeff = int(tail)
+        except ValueError:
+            raise ParseError("malformed pair '%s' for %s" % (tok, what), line, col)
+        if not 0 <= idx < limit:
+            raise ParseError("index %d out of range [0, %d) for %s" % (idx, limit, what), line, col)
+        if not 0 < coeff < field:
+            raise ParseError(
+                "coefficient %d outside [1, %d) for %s" % (coeff, field, what), line, col
+            )
+        return idx, coeff
+
+    def done(self):
+        if self._pos < len(self._toks):
+            tok, line, col = self._toks[self._pos]
+            raise ParseError("trailing input '%s'" % tok, line, col)
+
+    def header(self, magic):
+        self.keyword(magic)
+        tok, line, col = self.next("format version")
+        if tok != "1":
+            raise ParseError("unsupported %s version '%s'" % (magic, tok), line, col)
+
+    def field(self):
+        self.keyword("field")
+        p, line, col = self.int_("field order", "field order")
+        if not _is_prime(p):
+            raise ParseError("field order must be prime, got %d" % p, line, col)
+        return p
+
+    def ndim(self):
+        self.keyword("n")
+        n, line, col = self.int_("grade dimension", "grade dimension")
+        if n < 1:
+            raise ParseError("grade dimension must be positive, got %d" % n, line, col)
+        return n
+
+
+def _old_sniff_format(text):
+    first = next(_old_scan(text), None)
+    if first is None:
+        raise ParseError("unexpected end of input, expected format magic", 1, 1)
+    tok, line, col = first
+    if tok not in ("sbarc", "mpres", "mchain", "mbif"):
+        raise ParseError("unknown format '%s'" % tok, line, col)
+    return tok
+
+
+def _old_parse_signed_barcode(text):
+    t = _OldTokens(text)
+    t.header("sbarc")
+    n = t.ndim()
+    t.keyword("positive")
+    pos = [t.grade(n, "bar") for _ in range(t.count("positive bar count"))]
+    t.keyword("negative")
+    neg = [t.grade(n, "bar") for _ in range(t.count("negative bar count"))]
+    t.done()
+    return SignedBarcode(Barcode(pos, dim=n), Barcode(neg, dim=n))
+
+
+def _old_parse_block(t, name, label, n, field, nrows):
+    t.keyword(name)
+    count = t.count("%s count" % label)
+    grades, entries, pos = [], {}, []
+    for j in range(count):
+        pos.append(t.pos())
+        grades.append(t.grade(n, "%s %d" % (label, j)))
+        nnz = t.count("entry count of %s %d" % (label, j))
+        for _ in range(nnz):
+            i, coeff = t.pair("%s %d entry" % (label, j), nrows, field)
+            entries[(i, j)] = coeff
+    return grades, entries, pos
+
+
+def _old_check_grade_order(m, col_what, row_what, col_pos):
+    bad = _first_invalid(m)
+    if bad is not None:
+        i, j = bad
+        raise ParseError(
+            "%s %d at grade %s has an entry on %s %d at grade %s, which is not below it"
+            % (col_what, j, _grade_str(m.col_grades[j]), row_what, i, _grade_str(m.row_grades[i])),
+            *col_pos[j],
+        )
+
+
+def _old_parse_presentation(text):
+    t = _OldTokens(text)
+    t.header("mpres")
+    field = t.field()
+    n = t.ndim()
+    t.keyword("gens")
+    gens = [t.grade(n, "generator") for _ in range(t.count("generator count"))]
+    col_grades, entries, rel_pos = _old_parse_block(t, "rels", "relation", n, field, len(gens))
+    t.done()
+    m = GradedMatrix(tuple(gens), tuple(col_grades), entries, field=field, dim=n)
+    _old_check_grade_order(m, "relation", "generator", rel_pos)
+    return Presentation(m.row_grades, m)
+
+
+def _old_parse_chain_pair(text):
+    t = _OldTokens(text)
+    t.header("mchain")
+    field = t.field()
+    n = t.ndim()
+    t.keyword("Z")
+    zcount = t.count("Z grade count")
+    zgrades = [t.grade(n, "Z grade") for _ in range(zcount)]
+    ygrades, gentries, ypos = _old_parse_block(t, "Y", "Y column", n, field, zcount)
+    xgrades, fentries, xpos = _old_parse_block(t, "X", "X column", n, field, len(ygrades))
+    t.done()
+    g = GradedMatrix(tuple(zgrades), tuple(ygrades), gentries, field=field, dim=n)
+    f = GradedMatrix(tuple(ygrades), tuple(xgrades), fentries, field=field, dim=n)
+    _old_check_grade_order(g, "Y column", "Z generator", ypos)
+    _old_check_grade_order(f, "X column", "Y column", xpos)
+    try:
+        return ChainPair(f=f, g=g)
+    except ValueError as e:
+        raise ParseError(str(e))
+
+
+def _old_parse_bifiltration(text, field=None):
+    t = _OldTokens(text)
+    t.header("mbif")
+    file_field = t.field()
+    p = file_field if field is None else field
+    _require_prime(p)
+    n = t.ndim()
+    t.keyword("cells")
+    count = t.count("cell count")
+    cells = []
+    for k in range(count):
+        what = "dimension of cell %d" % k
+        d = t.int_(what, "integer " + what)[0]
+        grade = t.grade(n, "cell %d" % k)
+        nnz = t.count("boundary size of cell %d" % k)
+        boundary = tuple(t.pair("cell %d boundary" % k, k, p) for _ in range(nnz))
+        cells.append(Cell(d, grade, boundary))
+    t.done()
+    try:
+        return Bifiltration(cells, field=p, dim=n)
+    except ValueError as e:
+        raise ParseError(str(e))
+
+
+_OLD_PARSERS = {
+    "sbarc": _old_parse_signed_barcode,
+    "mpres": _old_parse_presentation,
+    "mchain": _old_parse_chain_pair,
+    "mbif": _old_parse_bifiltration,
+}
+
+
+def _old_parse_any(text):
+    return _OLD_PARSERS[_old_sniff_format(text)](text)
+
+
+_SERIALIZERS = {
+    SignedBarcode: serialize_signed_barcode,
+    Presentation: serialize_presentation,
+    ChainPair: serialize_chain_pair,
+    Bifiltration: serialize_bifiltration,
+}
+
+
+def outcome(parse, *args, **kwargs):
+    """What a parse gives: the type and serialization of the object (with
+    the cells, field and dimension of a bifiltration), or the type and
+    message of the exception."""
+    try:
+        obj = parse(*args, **kwargs)
+    except Exception as e:
+        return "raised", type(e), str(e)
+    extra = (obj.cells, obj.field, obj.dim) if isinstance(obj, Bifiltration) else ()
+    return "parsed", type(obj), _SERIALIZERS[type(obj)](obj), extra
+
+
+# one valid file per format, with comments, blank lines and an odd field
+VALID_FILES = {
+    "sbarc": "sbarc 1\nn 2\npositive 2\n0 0.5\n1 1\nnegative 1\n2 1.5\n",
+    "mpres": "# a presentation\nmpres 1\nfield 3\nn 2\ngens 2\n0 0\n1 0\n\n"
+    "rels 2\n1 1 2 0:1 1:2  # two entries\n2 0 1 1:1\n",
+    "mchain": _CHAIN + "1\n1 1 2 0:1 1:1\n",
+    "mbif": "mbif 1  # a triangle\nfield 2\nn 2\ncells 7\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
+    "1 1 0 2 0:1 1:1\n1 0 1 2 1:1 2:1\n1 1 1 2 0:1 2:1\n2 2 2 3 3:1 4:1 5:1\n",
+}
+
+SUBSTITUTES = ["x", "-1", "0", "nan", "inf", "1_0", ":", "0:0", "9:1"]
+
+
+def token_variants(text):
+    """``text`` with each token deleted, and with each token replaced by
+    each of SUBSTITUTES; the rest of the text keeps its bytes."""
+    spans = [
+        (start + m.start(), start + m.end())
+        for start, line in _line_starts(text)
+        for m in re.finditer(r"\S+", line.partition("#")[0])
+    ]
+    for a, b in spans:
+        yield text[:a] + text[b:]
+        for sub in SUBSTITUTES:
+            yield text[:a] + sub + text[b:]
+
+
+def _line_starts(text):
+    start = 0
+    for line in text.splitlines(keepends=True):
+        yield start, line
+        start += len(line)
+
+
+def test_reader_matches_the_per_token_reader():
+    texts = [text for text, _ in PARSE_ERRORS]
+    for text in VALID_FILES.values():
+        texts.append(text)
+        texts.extend(token_variants(text))
+    seen = Counter()
+    for text in texts:
+        want = outcome(_old_parse_any, text)
+        assert outcome(parse_any, text) == want, text
+        seen[want[0]] += 1
+    # the field override reads F_2 boundaries over F_3: the filled triangle's
+    # boundary is no cycle there, the hollow triangle's edges are fine
+    mbif = VALID_FILES["mbif"]
+    hollow = mbif.replace("cells 7", "cells 6").replace("2 2 2 3 3:1 4:1 5:1\n", "")
+    for text in [mbif, hollow, *token_variants(hollow)]:
+        want = outcome(_old_parse_bifiltration, text, field=3)
+        assert outcome(parse_bifiltration, text, field=3) == want, text
+        seen["override " + want[0]] += 1
+    assert seen == {"parsed": 76, "raised": 1114, "override parsed": 31, "override raised": 351}
+
+
+# every separator str.split knows, some of which str.splitlines also breaks
+# lines at: \x0b, \x0c, \x1c, \x85 and \u2028 count lines, \t and \xa0 do not
+SEPARATORS = ["\r\n", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\xa0"]
+
+
+def whitespace_variants():
+    for text in VALID_FILES.values():
+        yield text.rstrip("\n")  # no final newline
+        yield text.replace("\n", "#glued to the last token\n")
+        for sep in SEPARATORS:
+            # a comment ends at a line break of str.splitlines only
+            yield text.replace("\n", sep)
+            for old in (" ", "\n"):
+                variant = re.sub("#.*", "", text).replace(old, sep)
+                yield variant
+                # an error at the last token, and the end of input after it
+                head, _, last = variant.rstrip().rpartition(variant.split()[-1])
+                yield head + "x" + last
+                yield head + last
+    yield from ("", "\n\n", "# only a comment", "# comment\n\n  # another\n")
+
+
+def test_whitespace_and_comments_match_the_per_token_reader():
+    seen = Counter()
+    for text in whitespace_variants():
+        want = outcome(_old_parse_any, text)
+        assert outcome(parse_any, text) == want, repr(text)
+        seen[want[0]] += 1
+    assert seen == {"parsed": 100, "raised": 136}
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_signed_barcode, "sbarc\x0b1\x1cn 2\x85positive 1\u20280 zero",
+         "line 5, column 3: expected number bar coordinate, got 'zero'"),
+        (parse_signed_barcode, "sbarc 1\r\nn\xa0x",
+         "line 2, column 3: expected grade dimension, got 'x'"),
+        (parse_signed_barcode, "sbarc 1\x0cn\t2\npositive 0#c\nnegative 1\n0",
+         "line 5, column 1: unexpected end of input, expected bar coordinate"),
+        (parse_presentation, "mpres 1#c\nfield 2\x0bn 1\ngens 1\n0\nrels 1\n1 1 0#c\n0:1",
+         "line 7, column 5: expected index:coeff pair for relation 0 entry, got '0'"),
+        (parse_presentation, "", "line 1, column 1: unexpected end of input, expected 'mpres'"),
+        (parse_presentation, "# c\n\nmpres 1 # c\n",
+         "line 3, column 7: unexpected end of input, expected 'field'"),
+        (parse_any, "# only a comment",
+         "line 1, column 1: unexpected end of input, expected format magic"),
+    ],
+)
+def test_error_positions_count_every_line_break(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_parse_and_constructor_build_the_same_bifiltration():
+    # the parser's checked-once route into Bifiltration and the public
+    # constructor give equal cells, field, dimension and chunked boundaries
+    from test_cli import lower_star_square
+
+    for seed, field in ((40, 2), (41, 3)):
+        built = lower_star_square(seed, 5, 4, field=field)
+        parsed = parse_bifiltration(serialize_bifiltration(built))
+        assert (parsed.cells, parsed.field, parsed.dim) == (built.cells, built.field, built.dim)
+        for d in range(4):
+            assert parsed._chunked(d) == built._chunked(d)
