@@ -27,6 +27,7 @@ from .grades import (
     _Frozen,
     _merge_dims,
     as_grade,
+    barcode_union,
     leq,
 )
 
@@ -98,7 +99,7 @@ class GradedMatrix(_Frozen):
             v = int(v) % field
             if v:
                 norm[(i, j)] = v
-        self._freeze(row_grades=rg, col_grades=cg, entries=norm, field=field, dim=dim)
+        self._freeze(rg, cg, norm, field, dim)
 
     @property
     def num_rows(self) -> int:
@@ -127,7 +128,8 @@ class GradedMatrix(_Frozen):
         for (y, x), c in other.entries.items():
             acc[x] = _addmul(acc[x], mycols[y], c, p)
         out = {(z, x): v for x, col in enumerate(acc) for z, v in _items(col)}
-        return GradedMatrix(self.row_grades, other.col_grades, out, field=p, dim=self.dim)
+        dim = _merge_dims(self.dim, other.dim if other.col_grades else None)
+        return GradedMatrix._trusted(self.row_grades, other.col_grades, out, p, dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedMatrix):
@@ -192,7 +194,7 @@ class Presentation(_Frozen):
             if tuple(as_grade(g) for g in gens) != rels.row_grades:
                 raise ValueError("generator grades disagree with relation row grades")
         _require_valid(rels)
-        self._freeze(rels=rels)
+        self._freeze(rels)
 
     @classmethod
     def from_relations(cls, gens, rel_specs, field=2, dim=None):
@@ -204,7 +206,8 @@ class Presentation(_Frozen):
             for i, v in col.items():
                 entries[(int(i), j)] = v
         m = GradedMatrix(gens, col_grades, entries, field=field, dim=dim)
-        return cls(m.row_grades, m)
+        _require_valid(m)
+        return cls._trusted(m)
 
     @property
     def gens(self) -> tuple:
@@ -508,14 +511,9 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     new_rows = [i for i in range(len(gens)) if at[i] not in gone]
     remap = {at[i]: new for new, i in enumerate(new_rows)}
     entries = {(remap[r], jj): v for jj, j in enumerate(kept) for r, v in _items(live[j])}
-    m = GradedMatrix(
-        tuple(gens[i] for i in new_rows),
-        tuple(col_grades[j] for j in kept),
-        entries,
-        field=p,
-        dim=pres.dim,
-    )
-    return Presentation(m.row_grades, m)
+    new_gens = tuple(gens[i] for i in new_rows)
+    m = GradedMatrix._trusted(new_gens, tuple(col_grades[j] for j in kept), entries, p, pres.dim)
+    return Presentation._trusted(m)
 
 
 def pointwise_dim(pres: Presentation, x) -> int:
@@ -630,10 +628,10 @@ def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, Graded
                         % ((xs[i], ys[j])[:n], got, corank)
                     )
 
-    grades = [(xs[i], ys[j])[:n] for i, j, _ in gens]
+    grades = tuple((xs[i], ys[j])[:n] for i, j, _ in gens)
     entries = {(i, k): v for k, (_, _, vec) in enumerate(gens) for i, v in _items(vec)}
-    inc = GradedMatrix(col_grades, tuple(grades), entries, field=p, dim=n)
-    return Barcode(grades, dim=n), inc
+    inc = GradedMatrix._trusted(col_grades, grades, entries, p, n)
+    return Barcode._trusted(tuple(sorted(grades)), n), inc
 
 
 @dataclass(frozen=True)
@@ -659,16 +657,16 @@ def betti(pres: Presentation) -> BettiResult:
             "Betti barcodes support 1 or 2 parameters, got %d" % n
         )
     mini = minimize_presentation(pres)
-    b0 = Barcode(mini.gens, dim=pres.dim)
-    b1 = Barcode(mini.rels.col_grades, dim=pres.dim)
+    b0 = Barcode._trusted(tuple(sorted(mini.gens)), pres.dim)
+    b1 = Barcode._trusted(tuple(sorted(mini.rels.col_grades)), pres.dim)
     if n == 2:
         b2, _ = _kernel_basis(mini.rels)
         by_degree = (b0, b1, b2)
-        positive = Barcode(b0.bars + b2.bars, dim=pres.dim)
+        positive = barcode_union(b0, b2)
     else:
         by_degree = (b0, b1)
         positive = b0
-    return BettiResult(by_degree, SignedBarcode(positive, b1))
+    return BettiResult(by_degree, SignedBarcode._trusted(positive, b1))
 
 
 @dataclass(frozen=True)
@@ -730,7 +728,7 @@ def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Pres
                 "linearly on the generators before it" % (k, gen_grades[k], support)
             )
     fcols = _packed_columns(f)
-    rel_specs = []
+    entries = {}
     for j, cgrade in enumerate(f.col_grades):
         cur, comb = span.reduce(fcols[j], 0 if p == 2 else {})
         comb = dict(_items(comb))
@@ -741,5 +739,6 @@ def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Pres
                 "the kernel of g at its grade" % (what, cgrade)
             )
         # the reduction subtracted sum(x_k * generator k) from the column
-        rel_specs.append((cgrade, {k: -comb[k] % p for k in sorted(comb)}))
-    return Presentation.from_relations(gen_grades, rel_specs, field=p, dim=g.dim)
+        entries.update(((k, j), -comb[k] % p) for k in sorted(comb))
+    dim = _merge_dims(g.dim, f.dim if f.col_grades else None)
+    return Presentation._trusted(GradedMatrix._trusted(gen_grades, f.col_grades, entries, p, dim))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Presentation
+from .algebra import GradedMatrix, Presentation
 from .grades import as_grade, join, leq
 from .matching import presentation_pair_cost
 
@@ -109,9 +109,9 @@ def gen_random(seed: int, gens: int, rels: int, grid: int) -> Presentation:
     gen_grades = [
         (float(rng.below(grid)), float(rng.below(grid))) for _ in range(gens)
     ]
-    rel_specs = []
+    col_grades, entries = [], {}
     if gens > 0:
-        for _ in range(rels):
+        for j in range(rels):
             size = 1 + rng.below(min(3, gens))
             chosen: list[int] = []
             while len(chosen) < size:
@@ -119,9 +119,10 @@ def gen_random(seed: int, gens: int, rels: int, grid: int) -> Presentation:
                 if i not in chosen:
                     chosen.append(i)
             chosen.sort()
-            grade = join(*(gen_grades[i] for i in chosen))
-            rel_specs.append((grade, {i: 1 for i in chosen}))
-    return Presentation.from_relations(gen_grades, rel_specs, field=2, dim=2)
+            col_grades.append(join(*(gen_grades[i] for i in chosen)))
+            entries.update(((i, j), 1) for i in chosen)
+    m = GradedMatrix._trusted(tuple(gen_grades), tuple(col_grades), entries, 2, 2)
+    return Presentation._trusted(m)
 
 
 @dataclass(frozen=True)
@@ -159,20 +160,19 @@ def perturb(pres: Presentation, spec: PerturbSpec) -> PerturbResult:
     _check_delta(spec.delta)
     rng = SplitMix64(spec.seed)
     d = spec.delta
-    new_gens = [
-        tuple(c + rng.uniform(-d, d) for c in g) for g in pres.gens
-    ]
+    # a shifted coordinate can overflow, so each new grade is checked once
+    new_gens = tuple(as_grade(c + rng.uniform(-d, d) for c in g) for g in pres.gens)
     cols = pres.rels.columns()
-    rel_specs = []
+    col_grades = []
     for j, cgrade in enumerate(pres.rels.col_grades):
         shifted = tuple(c + rng.uniform(-d, d) for c in cgrade)
         support = sorted(cols[j])
         if support:
             shifted = join(shifted, *(new_gens[i] for i in support))
-        rel_specs.append((shifted, cols[j]))
-    out = Presentation.from_relations(
-        new_gens, rel_specs, field=pres.field, dim=pres.dim
-    )
+        col_grades.append(as_grade(shifted))
+    entries = {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
+    m = GradedMatrix._trusted(new_gens, tuple(col_grades), entries, pres.field, pres.dim)
+    out = Presentation._trusted(m)
     return PerturbResult(
         out,
         presentation_pair_cost(pres, out, 1),

@@ -15,7 +15,11 @@ Two rules hold for every value type of the package.  Grades combined in
 one object or operation share one dimension, a positive integer, checked
 by ``_merge_dims``, which raises :class:`DimensionMismatch` otherwise.
 Values are immutable: they subclass ``_Frozen`` and set their fields
-once, with ``_freeze``.
+once, with ``_freeze``.  There are two routes to that call.  Public
+constructors normalize and check their arguments first.  Internal
+producers call ``_trusted``, which freezes fields that already hold the
+invariant: grades are tuples of finite floats, bars are sorted, matrix
+entries are ints in ``[1, p)`` and a presentation's matrix is grade-valid.
 """
 
 from __future__ import annotations
@@ -108,9 +112,17 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
-    def _freeze(self, **fields) -> None:
-        for name, value in fields.items():
+    def _freeze(self, *values) -> None:
+        """Set the fields named in ``__slots__``, in that order, to ``values``."""
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A new instance with ``values`` frozen as given, unchecked."""
+        self = object.__new__(cls)
+        self._freeze(*values)
+        return self
 
 
 class Barcode(_Frozen):
@@ -127,7 +139,7 @@ class Barcode(_Frozen):
 
     def __init__(self, bars: Iterable[Iterable[float]] = (), dim: int | None = None):
         norm = sorted(as_grade(b) for b in bars)
-        self._freeze(bars=tuple(norm), dim=_merge_dims(dim, *map(len, norm)))
+        self._freeze(tuple(norm), _merge_dims(dim, *map(len, norm)))
 
     def __len__(self) -> int:
         return len(self.bars)
@@ -163,7 +175,7 @@ def barcode_union(b1: Barcode, b2: Barcode) -> Barcode:
     b1 = _as_barcode(b1)
     b2 = _as_barcode(b2)
     dim = _merge_dims(b1.dim, b2.dim)
-    return Barcode(b1.bars + b2.bars, dim=dim)
+    return Barcode._trusted(tuple(sorted(b1.bars + b2.bars)), dim)
 
 
 def barcode_eq(b1: Barcode, b2: Barcode) -> bool:
@@ -185,7 +197,7 @@ class SignedBarcode(_Frozen):
         pos = _as_barcode(positive)
         neg = _as_barcode(negative)
         _merge_dims(pos.dim, neg.dim)
-        self._freeze(positive=pos, negative=neg)
+        self._freeze(pos, neg)
 
     @property
     def dim(self) -> int | None:
@@ -219,7 +231,7 @@ def reduce_signed(s: SignedBarcode) -> SignedBarcode:
     pos.subtract(common)
     neg.subtract(common)
     dim = s.dim
-    return SignedBarcode(
-        Barcode([g for g, c in pos.items() for _ in range(c)], dim=dim),
-        Barcode([g for g, c in neg.items() for _ in range(c)], dim=dim),
+    return SignedBarcode._trusted(
+        Barcode._trusted(tuple(sorted(pos.elements())), dim),
+        Barcode._trusted(tuple(sorted(neg.elements())), dim),
     )

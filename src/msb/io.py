@@ -227,7 +227,9 @@ def parse_signed_barcode(text: str) -> SignedBarcode:
     r.keyword("negative")
     neg = [r.grade(n, "bar") for _ in range(r.count("negative bar count"))]
     r.done()
-    return SignedBarcode(Barcode(pos, dim=n), Barcode(neg, dim=n))
+    return SignedBarcode._trusted(
+        Barcode._trusted(tuple(sorted(pos)), n), Barcode._trusted(tuple(sorted(neg)), n)
+    )
 
 
 def serialize_signed_barcode(s: SignedBarcode) -> str:
@@ -377,11 +379,11 @@ class Bifiltration(_Frozen):
                 if not 0 < coeff % field:
                     raise ValueError("cell %d has zero boundary coefficient on cell %d" % (k, idx))
             norm.append(Cell(cell.dim, grade, tuple((i, c % field) for i, c in cell.boundary)))
-        self._build(norm, field, dim)
+        self._build(norm, field, _merge_dims(dim))
 
     def _build(self, cells: list, field: int, dim: int | None) -> Bifiltration:
-        """Check and chunk-reduce ``cells``, whose grades and boundary entries
-        (earlier cells, coefficients in [1, field)) are known to be valid."""
+        """Check and chunk-reduce ``cells``, whose grades, boundary entries
+        (earlier cells, coefficients in [1, field)) and ``dim`` are known valid."""
         for k, cell in enumerate(cells):
             if cell.dim < 0:
                 raise ValueError("cell %d has negative dimension" % k)
@@ -399,7 +401,7 @@ class Bifiltration(_Frozen):
                     )
         # _chunks: degree -> chunk-reduced boundary and its column cells
         chunks = _chunk_reduce(cells, field, dim)
-        self._freeze(cells=tuple(cells), field=field, dim=dim, _chunks=chunks)
+        self._freeze(tuple(cells), field, dim, chunks)
         return self
 
     def cells_of_dim(self, d: int) -> list[int]:
@@ -486,13 +488,8 @@ def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
         kept = rest[d].values()
         entries = {(row[i], n): v for n, col in enumerate(kept) for i, v in _items(col) if i in row}
         ks = tuple(order[d][j] for j in rest[d])
-        m = GradedMatrix(
-            tuple(grades[d - 1][j] for j in row),
-            tuple(cells[k].grade for k in ks),
-            entries,
-            field=p,
-            dim=dim,
-        )
+        rg = tuple(grades[d - 1][j] for j in row)
+        m = GradedMatrix._trusted(rg, tuple(cells[k].grade for k in ks), entries, p, dim)
         out[d] = (m, ks)
     return out
 
