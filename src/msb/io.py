@@ -269,9 +269,9 @@ def parse_presentation(text: str) -> Presentation:
     gens = [r.grade(n, "generator") for _ in range(r.count("generator count"))]
     col_grades, entries, rel_starts = _parse_block(r, "rels", "relation", n, field, len(gens))
     r.done()
-    m = GradedMatrix(tuple(gens), tuple(col_grades), entries, field=field, dim=n)
+    m = GradedMatrix._trusted(tuple(gens), tuple(col_grades), entries, field, n)
     _check_grade_order(m, "relation", "generator", r, rel_starts)
-    return Presentation(m.row_grades, m)
+    return Presentation._trusted(m)
 
 
 def _grade_str(g) -> str:
@@ -322,8 +322,8 @@ def parse_chain_pair(text: str) -> ChainPair:
     ygrades, gentries, ystarts = _parse_block(r, "Y", "Y column", n, field, zcount)
     xgrades, fentries, xstarts = _parse_block(r, "X", "X column", n, field, len(ygrades))
     r.done()
-    g = GradedMatrix(tuple(zgrades), tuple(ygrades), gentries, field=field, dim=n)
-    f = GradedMatrix(tuple(ygrades), tuple(xgrades), fentries, field=field, dim=n)
+    g = GradedMatrix._trusted(tuple(zgrades), tuple(ygrades), gentries, field, n)
+    f = GradedMatrix._trusted(tuple(ygrades), tuple(xgrades), fentries, field, n)
     _check_grade_order(g, "Y column", "Z generator", r, ystarts)
     _check_grade_order(f, "X column", "Y column", r, xstarts)
     try:

@@ -18,21 +18,22 @@ in general and vanishing does not imply equality of reduced forms.
 
 Bottleneck values are found by galloping and binary search over the
 finite candidate set of pairwise l-infinity distances, testing each
-threshold with a maximum-cardinality bipartite matching (Hopcroft-Karp),
-so the value is one of the pairwise distances.  Each probe warm-starts
-from the maximum matching at the largest threshold that failed, which
-stays valid at every higher one; the matching returned is the one found
-at the smallest feasible threshold.  Minimum-cost matchings use shortest
-augmenting paths with lazy potentials, updated once per search on what
-it reached, and finalize the lowest-index column among equally near
-ones; of several optimal matchings, float rounding picks the one given.
+threshold with a maximum-cardinality bipartite matching, so the value is
+one of the pairwise distances.  Each probe warm-starts from the maximum
+matching at the largest threshold that failed, which stays valid at
+every higher one and leaves few rows free, and augments it by rounds of
+depth-first searches from those rows; the matching returned is the one
+found at the smallest feasible threshold.  Minimum-cost matchings use
+shortest augmenting paths with lazy potentials, updated once per search
+on what it reached, and finalize the lowest-index column among equally
+near ones; of several optimal matchings, float rounding picks the one
+given.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,70 +110,45 @@ def _cost_matrix(b: Barcode, c: Barcode, p: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# maximum-cardinality bipartite matching (Hopcroft-Karp), deterministic
+# maximum-cardinality bipartite matching: rounds of depth-first searches
 
 
-def _hopcroft_karp(adj: list[list[int]], match_l: list[int], match_r: list[int]) -> None:
-    """Augment ``match_l``/``match_r`` in place to a maximum matching."""
-    K = len(adj)
-    INF = K + 1
-    for i in range(K):
-        if match_l[i] >= 0:
-            continue
-        for j in adj[i]:
-            if match_r[j] < 0:
-                match_l[i] = j
-                match_r[j] = i
-                break
-    dist = [0] * K
+def _augment_to_maximum(adj: list[list[int]], match_l: list[int], match_r: list[int]) -> None:
+    """Augment ``match_l``/``match_r`` in place to a maximum matching.
 
-    def augment(root: int) -> None:
-        # depth-first search for an augmenting path along layers of dist,
-        # with an explicit stack; neighbours are scanned in adjacency order
-        stack = [(root, iter(adj[root]))]
-        path: list[int] = []  # path[d]: right vertex taken from stack[d]
-        while stack:
-            i, it = stack[-1]
-            for j in it:
-                i2 = match_r[j]
-                if i2 < 0:
-                    for (i3, _), j3 in zip(stack, path + [j]):
-                        match_l[i3] = j3
-                        match_r[j3] = i3
-                    return
-                if dist[i2] == dist[i] + 1:
-                    path.append(j)
-                    stack.append((i2, iter(adj[i2])))
-                    break
-            else:
-                dist[i] = INF
-                stack.pop()
-                if path:
-                    path.pop()
-
+    A round runs an iterative depth-first search for an augmenting path
+    from each free row in index order, over neighbours in ``adj`` order.
+    The searches of a round share one list of visited columns: none enters
+    a column an earlier one has explored.  A round that augments nothing
+    leaves no free row an augmenting path, so the matching is then maximum.
+    """
     while True:
-        q = deque()
-        for i in range(K):
-            if match_l[i] < 0:
-                dist[i] = 0
-                q.append(i)
-            else:
-                dist[i] = INF
-        found_free = False
-        while q:
-            i = q.popleft()
-            for j in adj[i]:
-                i2 = match_r[j]
-                if i2 < 0:
-                    found_free = True
-                elif dist[i2] == INF:
-                    dist[i2] = dist[i] + 1
-                    q.append(i2)
-        if not found_free:
+        seen = [False] * len(match_r)
+        augmented = False
+        for root in range(len(adj)):
+            if match_l[root] >= 0:
+                continue
+            stack = [(root, iter(adj[root]))]
+            path: list[int] = []  # path[d]: column taken from the row stack[d]
+            while stack:
+                for j in stack[-1][1]:
+                    if not seen[j]:
+                        seen[j] = True
+                        break
+                else:
+                    stack.pop()
+                    del path[-1:]
+                    continue
+                path.append(j)
+                i = match_r[j]
+                if i < 0:
+                    for (i, _), j in zip(stack, path):
+                        match_l[i], match_r[j] = j, i
+                    augmented = True
+                    break
+                stack.append((i, iter(adj[i])))
+        if not augmented:
             return
-        for i in range(K):
-            if match_l[i] < 0:
-                augment(i)
 
 
 def _adjacency(D: np.ndarray, t: float) -> list[list[int]]:
@@ -189,7 +165,7 @@ def _feasible_at(D: np.ndarray, t: float, match_l: list[int], match_r: list[int]
     The match arrays, which may hold only such pairs, are augmented in
     place to a maximum matching.
     """
-    _hopcroft_karp(_adjacency(D, t), match_l, match_r)
+    _augment_to_maximum(_adjacency(D, t), match_l, match_r)
     return -1 not in match_l
 
 

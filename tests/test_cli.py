@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: outputs, formats, exit codes."""
 
+import ast
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -531,6 +533,30 @@ def test_console_script_installed(tmp_path):
     )
     assert proc2.returncode == 0, proc2.stderr
     assert "betti" in proc2.stdout
+
+
+def test_package_imports_only_the_standard_library_and_declared_dependencies():
+    # a module that happens to be installed here but is not declared in
+    # pyproject.toml would be missing where msb is installed from it
+    toml = tomllib if tomllib is not None else pytest.importorskip("tomli")
+    with open(PYPROJECT, "rb") as f:
+        deps = toml.load(f)["project"]["dependencies"]
+    # each declared distribution is imported under its own name
+    allowed = set(sys.stdlib_module_names) | {"msb"}
+    allowed |= {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_") for d in deps}
+    imported = {}
+    for path in sorted((PYPROJECT.parent / "src" / "msb").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # a relative import stays inside msb
+                continue
+            for name in names:
+                imported.setdefault(name.partition(".")[0], path.name)
+    assert "numpy" in imported and "math" in imported
+    assert {m: where for m, where in imported.items() if m not in allowed} == {}
 
 
 @pytest.mark.skipif(

@@ -191,6 +191,25 @@ def test_mpres_composite_field_rejected():
         parse_presentation("mpres 1\nfield 6\nn 2\ngens 0\nrels 0\n")
 
 
+def test_mpres_grade_order_scanned_once(monkeypatch):
+    # the reader's positioned check is the one scan of grade validity; the
+    # matrix and presentation are then frozen as read, unchecked
+    from msb import algebra, io
+
+    calls, first_invalid = [], algebra._first_invalid
+
+    def spy(m):
+        calls.append(m)
+        return first_invalid(m)
+
+    monkeypatch.setattr(algebra, "_first_invalid", spy)
+    monkeypatch.setattr(io, "_first_invalid", spy)
+    for p in all_sample_presentations():
+        calls.clear()
+        back = parse_presentation(serialize_presentation(p))
+        assert calls == [back.rels]
+
+
 # ---------------------------------------------------------------------------
 # mchain
 

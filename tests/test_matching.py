@@ -31,7 +31,7 @@ from msb import (
     wasserstein_signed,
 )
 import msb.matching
-from msb.matching import _adjacency, _cost_matrix, _hopcroft_karp
+from msb.matching import _adjacency, _augment_to_maximum, _cost_matrix
 
 EMPTY = SignedBarcode(Barcode([], dim=2), Barcode([], dim=2))
 
@@ -131,14 +131,15 @@ def test_empty_barcodes_have_an_empty_cost_matrix():
     assert _cost_matrix(Barcode([(0.0, 1.0)]), Barcode([], dim=2), 1.0).shape == (1, 0)
 
 
-def test_hopcroft_karp_long_augmenting_path():
-    # greedy start matches left i to right i and leaves left K-1 free, so
-    # the one augmenting path runs through all K vertices; the search must
-    # not depend on the interpreter's recursion limit
+def test_augment_to_maximum_long_augmenting_path():
+    # the first round matches row i to column i, and row K-1 finds its one
+    # column already visited, so the second round's augmenting path runs
+    # through all K rows; the search must not depend on the interpreter's
+    # recursion limit
     K = 3000
     adj = [[i, i + 1] for i in range(K - 1)] + [[0]]
     match_l, match_r = [-1] * K, [-1] * K
-    _hopcroft_karp(adj, match_l, match_r)
+    _augment_to_maximum(adj, match_l, match_r)
     assert match_l == [i + 1 for i in range(K - 1)] + [0]
     assert all(match_r[j] == i for i, j in enumerate(match_l))
 
@@ -212,10 +213,10 @@ def test_bottleneck_matches_brute_force():
         assert bottleneck(b, c).value == brute_force_matching(b, c, math.inf).value
 
 
-def has_perfect_matching(allowed):
-    """Whether the boolean K x K matrix ``allowed`` admits a perfect
-    matching: plain augmenting paths (Kuhn), one left vertex at a time."""
-    adj = [[j for j, ok in enumerate(row) if ok] for row in allowed]
+def maximum_matching_size(adj):
+    """Size of a maximum matching of the square bipartite graph with row
+    neighbour lists ``adj``: plain augmenting paths (Kuhn), one row at a
+    time, each search from scratch."""
     owner = [-1] * len(adj)
 
     def claim(i, seen):
@@ -227,7 +228,50 @@ def has_perfect_matching(allowed):
                     return True
         return False
 
-    return all(claim(i, set()) for i in range(len(adj)))
+    return sum(claim(i, set()) for i in range(len(adj)))
+
+
+def has_perfect_matching(allowed):
+    """Whether the boolean K x K matrix ``allowed`` admits a perfect matching."""
+    adj = [[j for j, ok in enumerate(row) if ok] for row in allowed]
+    return maximum_matching_size(adj) == len(adj)
+
+
+def random_graph_and_warm_start(rng, K):
+    """Row neighbour lists in increasing column order, plus a matching on
+    some of their edges.  One graph in four is complete; in the others one
+    row in eight is empty, one complete, and the rest sparse random subsets
+    (1-3 columns expected)."""
+    complete = rng.below(4) == 0
+    adj = []
+    for _ in range(K):
+        kind = 1 if complete else rng.below(8)
+        degree = 1 + rng.below(3)
+        adj.append(
+            [] if kind == 0 else list(range(K)) if kind == 1
+            else [j for j in range(K) if rng.below(K) < degree]
+        )
+    match_l, match_r = [-1] * K, [-1] * K
+    for i in range(K):
+        if adj[i] and rng.below(2):
+            j = adj[i][rng.below(len(adj[i]))]
+            if match_r[j] < 0:
+                match_l[i], match_r[j] = j, i
+    return adj, match_l, match_r
+
+
+def test_augment_to_maximum_against_kuhn():
+    rng = SplitMix64(149)
+    for K in (0, 1, 2, 7, 30, 200):
+        for _ in range(8 if K < 200 else 4):
+            adj, match_l, match_r = random_graph_and_warm_start(rng, K)
+            start = list(match_l)
+            _augment_to_maximum(adj, match_l, match_r)
+            assert sum(j >= 0 for j in match_l) == maximum_matching_size(adj)
+            assert all(j in adj[i] for i, j in enumerate(match_l) if j >= 0)
+            assert all(match_r[j] == i for i, j in enumerate(match_l) if j >= 0)
+            assert all(match_l[i] == j for j, i in enumerate(match_r) if i >= 0)
+            assert all(match_l[i] >= 0 for i, j in enumerate(start) if j >= 0)
 
 
 def row_column_bound(b, c):
@@ -662,11 +706,11 @@ def pin_corpus(seed=2024, cases=30):
 # p = 2.5 float rounding picks among tied optimal matchings, so that digest
 # also pins the float bits of numpy's ``**`` and the solver's arithmetic
 MATCHING_DIGESTS = {
-    "bottleneck": "f793c78565b3f1f9c8fecfd40aeee52ee86ebe1d8ba44cdbca595db5b31bb37c",
-    "bottleneck_signed": "41fef078c35e8e50bbeaa7ff09b12ed40a85c34da3bdb83cbe4087d435862013",
+    "bottleneck": "a7eb1f7f48a4e7b400b3da2ef5feb6aa61ee437e9fdb705ed478114d68efaa59",
+    "bottleneck_signed": "62859947c621798e01964934851277910fec51f59fdcc271e9ae00c6f6ce72cf",
     "wasserstein_signed_1": "c738fd5966ff9a6f27d186ee089b2f1d4baacdbf25b72320fbafd4f2ca5c8a14",
     "wasserstein_signed_2.5": "c95d7cd1ae283056b9aafa0869ec422843499095b3b24cd8adc8ee50c85807ed",
-    "wasserstein_signed_inf": "41fef078c35e8e50bbeaa7ff09b12ed40a85c34da3bdb83cbe4087d435862013",
+    "wasserstein_signed_inf": "62859947c621798e01964934851277910fec51f59fdcc271e9ae00c6f6ce72cf",
 }
 
 

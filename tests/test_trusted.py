@@ -24,10 +24,14 @@ from msb import (
     homology_presentation,
     minimize_presentation,
     parse_bifiltration,
+    parse_chain_pair,
+    parse_presentation,
     parse_signed_barcode,
     perturb,
     reduce_signed,
     serialize_bifiltration,
+    serialize_chain_pair,
+    serialize_presentation,
     serialize_signed_barcode,
 )
 from msb import stability
@@ -102,7 +106,9 @@ def test_presentation_corpus_outputs_are_trusted():
     for field in (2, 3, 5):
         for dim in (1, 2, 3):
             for _ in range(40):
-                assert_presentation_outputs_trusted(random_presentation(rng, field, dim))
+                pres = random_presentation(rng, field, dim)
+                assert_presentation_outputs_trusted(pres)
+                assert_trusted(parse_presentation(serialize_presentation(pres)))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -118,9 +124,10 @@ def test_lower_star_grid_outputs_are_trusted(p):
             g, f = bif._chunked(degree)[0], bif._chunked(degree + 1)[0]
             assert_trusted(g.matmul(f))
             pres = chain_to_presentation(bif, degree)
-            raw = homology_presentation(
-                ChainPair(f=bif.boundary_matrix(degree + 1), g=bif.boundary_matrix(degree))
-            )
+            pair = ChainPair(f=bif.boundary_matrix(degree + 1), g=bif.boundary_matrix(degree))
+            back = parse_chain_pair(serialize_chain_pair(pair))
+            assert_trusted(back.f, back.g)
+            raw = homology_presentation(pair)
             for q in (pres, raw):
                 assert_trusted(q)
                 assert (q.field, q.dim) == (p, 2)
