@@ -19,15 +19,19 @@ in general and vanishing does not imply equality of reduced forms.
 Bottleneck values are found by galloping and binary search over the
 finite candidate set of pairwise l-infinity distances, testing each
 threshold with a maximum-cardinality bipartite matching, so the value is
-one of the pairwise distances.  Each probe warm-starts from the maximum
-matching at the largest threshold that failed, which stays valid at
-every higher one and leaves few rows free, and augments it by rounds of
-depth-first searches from those rows; the matching returned is the one
-found at the smallest feasible threshold.  Minimum-cost matchings use
-shortest augmenting paths with lazy potentials, updated once per search
-on what it reached, and finalize the lowest-index column among equally
-near ones; of several optimal matchings, float rounding picks the one
-given.
+one of the pairwise distances.  No dense K x K matrix is built: bars are
+sorted, so the pairs within a radius of each other come from windows of
+the first coordinate, and the radius doubles only as far as the search
+needs, so memory grows with the near pairs, while the probes and the
+matching stay those of the search over all pairs.  Each probe
+warm-starts from the maximum matching at the largest threshold that
+failed, which stays valid at every higher one and leaves few rows free,
+and augments it by rounds of depth-first searches from those rows; the
+matching returned is the one found at the smallest feasible threshold.
+Minimum-cost matchings use shortest augmenting paths with lazy
+potentials, updated once per search on what it reached, and finalize the
+lowest-index column among equally near ones; of several optimal
+matchings, float rounding picks the one given.
 """
 
 from __future__ import annotations
@@ -91,22 +95,94 @@ def _check_p(p) -> float:
     return p
 
 
-def _cost_matrix(b: Barcode, c: Barcode, p: float) -> np.ndarray:
-    """Pairwise l-infinity distances for ``p = inf``, else the sums of
-    p-th powers of coordinatewise displacements; 0 x 0 for two empty
-    barcodes.  A cost that overflows is ``inf``, without a warning."""
+def _coords(b: Barcode, c: Barcode) -> tuple[np.ndarray, np.ndarray]:
+    """The bars of ``b`` and ``c`` as float rows, K x n and L x n."""
     n = b.dim or c.dim or 1
     A = np.asarray(b.bars, dtype=np.float64).reshape(len(b), n)
     B = np.asarray(c.bars, dtype=np.float64).reshape(len(c), n)
-    D, d = np.zeros((len(b), len(c))), np.empty((len(b), len(c)))
+    return A, B
+
+
+def _costs(A: np.ndarray, B: np.ndarray, p: float) -> np.ndarray:
+    """Costs between the rows of ``A`` and of ``B``: l-infinity distances
+    for ``p = inf``, else sums of p-th powers of coordinatewise
+    displacements.  A cost that overflows is ``inf``, without a warning."""
+    D, d = np.zeros((len(A), len(B))), np.empty((len(A), len(B)))
     combine = np.maximum if p == math.inf else np.add
     with np.errstate(over="ignore"):
-        for k in range(n):
+        for k in range(A.shape[1]):
             np.abs(np.subtract(A[:, k, None], B[None, :, k], out=d), out=d)
             if p not in (1.0, math.inf):
                 d **= p
             combine(D, d, out=D)
     return D
+
+
+def _cost_matrix(b: Barcode, c: Barcode, p: float) -> np.ndarray:
+    """The dense cost matrix of :func:`_costs` between the bars of ``b``
+    and ``c``; 0 x 0 for two empty barcodes."""
+    return _costs(*_coords(b, c), p)
+
+
+#: Pairs scanned per block of the near-pair listing; a bottleneck whose
+#: pairs fit one block lists them all at once.
+_BLOCK = 1 << 15
+
+_NO_PAIRS = (np.empty(0, np.intp), np.empty(0))
+
+
+def _near_pairs(A: np.ndarray, B: np.ndarray, U: float):
+    """The pairs of rows of ``A`` and ``B`` at l-infinity distance at most
+    ``U``, and the row/column bound.
+
+    Returns ``((flat, dists), bound)``.  A pair ``(i, j)`` is listed as
+    ``i * len(B) + j``, in increasing order, with its distance bit for bit
+    the entry of :func:`_costs`.  ``bound`` is the largest of the least
+    distances of the rows and of the columns, exact where it is at most
+    ``U`` (else some row or column has no pair).  Both inputs are sorted,
+    so their first coordinates ascend, and the columns within ``U`` of a
+    block of rows in that coordinate are one contiguous window; padded
+    against the rounding of its ends, then filtered on the computed
+    distance, it loses and adds no pair.
+    """
+    K, L = len(A), len(B)
+    if U == math.inf:
+        width = L
+    else:
+        a, b, reach = A[:, 0], B[:, 0], max(U, 0.0)  # no pair is nearer than 0
+        pad = (float(np.abs(a).max(initial=0.0)) + reach) * 2.0**-40
+        with np.errstate(over="ignore"):
+            lo = np.searchsorted(b, a - reach - pad)
+            hi = np.searchsorted(b, a + reach + pad, side="right")
+        width = int((hi - lo).max(initial=0))
+    R = max(1, min(max(width, 32), _BLOCK // max(width, 1)))
+    bound, col_min, parts = -math.inf, np.full(L, np.inf) if R < K else None, []
+    for r0 in range(0, K, R):
+        r1 = min(r0 + R, K)
+        c0, c1 = (0, L) if U == math.inf else (int(lo[r0]), int(hi[r1 - 1]))
+        if c0 == c1:
+            bound = math.inf
+            continue
+        D = _costs(A[r0:r1], B[c0:c1], math.inf)
+        bound = max(bound, D.min(axis=1).max())
+        if col_min is None:  # the one block: a column outside it has no pair
+            bound = max(bound, D.min(axis=0).max() if (c0, c1) == (0, L) else math.inf)
+        else:
+            np.minimum(col_min[c0:c1], D.min(axis=0), out=col_min[c0:c1])
+        if U == math.inf:  # every pair of the block, whose window is every column
+            parts.append((np.arange(r0 * L, r1 * L), D.ravel()))
+            continue
+        flat = np.flatnonzero(D <= U)  # i * w + j within the block ...
+        dists, w = D.take(flat), c1 - c0
+        if w < L:
+            flat += flat // w * (L - w)
+        flat += r0 * L + c0  # ... now i * L + j
+        parts.append((flat, dists))
+    if col_min is not None:
+        bound = max(bound, col_min.max())
+    if len(parts) != 1:
+        parts = [tuple(np.concatenate(x) for x in zip(*parts, _NO_PAIRS))]
+    return parts[0], bound
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +227,24 @@ def _augment_to_maximum(adj: list[list[int]], match_l: list[int], match_r: list[
             return
 
 
-def _adjacency(D: np.ndarray, t: float) -> list[list[int]]:
-    """Per row of ``D``, the columns with ``D <= t`` in increasing order."""
-    rows, cols = np.divmod(np.flatnonzero(D <= t), D.shape[1])
-    starts = np.searchsorted(rows, np.arange(D.shape[0] + 1)).tolist()
+def _adjacency(pairs, t: float, K: int) -> list[list[int]]:
+    """For each row of K x K ``pairs``, the columns listed at distance at
+    most ``t``, in increasing order."""
+    flat, dists = pairs
+    rows, cols = np.divmod(flat[dists <= t], K)
+    starts = np.searchsorted(rows, np.arange(K + 1)).tolist()
     cols = cols.tolist()
     return [cols[a:b] for a, b in zip(starts, starts[1:])]
 
 
-def _feasible_at(D: np.ndarray, t: float, match_l: list[int], match_r: list[int]) -> bool:
-    """Whether a perfect matching exists among pairs with D <= t.
+def _feasible_at(pairs, t: float, match_l: list[int], match_r: list[int]) -> bool:
+    """Whether a perfect matching exists among the listed ``pairs`` at
+    distance at most ``t``.
 
     The match arrays, which may hold only such pairs, are augmented in
     place to a maximum matching.
     """
-    _augment_to_maximum(_adjacency(D, t), match_l, match_r)
+    _augment_to_maximum(_adjacency(pairs, t, len(match_l)), match_l, match_r)
     return -1 not in match_l
 
 
@@ -178,7 +257,8 @@ def eps_bijection_exists(b, c, eps: float) -> bool:
     K = len(b)
     if K != len(c):
         return False
-    return _feasible_at(_cost_matrix(b, c, math.inf), eps, [-1] * K, [-1] * K)
+    pairs = _near_pairs(*_coords(b, c), eps)[0]
+    return _feasible_at(pairs, eps, [-1] * K, [-1] * K)
 
 
 def bottleneck(b, c) -> MatchingResult:
@@ -187,32 +267,58 @@ def bottleneck(b, c) -> MatchingResult:
     return wasserstein(b, c, math.inf)
 
 
-def _bottleneck(D: np.ndarray) -> MatchingResult:
-    """Bottleneck value and matching of the square l-infinity matrix ``D``.
+def _bottleneck(A: np.ndarray, B: np.ndarray) -> MatchingResult:
+    """Bottleneck value and matching between the equally many sorted rows
+    of ``A`` and ``B``.
 
-    Returns the smallest entry of ``D`` at which a perfect matching
-    exists, located by galloping plus binary search over the sorted
-    candidate values.  Every probe lies above all failed ones, so each
-    starts from a copy of the maximum matching at the largest failed
-    threshold; the matching returned is the one found by the smallest
-    feasible probe.
+    Returns the smallest pairwise l-infinity distance at which a perfect
+    matching exists, located by galloping plus binary search over the
+    sorted candidate distances.  Every probe lies above all failed ones,
+    so each starts from a copy of the maximum matching at the largest
+    failed threshold; the matching returned is the one found by the
+    smallest feasible probe.
+
+    No dense matrix is built: the search sees only the pairs within a
+    radius ``U``, found in windows of the first coordinate
+    (:func:`_near_pairs`), and the candidates are their distinct
+    distances, a prefix of those of all pairs.  ``U`` starts near the
+    spacing of the bars, or at all pairs if they fit one block, and
+    doubles while a row or column has no pair or the gallop steps past
+    the known candidates.  So memory grows with the near pairs, and every
+    probe and matching is that of the search over all pairs.
     """
-    K = D.shape[0]
-    cands = np.unique(D)
-    lo_val = max(D.min(axis=1).max(), D.min(axis=0).max())
-    lo = idx = int(np.searchsorted(cands, lo_val))
+    K = len(A)
+    U = span = math.inf
+    if K * K > _BLOCK:
+        with np.errstate(over="ignore"):
+            span = float((np.maximum(A.max(0), B.max(0)) - np.minimum(A.min(0), B.min(0))).max())
+        U = span / K ** (1 / A.shape[1])
+    while True:  # until every row and column has a pair
+        U = U if 0 < U < span else math.inf  # no pair is farther than span
+        pairs, bound = _near_pairs(A, B, U)
+        if bound <= U:
+            break
+        U *= 2
+    cands = np.unique(pairs[1])
+    lo = idx = int(np.searchsorted(cands, bound))
     hi, step = len(cands) - 1, 1
     failed, found = ([-1] * K, [-1] * K), None
     while found is None or lo < hi:
         match_l, match_r = failed[0][:], failed[1][:]
-        if _feasible_at(D, cands[idx], match_l, match_r):
+        if _feasible_at(pairs, cands[idx], match_l, match_r):
             hi, found = idx, match_l
-        elif idx == len(cands) - 1:
+        elif idx == len(cands) - 1 and U == math.inf:
             raise AssertionError("complete candidate graph must be feasible")
         else:
             lo, failed = idx + 1, (match_l, match_r)
         if found is None:  # gallop up from the lower bound ...
-            idx, step = min(idx + step, hi), 2 * step
+            idx, step = idx + step, 2 * step
+            while idx >= len(cands) and U < math.inf:  # past the known candidates
+                U = 2 * U if 2 * U < span else math.inf
+                pairs = _near_pairs(A, B, U)[0]
+                cands = np.unique(pairs[1])
+            hi = len(cands) - 1
+            idx = min(idx, hi)
         else:  # ... then bisect below the first feasible probe
             idx = (lo + hi) // 2
     return MatchingResult(float(cands[hi]), tuple(enumerate(found)))
@@ -282,9 +388,9 @@ def wasserstein(b, c, p=1) -> MatchingResult:
         return MatchingResult(math.inf, None)
     if K == 0:
         return MatchingResult(0.0, ())
-    C = _cost_matrix(b, c, p)
     if p == math.inf:
-        return _bottleneck(C)
+        return _bottleneck(*_coords(b, c))
+    C = _cost_matrix(b, c, p)
     col_of_row = _min_cost_assignment(C)
     total = sum(C[np.arange(K), col_of_row].tolist())
     value = total if p == 1.0 else total ** (1.0 / p)

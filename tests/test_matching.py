@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from msb import (
     wasserstein_signed,
 )
 import msb.matching
-from msb.matching import _adjacency, _augment_to_maximum, _cost_matrix
+from msb.matching import _adjacency, _augment_to_maximum, _coords, _cost_matrix, _near_pairs
 
 EMPTY = SignedBarcode(Barcode([], dim=2), Barcode([], dim=2))
 
@@ -122,6 +123,39 @@ def test_eps_bijection_checks_eps():
     assert eps_bijection_exists(b, b, "0.5") and not eps_bijection_exists(b, b, -math.inf)
 
 
+def test_eps_bijection_agrees_with_bottleneck():
+    # both read the same pair listing: the bottleneck value admits an
+    # eps-bijection and the next float below it does not
+    rng = SplitMix64(157)
+    cases = list(certificate_cases())
+    for _ in range(40):
+        k = 1 + rng.below(12)
+        cases.append((random_barcode(rng, k), random_barcode(rng, k)))
+        pool = point_pool(rng)
+        cases.append((tied_barcode(rng, pool, k), tied_barcode(rng, pool, k)))
+    for b, c in cases:
+        v = bottleneck(b, c).value
+        assert eps_bijection_exists(b, c, v)
+        assert not eps_bijection_exists(b, c, math.nextafter(v, -math.inf))
+
+
+def test_bottleneck_memory_stays_below_a_dense_matrix():
+    # 3000 bars a side: one dense 8 * K^2 matrix is 72 MB; the pair listing
+    # holds only the pairs near enough for the search
+    rng = SplitMix64(163)
+    b, c = (random_barcode(rng, 3000, grid=1000) for _ in range(2))
+    tracemalloc.start()
+    try:
+        v = bottleneck(b, c).value
+        bottleneck_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert eps_bijection_exists(b, c, v)
+        eps_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bottleneck_peak < 24e6 and eps_peak < 24e6, (bottleneck_peak, eps_peak)
+
+
 def test_empty_barcodes_have_an_empty_cost_matrix():
     for dims in ((None, None), (2, None), (None, 1), (2, 2)):
         b, c = Barcode([], dim=dims[0]), Barcode([], dim=dims[1])
@@ -144,16 +178,63 @@ def test_augment_to_maximum_long_augmenting_path():
     assert all(match_r[j] == i for i, j in enumerate(match_l))
 
 
-def test_adjacency_lists_every_row_in_column_order():
+#: Coordinates drawn by ``near_pairs_cases``: few values, so first
+#: coordinates tie often; negative ones; and magnitudes whose differences
+#: round coarsely or overflow to inf.
+NEAR_PAIR_COORDS = (0.0, 1.0, 2.0, -3.0, 0.5, -1e200, 1e200, 3e200, 1e308, -1e308)
+
+
+def near_pairs_cases():
     rng = SplitMix64(131)
-    D = np.array([[3.0, 1.0, 2.0], [5.0, 5.0, 5.0], [0.0, 2.0, 1.0]])
-    # K = 1; a row with no edge; no edge at all; the complete graph
-    cases = [(np.array([[0.5]]), 0.0), (np.array([[0.5]]), 0.5), (D, 2.0), (D, -1.0), (D, 5.0)]
-    for K in (2, 7, 30):
-        R = np.array([[float(rng.below(10)) for _ in range(K)] for _ in range(K)])
-        cases += [(R, t) for t in (0.0, 4.0, 8.5, 9.0)]
-    for D, t in cases:
-        assert _adjacency(D, t) == [np.flatnonzero(D[i] <= t).tolist() for i in range(len(D))]
+    # a window end a -/+ t rounds past a pair whose computed distance is t:
+    # fl(0.1 - (-0.10000000000000002)) == 0.2, yet -0.10000000000000002 < fl(0.1 - 0.2)
+    low, high = (-0.10000000000000002, 0.0), (0.1, 0.0)
+    yield Barcode([high, (5.0, 0.0)]), Barcode([low, (5.0, 1.0)])
+    yield Barcode([low, (0.3, 0.0)]), Barcode([high, (0.3, 1.0)])
+    for n in (1, 2, 3):
+        for K, L in ((0, 0), (1, 0), (1, 1), (2, 3), (3, 3), (7, 6), (20, 20), (45, 45)):
+            small = rng.below(2) == 0  # else one coordinate in four from the whole pool
+            yield tuple(
+                Barcode(
+                    [
+                        tuple(
+                            NEAR_PAIR_COORDS[rng.below(10 if not small and rng.below(4) == 0 else 5)]
+                            for _ in range(n)
+                        )
+                        for _ in range(size)
+                    ],
+                    dim=n,
+                )
+                for size in (K, L)
+            )
+
+
+@pytest.mark.parametrize("block", [None, 16])
+def test_near_pairs_list_the_dense_matrix(monkeypatch, block):
+    # the listing at radius t is the dense matrix's D <= t: the same pairs in
+    # the same order with the same distance bits; its bound is the dense
+    # row/column bound wherever that is at most t; the probe's adjacency
+    # lists are the rows of D <= t.  Blocks of 16 pairs split the rows into
+    # many windows.
+    if block is not None:
+        monkeypatch.setattr(msb.matching, "_BLOCK", block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b, c in near_pairs_cases():
+            D = _cost_matrix(b, c, math.inf)
+            dists = np.unique(D).tolist()
+            below = [math.nextafter(d, -math.inf) for d in dists]
+            for t in [-math.inf, -1.0, 0.0, math.inf] + dists + below:
+                (flat, d), bound = _near_pairs(*_coords(b, c), t)
+                i, j = np.nonzero(D <= t)
+                assert flat.tolist() == (i * len(c) + j).tolist()
+                assert d.tobytes() == D[i, j].tobytes()
+                if D.size:
+                    exact = max(D.min(axis=1).max(), D.min(axis=0).max())
+                    assert bound == exact if exact <= t else bound > t
+                if len(b) == len(c):
+                    adj = _adjacency((flat, d), t, len(b))
+                    assert adj == [np.flatnonzero(D[r] <= t).tolist() for r in range(len(b))]
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +427,43 @@ def test_bottleneck_probes_warm_start_from_the_largest_failed_one(monkeypatch):
         if n == 2:
             assert r.value == _cost_matrix(b, c, math.inf).max() > row_column_bound(b, c)
             assert len(probes) >= 3
+
+
+def test_bottleneck_probes_do_not_depend_on_the_starting_radius(monkeypatch):
+    # whether the pair listing starts at all pairs or near the bar spacing
+    # and grows, the search probes the same thresholds from the same warm
+    # starts to the same matchings
+    events = []
+    feasible_at, near_pairs = msb.matching._feasible_at, msb.matching._near_pairs
+
+    def spy(pairs, t, match_l, match_r):
+        start = list(match_l)
+        ok = feasible_at(pairs, t, match_l, match_r)
+        events.append((float(t), start, ok, list(match_l)))
+        return ok
+
+    def listing(A, B, U):
+        events.append(U)
+        return near_pairs(A, B, U)
+
+    monkeypatch.setattr(msb.matching, "_feasible_at", spy)
+    monkeypatch.setattr(msb.matching, "_near_pairs", listing)
+    rng = SplitMix64(151)
+    cases = list(certificate_cases())
+    cases += [(random_barcode(rng, 300, grid=1000), random_barcode(rng, 300, grid=1000)) for _ in range(3)]
+    regrown = 0
+    for b, c in cases:
+        runs = []
+        for block in (len(b) ** 2, 1):  # all pairs in one block; one-row blocks
+            monkeypatch.setattr(msb.matching, "_BLOCK", block)
+            events.clear()
+            r = bottleneck(b, c)
+            runs.append((r, [e for e in events if isinstance(e, tuple)]))
+        assert runs[0] == runs[1]
+        # the gallop stepped past the known candidates: a listing after a probe
+        probed = [isinstance(e, tuple) for e in events]
+        regrown += not all(probed[probed.index(True):])
+    assert regrown >= 10, regrown
 
 
 # ---------------------------------------------------------------------------
