@@ -462,6 +462,95 @@ def _local_pairs(cols, row_grades, col_grades, p: int, skip=()) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
+    """The one span test here, read by :func:`minimize_presentation`,
+    :func:`kernel_basis` and :func:`betti`, over packed ``cols``.
+
+    Grades become index pairs ``(i, j)``: ``i`` on the sorted x axis, ``j``
+    on the rows, the grades without x in tuple order (a linear extension of
+    <=; one row ``()`` in one parameter).  Each row starts a fresh gate,
+    which takes in x order, ties by index, the columns whose row is at or
+    below it.  A column that reduces to zero in the gate of its own row is
+    *dependent*: it lies in the span of the columns before it at or below
+    its grade.  It reduces to zero in every later row too, where the
+    echelon reducer already spans its combination, so later rows skip it.
+
+    With ``track`` (one or two parameters, where rows are a chain) each
+    column tracks its own index, so the combinations of the columns that
+    reduce to zero span the fiber kernel at ``(i, j)`` once x index ``i``
+    is in.  The echelon reducer of row ``j`` holds the generators at or
+    below the point: before x index ``i`` those of the rows below at ``i``,
+    then each combination from the gate.  One it does not reduce to zero is
+    a minimal generator born at ``(i, j)``, the join of its columns'
+    grades, kept monic.  A dependent column finds one at its own grade: the
+    kernel is that of the other columns plus one free generator for each.
+
+    With ``verify``, :class:`KernelCheckError` is raised unless at every
+    grid point the generators born at or below it number the corank of its
+    fiber.  The check shares no reducer or count with the gate: per x
+    index, columns go in row order into a rank-only reducer that persists
+    up that column of grid points, and the counts are prefix sums of births.
+    Returns the dependent columns and the generators as ``(grade, column
+    that found it, vector over column indices)`` in discovery order.
+    """
+    xs = sorted({g[0] for g in grades})
+    rows = sorted({g[1:] for g in grades})
+    ix, iy = {v: i for i, v in enumerate(xs)}, {t: j for j, t in enumerate(rows)}
+    cx, cy = [ix[g[0]] for g in grades], [iy[g[1:]] for g in grades]
+    nx, ny = len(xs), len(rows)
+    at_x, by_y = [[] for _ in xs], [[] for _ in rows]
+    for k, (i, j) in enumerate(zip(cx, cy)):
+        at_x[i].append(k)
+        by_y[j].append(k)
+    chain = not grades or len(grades[0]) < 3  # where cy[k] <= j is leq itself
+    dep, gens = set(), []  # gens: (i, j, column that found it, vector)
+    # (row index, generator) by x index; one born at (i, j) joins after row j passed i
+    below: list[list] = [[] for _ in range(nx)]
+    for j, t in enumerate(rows):
+        gate, ech = _Reducer(p), _Reducer(p)
+        for i in range(nx):
+            for _, vec in below[i]:
+                ech.insert(vec)
+            for k in at_x[i]:
+                if cy[k] > j or k in dep or not (chain or leq(grades[k][1:], t)):
+                    continue
+                cur, comb = gate.insert(cols[k], _unit(k, p) if track else None)
+                if not cur and cy[k] == j:
+                    dep.add(k)
+                if cur or not track:
+                    continue
+                cur, _ = ech.insert(comb)
+                if not cur:
+                    continue
+                ks = [c for c, _ in _items(cur)]
+                if (max(cx[c] for c in ks), max(cy[c] for c in ks)) != (i, j):
+                    raise KernelCheckError(
+                        "kernel_basis: generator born at grade %r is not the "
+                        "join of the grades of its columns" % ((xs[i],) + t,)
+                    )
+                gens.append((i, j, k, cur))
+                below[i].append((j, cur))
+
+    if verify:
+        born = [0] * ny  # born[j]: generators at row index j, x index <= i
+        for i in range(nx):
+            for j, _ in below[i]:
+                born[j] += 1
+            red, got, corank = _Reducer(p), 0, 0
+            for j in range(ny):
+                got += born[j]
+                for k in by_y[j]:
+                    if cx[k] <= i and not red.insert(cols[k])[0]:
+                        corank += 1
+                if got != corank:
+                    raise KernelCheckError(
+                        "kernel_basis: kernel rank check failed at grade %r: "
+                        "%d generators born, fiber kernel has dimension %d"
+                        % ((xs[i],) + rows[j], got, corank)
+                    )
+    return dep, [((xs[i],) + rows[j], k, vec) for i, j, k, vec in gens]
+
+
 def minimize_presentation(pres: Presentation) -> Presentation:
     """Return a presentation of an isomorphic module with no removable part.
 
@@ -470,16 +559,17 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     a relation whose reduced column has its largest entry on a generator
     of its own grade (the coefficient is a unit there) takes that
     generator with it, and the other relations are cleared of the
-    generators that leave.  Second, drop every relation column lying in the
-    span, at its own grade, of the columns before it that are at or below
-    that grade.  The live columns go in x-major order through one reducer
-    per grade row (the grade without its x coordinate; a single row in one
-    parameter), which holds the kept columns of that row and of every row
-    below it; a column is kept unless it reduces to zero in its own row's
-    reducer, and is then added to the reducers of the rows above.  After
-    both passes the generator grades are the degree-0 Betti barcode and
-    the relation grades the degree-1 Betti barcode of the module.
+    generators that leave.  Second, drop the dependent columns of
+    :func:`_sweep` over the rest in that order: those in the span of the
+    columns before them at or below their grade (where x order and colex
+    order agree).  After both passes the generator and relation grades are
+    the degree-0 and degree-1 Betti barcodes of the module.
     """
+    return _minimize(pres, False)[0]
+
+
+def _minimize(pres: Presentation, track: bool) -> tuple:
+    """:func:`minimize_presentation`, with ``track`` its relations' kernel grades."""
     p = pres.field
     gens, rels = pres.gens, pres.rels
     # sorted() is stable, so ties keep index order
@@ -493,27 +583,15 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     row_grades = [gens[i] for i in rows]
     col_grades = [rels.col_grades[j] for j in order]
     gone, live = _local_pairs([_column(c, p) for c in cols], row_grades, col_grades, p)
-
-    # x-major and colex order both extend "grade <=, then position", so the
-    # columns before j at or below its grade, and which of them are kept,
-    # are the same in both; the reducer of j's row holds exactly those kept
-    spans = {col_grades[j][1:]: _Reducer(p) for j in live}
-    above = {t: [spans[u] for u in spans if u != t and leq(t, u)] for t in spans}
-    kept: list[int] = []
-    for j in sorted(live, key=lambda j: col_grades[j][0]):
-        tail = col_grades[j][1:]
-        if spans[tail].insert(live[j])[0]:
-            kept.append(j)
-            for span in above[tail]:
-                span.insert(live[j])
-    kept.sort(key=order.__getitem__)
+    dep, found = _sweep(list(live.values()), [col_grades[j] for j in live], p, track, track)
+    kept = sorted((j for n, j in enumerate(live) if n not in dep), key=order.__getitem__)
 
     new_rows = [i for i in range(len(gens)) if at[i] not in gone]
     remap = {at[i]: new for new, i in enumerate(new_rows)}
     entries = {(remap[r], jj): v for jj, j in enumerate(kept) for r, v in _items(live[j])}
     new_gens = tuple(gens[i] for i in new_rows)
     m = GradedMatrix._trusted(new_gens, tuple(col_grades[j] for j in kept), entries, p, pres.dim)
-    return Presentation._trusted(m)
+    return Presentation._trusted(m), tuple(sorted(g for g, k, _ in found if k not in dep))
 
 
 def pointwise_dim(pres: Presentation, x) -> int:
@@ -537,26 +615,11 @@ def pointwise_dim(pres: Presentation, x) -> int:
 def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedMatrix]:
     """Minimal generators of the kernel of a graded matrix (n <= 2).
 
-    Column grades become index pairs ``(i, j)`` on the sorted axes (``j``
-    = 0 in one parameter), swept in colexicographic order with two reducers
-    per y index ``j``.  The gate takes the columns with y index <= ``j`` in
-    x order, each tracking its own index, so the combinations of the columns
-    that reduce to zero span the fiber kernel at ``(i, j)`` once x index
-    ``i`` is in.  The echelon reducer holds the generators at or below the
-    point: before x index ``i`` it takes those of the rows below ``j`` at
-    ``i``, then each combination from the gate.  A combination it does not
-    reduce to zero is a generator born at ``(i, j)``, the join of its
-    columns' grades, kept monic.
-    Returns the generator grades and the inclusion matrix of the
-    generators in ``m``'s column basis, in discovery order.  The grades
-    are the minimal ones; the generators are one generating set of many.
-
-    With ``verify`` (default), :class:`KernelCheckError` is raised unless
-    at every grid point the generators born at or below it number the
-    corank of its fiber.  The check runs in the transposed order of the
-    gate and shares no reducer or count with it: per x index, columns go
-    in y order into a rank-only reducer that persists up that column of
-    grid points, and the counts are 2-D prefix sums of births.
+    They are those the tracked :func:`_sweep` of ``m``'s columns finds.
+    Returns their grades and their inclusion matrix in ``m``'s column
+    basis, in discovery order; the grades are the minimal ones, the
+    generators one generating set of many.  With ``verify`` (default) the
+    sweep's exhaustive rank check runs, raising :class:`KernelCheckError`.
     """
     _require_valid(m)
     return _kernel_basis(m, verify)
@@ -564,73 +627,15 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
 
 def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedMatrix]:
     """:func:`kernel_basis` of a matrix its caller knows to be grade-valid."""
-    p = m.field
-    n = m.dim
+    p, n = m.field, m.dim
     if n is not None and n > 2:
         raise UnsupportedDimension(
             "kernel computation supports 1 or 2 parameters, got %d" % n
         )
-    col_grades = m.col_grades
-    cols = _packed_columns(m)
-    C = len(col_grades)
-    xs = sorted({g[0] for g in col_grades})
-    ys = sorted({g[1] for g in col_grades}) if n == 2 else [0.0]
-    ix, iy = {v: i for i, v in enumerate(xs)}, {v: i for i, v in enumerate(ys)}
-    cx = [ix[g[0]] for g in col_grades]
-    cy = [iy[g[1]] for g in col_grades] if n == 2 else [0] * C
-    nx, ny = len(xs), len(ys)
-    at_x = [[k for k in range(C) if cx[k] == i] for i in range(nx)]
-
-    gens: list[tuple[int, int, int | dict]] = []  # (i, j, column over column indices)
-    # the generators by x index; one born at (i, j) joins after row j passed i
-    below: list[list] = [[] for _ in range(nx)]
-    for j in range(ny):
-        gate, ech = _Reducer(p), _Reducer(p)
-        for i in range(nx):
-            for vec in below[i]:
-                ech.insert(vec)
-            for k in at_x[i]:
-                if cy[k] > j:
-                    continue
-                cur, comb = gate.insert(cols[k], _unit(k, p))
-                if cur:
-                    continue
-                cur, _ = ech.insert(comb)
-                if not cur:
-                    continue
-                ks = [c for c, _ in _items(cur)]
-                if (max(cx[c] for c in ks), max(cy[c] for c in ks)) != (i, j):
-                    raise KernelCheckError(
-                        "kernel_basis: generator born at grade %r is not the "
-                        "join of the grades of its columns" % ((xs[i], ys[j])[:n],)
-                    )
-                gens.append((i, j, cur))
-                below[i].append(cur)
-
-    if verify:
-        by_x = [[gj for gi, gj, _ in gens if gi == i] for i in range(nx)]
-        by_y = [[k for k in range(C) if cy[k] == j] for j in range(ny)]
-        born = [0] * ny  # born[j]: generators at y index j, x index <= i
-        for i in range(nx):
-            for j in by_x[i]:
-                born[j] += 1
-            red = _Reducer(p)
-            got = corank = 0
-            for j in range(ny):
-                got += born[j]
-                for k in by_y[j]:
-                    if cx[k] <= i and not red.insert(cols[k])[0]:
-                        corank += 1
-                if got != corank:
-                    raise KernelCheckError(
-                        "kernel_basis: kernel rank check failed at grade %r: "
-                        "%d generators born, fiber kernel has dimension %d"
-                        % ((xs[i], ys[j])[:n], got, corank)
-                    )
-
-    grades = tuple((xs[i], ys[j])[:n] for i, j, _ in gens)
+    _, gens = _sweep(_packed_columns(m), m.col_grades, p, True, verify)
+    grades = tuple(g for g, _, _ in gens)
     entries = {(i, k): v for k, (_, _, vec) in enumerate(gens) for i, v in _items(vec)}
-    inc = GradedMatrix._trusted(col_grades, grades, entries, p, n)
+    inc = GradedMatrix._trusted(m.col_grades, grades, entries, p, n)
     return Barcode._trusted(tuple(sorted(grades)), n), inc
 
 
@@ -643,30 +648,25 @@ class BettiResult:
 
 
 def betti(pres: Presentation) -> BettiResult:
-    """Betti barcodes of the presented module, degrees 0..n.
+    """Betti barcodes of the presented module, degrees 0..n, from the one
+    :func:`_sweep` of :func:`_minimize`.
 
-    Degree 0 and 1 come from a minimal presentation; degree 2 (two
-    parameters only) is the kernel of the minimized relation matrix.
-    The signed barcode is (even degrees, odd degrees).
+    Degrees 0 and 1 are the grades of the minimal presentation; degree 2
+    (two parameters only) those of its relations' kernel, the sweep's
+    checked generators but the dependent columns' own.  The signed barcode
+    is (even degrees, odd degrees).
     """
-    n = pres.dim
-    if n is None:
-        n = 1
+    n = pres.dim or 1
     if n > 2:
         raise UnsupportedDimension(
             "Betti barcodes support 1 or 2 parameters, got %d" % n
         )
-    mini = minimize_presentation(pres)
+    mini, b2 = _minimize(pres, n == 2)
     b0 = Barcode._trusted(tuple(sorted(mini.gens)), pres.dim)
     b1 = Barcode._trusted(tuple(sorted(mini.rels.col_grades)), pres.dim)
-    if n == 2:
-        b2, _ = _kernel_basis(mini.rels)
-        by_degree = (b0, b1, b2)
-        positive = barcode_union(b0, b2)
-    else:
-        by_degree = (b0, b1)
-        positive = b0
-    return BettiResult(by_degree, SignedBarcode._trusted(positive, b1))
+    b2 = Barcode._trusted(b2, pres.dim)
+    signed = SignedBarcode._trusted(barcode_union(b0, b2), b1)
+    return BettiResult((b0, b1, b2)[: n + 1], signed)
 
 
 @dataclass(frozen=True)
