@@ -493,6 +493,8 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
     Returns the dependent columns and the generators as ``(grade, column
     that found it, vector over column indices)`` in discovery order.
     """
+    if not cols:
+        return set(), []
     xs = sorted({g[0] for g in grades})
     rows = sorted({g[1:] for g in grades})
     ix, iy = {v: i for i, v in enumerate(xs)}, {t: j for j, t in enumerate(rows)}

@@ -28,10 +28,10 @@ warm-starts from the maximum matching at the largest threshold that
 failed, which stays valid at every higher one and leaves few rows free,
 and augments it by rounds of depth-first searches from those rows; the
 matching returned is the one found at the smallest feasible threshold.
-Minimum-cost matchings use shortest augmenting paths with lazy
-potentials, updated once per search on what it reached, and finalize the
-lowest-index column among equally near ones; of several optimal
-matchings, float rounding picks the one given.
+Minimum-cost matchings run LAPJV's initialization (2n bids a round at
+most), then lazy-potential shortest augmenting paths from the rows still
+free.  The value sums an optimal matching's costs in row order, exactly on
+integer costs below 2**53; of several optimal float ones, rounding picks one.
 """
 
 from __future__ import annotations
@@ -331,18 +331,56 @@ def _bottleneck(A: np.ndarray, B: np.ndarray) -> MatchingResult:
 def _min_cost_assignment(C: np.ndarray) -> list[int]:
     """Column assigned to each row of the square cost matrix ``C``.
 
-    Each row joins by a Dijkstra search for the cheapest augmenting path in
-    the reduced costs ``C[i, j] - u[i] - v[j]`` (Jonker-Volgenant, after
-    Crouse 2016): a step relaxes one row against the absolute distances
-    ``d`` and finalizes the nearest open column, the lowest index among
-    equals.  At a path of length ``mu`` the potentials move once, by
-    ``mu - d[j]``, on the final columns and rows.
+    LAPJV's initialization (Jonker-Volgenant 1987) keeps the potentials
+    ``v`` finite, so ``C - v`` is never ``inf - inf``.  Column reduction:
+    ``v[j]`` is the least cost of column ``j`` (0 if ``inf``); in increasing
+    ``j``, a finite column goes to its lowest-index least row if that is
+    free, and reduction transfer lowers ``v[j]`` by the row's second-least
+    finite reduced cost ``C[i, j] - v[j]``.  Augmenting row reduction, two
+    rounds of at most ``2n`` bids, as cuts that round to nothing would bid
+    forever: a free row with a finite cost takes its least column, lowering
+    ``v`` there to its second-least reduced cost if finite and larger (the
+    row it displaces bids next), or at a tie takes the second column if the
+    first is taken and it is free.  Each matched column is then least in its
+    row, so with ``u[i] = C[i, j] - v[j]`` no reduced cost is negative, and
+    each row still free joins by a Dijkstra search (after Crouse 2016): a
+    step relaxes one row against the distances ``d`` and finalizes the
+    nearest open column, the lowest index among equals, and an augmenting
+    path of length ``mu`` moves the final potentials by ``mu - d[j]``.
     """
     n = C.shape[0]
-    u, v = np.zeros(n), np.zeros(n)
     row_of_col, col_of_row = np.full(n, -1), np.full(n, -1)
+    v = C.min(axis=0)
+    v[v == np.inf] = 0.0
+    for j, i in enumerate(C.argmin(axis=0).tolist()):
+        if col_of_row[i] < 0 and C[i, j] < np.inf:
+            col_of_row[i], row_of_col[j] = j, i
+            r = C[i] - v
+            r[j] = np.inf
+            gap = r.min()
+            v[j] -= gap if gap < np.inf else 0.0
+    bidders = C.min(axis=1) < np.inf  # a row with no finite cost is left to the searches
+    for _ in range(2):
+        todo, bids = np.flatnonzero(bidders & (col_of_row < 0))[::-1].tolist(), 2 * n
+        while todo and bids:
+            i, bids = todo.pop(), bids - 1
+            r = C[i] - v
+            j = int(r.argmin())
+            least, r[j] = r[j], np.inf
+            j2, i0 = int(r.argmin()), row_of_col[j]
+            gap = r[j2] - least
+            if 0 < gap < np.inf:
+                v[j] -= gap
+            elif gap == 0 and i0 >= 0 and row_of_col[j2] < 0:
+                j, i0 = j2, -1
+            col_of_row[i], row_of_col[j] = j, i
+            if i0 >= 0:
+                col_of_row[i0] = -1
+                if 0 < gap < np.inf:
+                    todo.append(i0)
+    u = np.where(col_of_row >= 0, C[range(n), col_of_row] - v[col_of_row], 0.0)
     r, better, pred = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
-    for row in range(n):
+    for row in np.flatnonzero(col_of_row < 0).tolist():
         d = np.full(n, np.inf)
         vw = v.copy()  # -inf on final columns, so their d never moves
         i, mu, done, dist = row, 0.0, [], []

@@ -1,9 +1,15 @@
 """Bottleneck and Wasserstein matchings, oracles, and pair costs."""
 
 import hashlib
+import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +38,14 @@ from msb import (
     wasserstein_signed,
 )
 import msb.matching
-from msb.matching import _adjacency, _augment_to_maximum, _coords, _cost_matrix, _near_pairs
+from msb.matching import (
+    _adjacency,
+    _augment_to_maximum,
+    _coords,
+    _cost_matrix,
+    _min_cost_assignment,
+    _near_pairs,
+)
 
 EMPTY = SignedBarcode(Barcode([], dim=2), Barcode([], dim=2))
 
@@ -638,6 +651,121 @@ def test_wasserstein_with_overflowing_costs():
         assert r.value == 0.0 and r.matching == ((0, 0), (1, 1))
         r = bottleneck(Barcode([(1e308, 0.0)]), Barcode([(-1e308, 0.0)]))
         assert math.isinf(r.value) and r.matching == ((0, 0),)
+        # no finite perfect matching: a column far from every row, a row far
+        # from every column, then a finite cost in every row and column
+        # where rows 0 and 1 have only column 0
+        for left, right in (
+            ([(0.0, 0.0), (1.0, 0.0)], [(2.0, 0.0), (1e200, 0.0)]),
+            ([(0.0, 0.0), (1e200, 0.0)], [(2.0, 0.0), (3.0, 0.0)]),
+            ([(0.0, 0.0), (1.0, 0.0), (1e200, 0.0)], [(0.5, 0.0), (1e200, 1.0), (1e200, 2.0)]),
+        ):
+            r = wasserstein(Barcode(left), Barcode(right), 2.5)
+            assert math.isinf(r.value)
+            assert sorted(j for _, j in r.matching) == list(range(len(left)))
+
+
+def row_by_row_assignment(C):
+    """The min-cost solver without an initialization, kept as an oracle:
+    every row joins from zero potentials by its own Dijkstra search."""
+    n = C.shape[0]
+    u, v = np.zeros(n), np.zeros(n)
+    row_of_col, col_of_row = np.full(n, -1), np.full(n, -1)
+    r, better, pred = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
+    for row in range(n):
+        d = np.full(n, np.inf)
+        vw = v.copy()
+        i, mu, done, dist = row, 0.0, [], []
+        while True:
+            np.subtract(C[i], vw, out=r)
+            r += mu - u[i]
+            np.less(r, d, out=better)
+            np.copyto(d, r, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(d.argmin())
+            mu, d[j], vw[j] = float(d[j]), np.inf, -np.inf
+            if mu == np.inf:
+                col_of_row[col_of_row < 0] = np.flatnonzero(row_of_col < 0)
+                return col_of_row.tolist()
+            i = int(row_of_col[j])
+            if i < 0:
+                break
+            done.append(j)
+            dist.append(mu)
+        shift = mu - np.array(dist)
+        u[row] += mu
+        v[done] -= shift
+        u[row_of_col[done]] += shift
+        while j >= 0:
+            i = int(pred[j])
+            row_of_col[j] = i
+            j, col_of_row[i] = col_of_row[i], j
+    return col_of_row.tolist()
+
+
+def test_min_cost_assignment_against_the_row_by_row_solver():
+    # integer and quarter-grid coordinates make every p = 1 cost and every
+    # sum exact, so the values agree bit for bit whichever optimal matching
+    # each solver picks; at p = 2.5 no cheaper rotation may exist
+    rng = SplitMix64(149)
+    for K in [*range(1, 65), 200, 400]:
+        grid, points = quarter_grid_pool(rng), point_pool(rng, 1000)
+        for b, c in (
+            (random_barcode(rng, K, 1000), random_barcode(rng, K, 1000)),
+            (quarter_grid_barcode(rng, grid, K), quarter_grid_barcode(rng, grid, K)),
+            (tied_barcode(rng, points, K), tied_barcode(rng, points, K)),
+        ):
+            r = wasserstein(b, c, 1)
+            assert sorted(j for _, j in r.matching) == list(range(K))
+            C = _cost_matrix(b, c, 1.0)
+            assert r.value == sum(C[range(K), row_by_row_assignment(C)].tolist())
+            r = wasserstein(b, c, 2.5)
+            assert sorted(j for _, j in r.matching) == list(range(K))
+            assert least_rotation_gain(b, c, 2.5, r.matching) >= -1e-9 * r.value ** 2.5
+
+
+def test_min_cost_assignment_with_infinite_costs_against_permutations():
+    rng = SplitMix64(151)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(300):
+            K = 1 + rng.below(6)
+            C = np.array([[float(rng.below(10)) for _ in range(K)] for _ in range(K)])
+            C[np.array([[rng.below(3) == 0 for _ in range(K)] for _ in range(K)])] = np.inf
+            best = min(sum(C[i, j] for i, j in enumerate(perm)) for perm in itertools.permutations(range(K)))
+            got = _min_cost_assignment(C)
+            assert sorted(got) == list(range(K))
+            assert sum(C[range(K), got].tolist()) == best
+
+
+PRICE_WAR = """
+import json
+import numpy as np
+from msb.matching import _min_cost_assignment
+
+d = 2.0 ** -46
+i, j = np.indices((200, 200))
+matrices = [np.array([[1000, 1 + d, 1e6], [1000, 1 + d, 1e6], [1e6, 1, 1]]), j * 1e-12 + i * 1e-13]
+print(json.dumps([_min_cost_assignment(C) for C in matrices]))
+"""
+
+
+def test_min_cost_assignment_ends_on_float_near_ties():
+    # the bids of augmenting row reduction are bounded: in the 3 x 3 block,
+    # v[0] = 1000 absorbs every 2**-46 price cut, so without the bound rows 0
+    # and 1 would take column 0 from each other forever; in the 200 x 200
+    # one every bijection costs the same but for rounding
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(msb.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", PRICE_WAR], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    small, large = json.loads(proc.stdout)
+    assert small in ([0, 1, 2], [1, 0, 2])
+    i, j = np.indices((200, 200))
+    C = j * 1e-12 + i * 1e-13
+    assert sorted(large) == list(range(200))
+    assert math.isclose(C[range(200), large].sum(), C.trace(), rel_tol=1e-12)
 
 
 def test_wasserstein_infinite_p_is_bottleneck():
@@ -826,8 +954,8 @@ def pin_corpus(seed=2024, cases=30):
 MATCHING_DIGESTS = {
     "bottleneck": "a7eb1f7f48a4e7b400b3da2ef5feb6aa61ee437e9fdb705ed478114d68efaa59",
     "bottleneck_signed": "62859947c621798e01964934851277910fec51f59fdcc271e9ae00c6f6ce72cf",
-    "wasserstein_signed_1": "c738fd5966ff9a6f27d186ee089b2f1d4baacdbf25b72320fbafd4f2ca5c8a14",
-    "wasserstein_signed_2.5": "c95d7cd1ae283056b9aafa0869ec422843499095b3b24cd8adc8ee50c85807ed",
+    "wasserstein_signed_1": "6d20840be3985bb5133b3dd03602c945c7d6c5324300aab0db7562775acf9f5d",
+    "wasserstein_signed_2.5": "f1c0e1ddea8792024ecc39c788035f6a19cd0b5efaf30f74cd13cf3d670eef6b",
     "wasserstein_signed_inf": "62859947c621798e01964934851277910fec51f59fdcc271e9ae00c6f6ce72cf",
 }
 
