@@ -25,7 +25,8 @@ entries are ints in ``[1, p)`` and a presentation's matrix is grade-valid.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
+from itertools import repeat
 from typing import Iterable, Iterator
 
 
@@ -102,9 +103,14 @@ def _merge_dims(*dims: int | None) -> int | None:
 
 
 class _Frozen:
-    """Base of the immutable value types: fields are set once, by ``_freeze``."""
+    """Base of the immutable value types: fields are set once, by ``_freeze``,
+    through the setters of the ``__slots__`` fields that each subclass keeps."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -114,8 +120,8 @@ class _Frozen:
 
     def _freeze(self, *values) -> None:
         """Set the fields named in ``__slots__``, in that order, to ``values``."""
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for set_, value in zip(self._setters, values, strict=True):
+            set_(self, value)
 
     @classmethod
     def _trusted(cls, *values):
@@ -123,6 +129,14 @@ class _Frozen:
         self = object.__new__(cls)
         self._freeze(*values)
         return self
+
+    @classmethod
+    def _trusted_many(cls, *columns) -> list:
+        """Instances frozen unchecked, the i-th from the i-th value of each column."""
+        out = list(map(object.__new__, repeat(cls, len(columns[0]))))
+        for set_, values in zip(cls._setters, columns, strict=True):
+            deque(map(set_, out, values), 0)
+        return out
 
 
 class Barcode(_Frozen):

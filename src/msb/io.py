@@ -25,6 +25,10 @@ finite, so ``1_0`` reads as 10 and ``+3`` as 3.  The formats:
     dimension, its grade, an entry count, and that many ``index:coeff``
     boundary pairs referring to earlier cells.
 
+In a sparse column a later pair for an index replaces an earlier one; a
+cell keeps the pairs it lists.  Blocks are read in bulk; one that fails a
+check is read again token by token, which raises the error of that token.
+
 Serialization is canonical: barcodes are emitted in sorted order,
 floats use the shortest decimal that round-trips (integral values drop
 the fractional part), and sparse entries are sorted by index, so equal
@@ -33,11 +37,11 @@ objects always produce identical bytes.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from math import isfinite
-from operator import le
+from operator import contains, ge, le
 
 from .algebra import (
     ChainPair,
@@ -45,7 +49,6 @@ from .algebra import (
     Presentation,
     _addmul,
     _colex,
-    _column,
     _first_invalid,
     _homology_presentation,
     _is_prime,
@@ -111,7 +114,7 @@ class _Reader:
     def error(self, message: str, i: int | None = None) -> ParseError:
         """ParseError at token ``i``, by default the last one read; past the end, the last."""
         at = (1, 1)
-        for _, line, col in itertools.islice(_scan(self.text), self.i if i is None else i + 1):
+        for _, line, col in islice(_scan(self.text), self.i if i is None else i + 1):
             at = line, col
         return ParseError(message, *at)
 
@@ -142,43 +145,89 @@ class _Reader:
             raise self.error("%s must be nonnegative, got %d" % (what % args, n))
         return n
 
-    def grade(self, n: int, what: str, *args) -> tuple:
-        """The next ``n`` tokens as finite floats, the coordinates of ``what``."""
-        i = self.i
-        g = []
-        for j, tok in enumerate(self.toks[i : i + n], i):
-            try:
-                g.append(float(tok))
-            except ValueError:
-                raise self.error("expected number %s coordinate, got '%s'" % (what % args, tok), j)
-            if not isfinite(g[-1]):
-                raise self.error("%s coordinate must be finite, got '%s'" % (what % args, tok), j)
-        if len(g) < n:
-            raise self.end(what % args + " coordinate")
-        self.i = i + n
-        return tuple(g)
+    def coordinate(self, what: str, *args) -> float:
+        """The next token as a finite float, a coordinate of ``what``."""
+        tok = self.next(what + " coordinate", *args)
+        try:
+            v = float(tok)
+        except ValueError:
+            raise self.error("expected number %s coordinate, got '%s'" % (what % args, tok))
+        if not isfinite(v):
+            raise self.error("%s coordinate must be finite, got '%s'" % (what % args, tok))
+        return v
 
-    def pairs(self, count: int, limit: int, p: int, what: str, *args) -> tuple:
-        """The next ``count`` tokens as ``index:coeff`` pairs in [0, limit) x [1, p)."""
-        i = self.i
-        out = []
-        for j, tok in enumerate(self.toks[i : i + count], i):
-            head, sep, tail = tok.partition(":")
-            if not sep:
-                raise self.error("expected index:coeff pair for %s, got '%s'" % (what % args, tok), j)
-            try:
-                idx, coeff = int(head), int(tail)
-            except ValueError:
-                raise self.error("malformed pair '%s' for %s" % (tok, what % args), j)
-            if not 0 <= idx < limit:
-                raise self.error("index %d out of range [0, %d) for %s" % (idx, limit, what % args), j)
-            if not 0 < coeff < p:
-                raise self.error("coefficient %d outside [1, %d) for %s" % (coeff, p, what % args), j)
-            out.append((idx, coeff))
-        if len(out) < count:
-            raise self.end(what % args)
-        self.i = i + count
-        return tuple(out)
+    def pair(self, limit: int, p: int, what: str, *args) -> tuple:
+        """The next token as an ``index:coeff`` pair in [0, limit) x [1, p)."""
+        tok = self.next(what, *args)
+        head, sep, tail = tok.partition(":")
+        if not sep:
+            raise self.error("expected index:coeff pair for %s, got '%s'" % (what % args, tok))
+        try:
+            idx, coeff = int(head), int(tail)
+        except ValueError:
+            raise self.error("malformed pair '%s' for %s" % (tok, what % args))
+        if not 0 <= idx < limit:
+            raise self.error("index %d out of range [0, %d) for %s" % (idx, limit, what % args))
+        if not 0 < coeff < p:
+            raise self.error("coefficient %d outside [1, %d) for %s" % (coeff, p, what % args))
+        return idx, coeff
+
+    def grades(self, count: int, n: int, what: str) -> list:
+        """The next ``count`` grades of ``n`` coordinates each."""
+        i, j = self.i, self.i + count * n
+        try:
+            vals = list(map(float, self.toks[i:j]))
+        except ValueError:
+            vals = ()
+        if len(vals) == j - i and all(map(isfinite, vals)):
+            self.i = j
+            return list(zip(*[iter(vals)] * n))
+        return [tuple(self.coordinate(what) for _ in range(n)) for _ in range(count)]
+
+    def columns(self, count: int, n: int, labels: tuple, limit: int | None, p: int) -> tuple:
+        """The next ``count`` sparse columns, and per column its first token index: an int if
+        ``labels[0]`` names one, a grade, and a count of ``index:coeff`` pairs in [0, limit) x
+        [1, p), a None limit being the column's position.  ``labels`` name these four."""
+        toks, start, lead = self.toks, self.i, labels[0] is not None
+        i, head, starts, ints, heads, sizes, pairs = start, n + lead, [], [], [], [], []
+        try:
+            for _ in range(count):
+                starts.append(i)
+                ints += toks[i : i + lead]
+                heads += toks[i + lead : i + head]
+                i += head + 1
+                nnz = int(toks[i - 1])
+                if nnz < 0:  # before it can move i back
+                    raise ValueError
+                sizes.append(nnz)
+                pairs += toks[i : i + nnz]
+                i += nnz
+            ints, vals = list(map(int, ints)), list(map(float, heads))
+            flat = ":".join(pairs).split(":") if pairs else []
+            index, coeffs = list(map(int, flat[::2])), list(map(int, flat[1::2]))
+            own = chain.from_iterable(map(repeat, range(count), sizes))  # the column's position
+            ok = (i <= len(toks) and all(map(isfinite, vals)) and len(flat) == 2 * len(pairs)
+                  and all(map(contains, pairs, repeat(":")))  # so one ":" in each
+                  and min(index, default=0) >= 0 and 0 < min(coeffs, default=1)
+                  and max(coeffs, default=0) < p
+                  and not any(map(ge, index, own if limit is None else repeat(limit))))
+        except (ValueError, IndexError):
+            ok = False
+        if ok:
+            self.i, entries = i, iter(zip(index, coeffs))
+            grades = list(zip(*[iter(vals)] * n))
+            return starts, ints, grades, list(map(tuple, map(islice, repeat(entries), sizes)))
+        # read again one token at a time, which raises at the first bad one
+        self.i, (lead, grade, size, entry) = start, labels
+        starts, ints, grades, cols = [], [], [], []
+        for k in range(count):
+            starts.append(self.i)
+            if lead is not None:
+                ints.append(self.int_("integer ", lead, k))
+            grades.append(tuple(self.coordinate(grade, k) for _ in range(n)))
+            nnz, below = self.count(size, k), k if limit is None else limit
+            cols.append(tuple(self.pair(below, p, entry, k) for _ in range(nnz)))
+        return starts, ints, grades, cols
 
     def done(self) -> None:
         if self.i < len(self.toks):
@@ -223,9 +272,9 @@ def parse_signed_barcode(text: str) -> SignedBarcode:
     r.header("sbarc")
     n = r.ndim()
     r.keyword("positive")
-    pos = [r.grade(n, "bar") for _ in range(r.count("positive bar count"))]
+    pos = r.grades(r.count("positive bar count"), n, "bar")
     r.keyword("negative")
-    neg = [r.grade(n, "bar") for _ in range(r.count("negative bar count"))]
+    neg = r.grades(r.count("negative bar count"), n, "bar")
     r.done()
     return SignedBarcode._trusted(
         Barcode._trusted(tuple(sorted(pos)), n), Barcode._trusted(tuple(sorted(neg)), n)
@@ -249,14 +298,9 @@ def _parse_block(r: _Reader, name: str, label: str, n: int, field: int, nrows: i
     """Grades, entries and first token indices of the sparse columns after
     keyword ``name``; messages call column j "``label`` j"."""
     r.keyword(name)
-    count = r.count("%s count", label)
-    grades, entries, starts = [], {}, []
-    for j in range(count):
-        starts.append(r.i)
-        grades.append(r.grade(n, "%s %d", label, j))
-        nnz = r.count("entry count of %s %d", label, j)
-        for i, coeff in r.pairs(nnz, nrows, field, "%s %d entry", label, j):
-            entries[(i, j)] = coeff
+    labels = (None, label + " %d", "entry count of " + label + " %d", label + " %d entry")
+    starts, _, grades, cols = r.columns(r.count("%s count", label), n, labels, nrows, field)
+    entries = {(i, j): coeff for j, col in enumerate(cols) for i, coeff in col}
     return grades, entries, starts
 
 
@@ -266,7 +310,7 @@ def parse_presentation(text: str) -> Presentation:
     field = r.field()
     n = r.ndim()
     r.keyword("gens")
-    gens = [r.grade(n, "generator") for _ in range(r.count("generator count"))]
+    gens = r.grades(r.count("generator count"), n, "generator")
     col_grades, entries, rel_starts = _parse_block(r, "rels", "relation", n, field, len(gens))
     r.done()
     m = GradedMatrix._trusted(tuple(gens), tuple(col_grades), entries, field, n)
@@ -317,9 +361,8 @@ def parse_chain_pair(text: str) -> ChainPair:
     field = r.field()
     n = r.ndim()
     r.keyword("Z")
-    zcount = r.count("Z grade count")
-    zgrades = [r.grade(n, "Z grade") for _ in range(zcount)]
-    ygrades, gentries, ystarts = _parse_block(r, "Y", "Y column", n, field, zcount)
+    zgrades = r.grades(r.count("Z grade count"), n, "Z grade")
+    ygrades, gentries, ystarts = _parse_block(r, "Y", "Y column", n, field, len(zgrades))
     xgrades, fentries, xstarts = _parse_block(r, "X", "X column", n, field, len(ygrades))
     r.done()
     g = GradedMatrix._trusted(tuple(zgrades), tuple(ygrades), gentries, field, n)
@@ -344,8 +387,8 @@ def serialize_chain_pair(c: ChainPair) -> str:
 # bifiltrations
 
 
-@dataclass(frozen=True)
-class Cell:
+@dataclass(frozen=True, slots=True)
+class Cell(_Frozen):
     """One cell: dimension, birth grade, sparse boundary over earlier cells."""
 
     dim: int
@@ -363,7 +406,7 @@ class Bifiltration(_Frozen):
     construction.
     """
 
-    __slots__ = ("cells", "field", "dim", "_chunks")
+    __slots__ = ("cells", "field", "dim", "_chunks")  # _chunks: what _chunk_reduce returns
 
     def __init__(self, cells, field: int = 2, dim: int | None = None):
         _require_prime(field)
@@ -373,36 +416,14 @@ class Bifiltration(_Frozen):
             dim = _merge_dims(dim, len(grade))
             for idx, coeff in cell.boundary:
                 if not 0 <= idx < k:
-                    raise ValueError(
-                        "cell %d boundary references cell %d, not an earlier cell" % (k, idx)
-                    )
+                    msg = "cell %d boundary references cell %d, not an earlier cell"
+                    raise ValueError(msg % (k, idx))
                 if not 0 < coeff % field:
                     raise ValueError("cell %d has zero boundary coefficient on cell %d" % (k, idx))
-            norm.append(Cell(cell.dim, grade, tuple((i, c % field) for i, c in cell.boundary)))
-        self._build(norm, field, _merge_dims(dim))
-
-    def _build(self, cells: list, field: int, dim: int | None) -> Bifiltration:
-        """Check and chunk-reduce ``cells``, whose grades, boundary entries
-        (earlier cells, coefficients in [1, field)) and ``dim`` are known valid."""
-        for k, cell in enumerate(cells):
-            if cell.dim < 0:
-                raise ValueError("cell %d has negative dimension" % k)
-            for idx, _ in cell.boundary:
-                face = cells[idx]
-                if face.dim != cell.dim - 1:
-                    raise ValueError(
-                        "cell %d (dimension %d) has boundary cell %d of dimension %d"
-                        % (k, cell.dim, idx, face.dim)
-                    )
-                if not all(map(le, face.grade, cell.grade)):
-                    raise ValueError(
-                        "cell %d born at %s has boundary cell %d born later at %s"
-                        % (k, _grade_str(cell.grade), idx, _grade_str(face.grade))
-                    )
-        # _chunks: degree -> chunk-reduced boundary and its column cells
-        chunks = _chunk_reduce(cells, field, dim)
-        self._freeze(tuple(cells), field, dim, chunks)
-        return self
+            boundary = tuple((i, c % field) for i, c in cell.boundary)
+            norm.append(Cell._trusted(cell.dim, grade, boundary))
+        dim = _merge_dims(dim)
+        self._freeze(tuple(norm), field, dim, _chunk_reduce(norm, field, dim))
 
     def cells_of_dim(self, d: int) -> list[int]:
         return [k for k, c in enumerate(self.cells) if c.dim == d]
@@ -443,40 +464,67 @@ class Bifiltration(_Frozen):
 
 
 def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
-    """Chunk reduction (Fugacci-Kerber, arXiv:1812.08580) of every degree.
+    """Check ``cells``, whose grades and boundary entries (earlier cells,
+    coefficients in [1, p)) are known valid, and chunk-reduce (Fugacci-Kerber,
+    arXiv:1812.08580) every degree.
 
-    The boundary of each cell is packed once, over the cells of the degree
-    below numbered in colex grade order, ties by index.  ``ValueError``
-    names the first cell, in input order, whose boundary has a nonzero
-    boundary.  Then, from the top degree down, :func:`_local_pairs` takes
-    the local pairs of each boundary, skipping the cells that left as rows
-    of the degree above; both cells of a pair leave the complex.  The
-    remaining boundaries drop their entries on cells that left as columns.
+    The cells of each degree are numbered in colex grade order, ties by
+    index.  One pass over the cells in input order then checks each cell (a
+    nonnegative dimension; faces of one dimension less, born at or below
+    it), packs its boundary over the degree below, a later pair for a face
+    replacing an earlier one, and sums its faces' packed columns into the
+    boundary of its boundary.  A failed check raises ``ValueError`` at once;
+    after the pass, so does the first cell with a nonzero one.  Then, from
+    the top degree down, :func:`_local_pairs` takes the local pairs of each
+    boundary, skipping the cells that left as rows of the degree above; both
+    cells of a pair leave the complex.  The remaining boundaries drop their
+    entries on cells that left as columns.
 
     Returns, per degree d from 0 to the top degree + 1, the boundary from
     the remaining d-cells to the remaining (d-1)-cells, both in colex
     order, and the indices in ``cells`` of those d-cells.
     """
     top = max((c.dim for c in cells), default=-1)
-    # degree -> cells in colex order; here degree -1 reads as the empty
-    # degree top + 1
+    # degree -> cells in colex order; degree -1 reads as the empty degree top + 1
     order = [[] for _ in range(top + 2)]
     for k, cell in enumerate(cells):
-        order[cell.dim].append(k)
+        if cell.dim >= 0:
+            order[cell.dim].append(k)
+    keys = [_colex(cell.grade) for cell in cells]
     at = {}  # cell -> its position in the order of its degree
     for ks in order:
-        ks.sort(key=lambda k: _colex(cells[k].grade))
-        at.update((k, j) for j, k in enumerate(ks))
-    cols = [[_column(((at[i], c) for i, c in cells[k].boundary), p) for k in ks] for ks in order]
+        ks.sort(key=keys.__getitem__)
+        at.update(zip(ks, range(len(ks))))
+    cols = [[None] * len(ks) for ks in order]
+    bad = None  # the first cell whose boundary has a nonzero boundary
     for k, cell in enumerate(cells):
-        dd = _column((), p)
-        for i, c in _items(cols[cell.dim][at[k]]):
-            dd = _addmul(dd, cols[cell.dim - 1][i], c, p)
-        if dd:
-            raise ValueError(
-                "cell %d (dimension %d) born at %s has a boundary whose boundary is nonzero"
-                % (k, cell.dim, _grade_str(cell.grade))
-            )
+        d, grade = cell.dim, cell.grade
+        if d < 0:
+            raise ValueError("cell %d has negative dimension" % k)
+        below = cols[d - 1]
+        col, dd = (0, 0) if p == 2 else ({}, {})  # empty columns in the field's encoding
+        for idx, coeff in cell.boundary:
+            face = cells[idx]
+            if face.dim != d - 1:
+                msg = "cell %d (dimension %d) has boundary cell %d of dimension %d"
+                raise ValueError(msg % (k, d, idx, face.dim))
+            if not all(map(le, face.grade, grade)):
+                msg = "cell %d born at %s has boundary cell %d born later at %s"
+                raise ValueError(msg % (k, _grade_str(grade), idx, _grade_str(face.grade)))
+            i = at[idx]
+            if p == 2:
+                if not col >> i & 1:
+                    col |= 1 << i
+                    dd ^= below[i]
+            else:
+                dd = _addmul(dd, below[i], coeff - col.get(i, 0), p)
+                col[i] = coeff
+        cols[d][at[k]] = col
+        if dd and bad is None:
+            bad = k
+    if bad is not None:
+        msg = "cell %d (dimension %d) born at %s has a boundary whose boundary is nonzero"
+        raise ValueError(msg % (bad, cells[bad].dim, _grade_str(cells[bad].grade)))
     grades = [[cells[k].grade for k in ks] for ks in order]
     rest = [{} for _ in order]  # position of a remaining cell -> its column
     skip = ()
@@ -502,15 +550,12 @@ def parse_bifiltration(text: str, field: int | None = None) -> Bifiltration:
     _require_prime(p)
     n = r.ndim()
     r.keyword("cells")
-    cells = []
-    for k in range(r.count("cell count")):
-        d = r.int_("integer ", "dimension of cell %d", k)
-        grade = r.grade(n, "cell %d", k)
-        nnz = r.count("boundary size of cell %d", k)
-        cells.append(Cell(d, grade, r.pairs(nnz, k, p, "cell %d boundary", k)))
+    labels = ("dimension of cell %d", "cell %d", "boundary size of cell %d", "cell %d boundary")
+    _, dims, grades, boundaries = r.columns(r.count("cell count"), n, labels, None, p)
     r.done()
-    try:  # the reader checked what Bifiltration.__init__ checks before _build
-        return Bifiltration.__new__(Bifiltration)._build(cells, p, n)
+    cells = Cell._trusted_many(dims, grades, boundaries)
+    try:  # the reader checked what Bifiltration.__init__ checks before _chunk_reduce
+        return Bifiltration._trusted(tuple(cells), p, n, _chunk_reduce(cells, p, n))
     except ValueError as e:
         raise ParseError(str(e))
 

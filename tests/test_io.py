@@ -36,7 +36,16 @@ from msb import (
     serialize_presentation,
     serialize_signed_barcode,
 )
-from msb.algebra import _first_invalid, _is_prime, _require_prime
+from msb.algebra import (
+    _addmul,
+    _colex,
+    _column,
+    _first_invalid,
+    _is_prime,
+    _items,
+    _local_pairs,
+    _require_prime,
+)
 from msb.io import Bifiltration, Cell, _grade_str, fmt_float, sniff_format
 
 
@@ -309,6 +318,67 @@ def test_mbif_field_override():
     text = serialize_bifiltration(bif)
     over = parse_bifiltration(text, field=3)
     assert over.field == 3
+
+
+def test_cell_is_a_frozen_value():
+    cell = Cell(1, (0.0, 1.0), ((0, 1), (1, 1)))
+    same = Cell(dim=1, grade=(0.0, 1.0), boundary=((0, 1), (1, 1)))
+    assert repr(cell) == "Cell(dim=1, grade=(0.0, 1.0), boundary=((0, 1), (1, 1)))"
+    assert cell == same and hash(cell) == hash(same)
+    assert cell != (1, (0.0, 1.0), ((0, 1), (1, 1))) and cell != Cell(1, (0.0, 1.0), ((0, 1),))
+    assert Cell._trusted(1, (0.0, 1.0), ((0, 1), (1, 1))) == cell
+    vertex = Cell(0, (0.0, 0.0), ())
+    assert Cell._trusted_many([1, 0], [(0.0, 1.0), (0.0, 0.0)], [cell.boundary, ()]) == [cell, vertex]
+    with pytest.raises(AttributeError):
+        cell.dim = 2
+    with pytest.raises(AttributeError):
+        del cell.grade
+
+
+# Duplicate indices in a sparse column: a later pair for an index replaces
+# an earlier one in the matrix; an .mbif cell keeps every listed pair.
+DUPLICATES = {2: "0:1 1:1 1:1", 3: "0:1 1:2 1:1"}
+
+
+@pytest.mark.parametrize("field", [2, 3])
+def test_a_later_pair_for_an_index_replaces_an_earlier_one(field):
+    pairs = DUPLICATES[field]
+    head = "field %d\nn 2\n" % field
+    pres = parse_presentation("mpres 1\n" + head + "gens 2\n0 0\n0 0\nrels 1\n1 1 3 %s\n" % pairs)
+    assert pres.rels.entries == {(0, 0): 1, (1, 0): 1}
+    chain = parse_chain_pair("mchain 1\n" + head + "Z 2\n0 0\n0 0\nY 1\n1 1 3 %s\nX 0\n" % pairs)
+    assert chain.g.entries == {(0, 0): 1, (1, 0): 1}
+    text = "mbif 1\n" + head + "cells 3\n0 0 0 0\n0 0 0 0\n1 1 1 3 %s\n" % pairs
+    listed = tuple((int(i), int(c)) for i, c in (t.split(":") for t in pairs.split()))
+    vertex = Cell(0, (0.0, 0.0), ())
+    built = Bifiltration([vertex, vertex, Cell(1, (1.0, 1.0), listed)], field)
+    for bif in (parse_bifiltration(text), built):
+        assert bif.cells[2].boundary == listed
+        assert bif._chunked(1)[0].entries == {(0, 0): 1, (1, 0): 1}
+        assert bif.boundary_matrix(1).entries == {(0, 0): 1, (1, 0): 1}
+        assert serialize_bifiltration(bif) == text
+    assert parse_bifiltration(text) == built
+
+
+def triangle_text(field, faces):
+    """A filled triangle in .mbif over F_field, ``faces`` the entry count and
+    pairs of its 2-cell."""
+    edges = "1 1 0 2 0:%d 1:1\n1 1 1 2 1:%d 2:1\n1 0 1 2 0:%d 2:1\n" % ((field - 1,) * 3)
+    return "mbif 1\nfield %d\nn 2\ncells 7\n%s%s2 2 2 %s\n" % (field, "0 0 0 0\n" * 3, edges, faces)
+
+
+DUPLICATE_FACES = [(2, "4 3:1 4:1 5:1 5:1"), (3, "4 3:1 4:1 5:1 5:2")]
+
+
+@pytest.mark.parametrize("field, faces", DUPLICATE_FACES)
+def test_boundary_of_boundary_reads_the_packed_column(field, faces):
+    # the last pair on cell 5 is the one that counts: summed, the listed
+    # pairs would cancel cell 5 (1 + 1 over F_2, 1 + 2 over F_3), and a
+    # triangle on cells 3 and 4 alone has a nonzero boundary of its boundary
+    bif = parse_bifiltration(triangle_text(field, faces))
+    assert bif._chunked(2)[0].num_cols == 1 and len(bif._chunked(2)[0].entries) == 3
+    with pytest.raises(ParseError, match="cell 6 .* has a boundary whose boundary is nonzero"):
+        parse_bifiltration(triangle_text(field, "2 3:1 4:1"))
 
 
 @pytest.mark.parametrize("field", [0, 1, 4, -3])
@@ -886,7 +956,8 @@ def outcome(parse, *args, **kwargs):
     return "parsed", type(obj), _SERIALIZERS[type(obj)](obj), extra
 
 
-# one valid file per format, with comments, blank lines and an odd field
+# one valid file per format, with comments, blank lines and an odd field;
+# then one per format whose records start and end mid-line, over F_3
 VALID_FILES = {
     "sbarc": "sbarc 1\nn 2\npositive 2\n0 0.5\n1 1\nnegative 1\n2 1.5\n",
     "mpres": "# a presentation\nmpres 1\nfield 3\nn 2\ngens 2\n0 0\n1 0\n\n"
@@ -894,9 +965,20 @@ VALID_FILES = {
     "mchain": _CHAIN + "1\n1 1 2 0:1 1:1\n",
     "mbif": "mbif 1  # a triangle\nfield 2\nn 2\ncells 7\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
     "1 1 0 2 0:1 1:1\n1 0 1 2 1:1 2:1\n1 1 1 2 0:1 2:1\n2 2 2 3 3:1 4:1 5:1\n",
+    "sbarc across lines": "sbarc 1 n 2 positive\n2 0\n0.5 1 1\nnegative 1 2\n1.5\n",
+    "mpres across lines": "mpres 1\nfield 3 n 2\ngens 2 0 0\n1\n0 rels 2 1 1\n2 0:1\n"
+    "1:2 2 0 1\n1:1\n",
+    "mchain across lines": "mchain 1 field 3 n 2 Z 2 0\n0 0 0 Y 2 1\n0 2 0:1\n1:2 0 1 2\n"
+    "0:1 1:2 X 1 1 1\n2 0:1 1:2\n",
+    "mbif across lines": "mbif 1 field 3\nn 2 cells 7 0\n0 0 0 0 0\n0 0 0 0\n0 0 1 1 0 2\n"
+    "0:2 1:1 1 0 1 2 1:2\n2:1 1 1 1 2 0:2 2:1\n2 2 2 3 3:1\n4:1 5:2\n",
 }
 
+# tokens that int() or float() read in ways a bulk split could get wrong:
+# pairs with two colons or an empty side, an overflow to inf, signs, and a
+# digit that is not ASCII
 SUBSTITUTES = ["x", "-1", "0", "nan", "inf", "1_0", ":", "0:0", "9:1"]
+SUBSTITUTES += ["1:2:3", "1:", ":1", "1e400", "-0:1", "+1:1", "\u0663"]
 
 
 def token_variants(text):
@@ -938,7 +1020,164 @@ def test_reader_matches_the_per_token_reader():
         want = outcome(_old_parse_bifiltration, text, field=3)
         assert outcome(parse_bifiltration, text, field=3) == want, text
         seen["override " + want[0]] += 1
-    assert seen == {"parsed": 76, "raised": 1114, "override parsed": 31, "override raised": 351}
+    assert seen == {"parsed": 212, "raised": 3694, "override parsed": 50, "override raised": 598}
+
+
+def reader_corpus():
+    """Every text of the differential reader test, with its field override."""
+    for text, _ in PARSE_ERRORS:
+        yield text, None
+    for text in VALID_FILES.values():
+        for variant in (text, *token_variants(text)):
+            yield variant, None
+            if variant.startswith("mbif"):
+                yield variant, 3
+
+
+def test_per_token_reads_run_only_to_raise(monkeypatch):
+    # blocks are read in bulk; a block is read again one token at a time
+    # only when the bulk read refuses it, and that read raises
+    from msb.io import _Reader
+
+    calls = []
+    for name in ("coordinate", "pair"):
+
+        def spy(self, *args, _read=getattr(_Reader, name)):
+            calls.append(args)
+            return _read(self, *args)
+
+        monkeypatch.setattr(_Reader, name, spy)
+    seen = Counter()
+    for text, field in reader_corpus():
+        calls.clear()
+        got = outcome(parse_any, text) if field is None else outcome(parse_bifiltration, text, field)
+        assert not calls or got[:2] == ("raised", ParseError), text
+        seen[got[0], bool(calls)] += 1
+    assert seen == {("parsed", False): 244, ("raised", False): 1980, ("raised", True): 3180}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mbif 1\nfield 2\nn 1\ncells 99999999999999\n0 0 -2\n",
+         "line 5, column 5: boundary size of cell 0 must be nonnegative, got -2"),
+        ("mpres 1\nfield 2\nn 1\ngens 1\n0\nrels 99999999999999\n0 -1 0 0 0\n",
+         "line 7, column 3: entry count of relation 0 must be nonnegative, got -1"),
+        ("sbarc 1\nn 2\npositive 99999999999999\n0 0\n",
+         "line 4, column 3: unexpected end of input, expected bar coordinate"),
+    ],
+)
+def test_a_huge_block_count_ends_at_the_first_bad_token(text, message):
+    # a negative entry count ends the bulk read before it can step back
+    with pytest.raises(ParseError) as info:
+        parse_any(text)
+    assert str(info.value) == message
+    assert outcome(_old_parse_any, text) == outcome(parse_any, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_BIF + "2\n0 0 0 0\n1 0 0 2 0 0:1:1\n",
+         "line 6, column 9: expected index:coeff pair for cell 1 boundary, got '0'"),
+        (_PRES + "1\n1 1 2 0:1:1 1\n",
+         "line 8, column 7: malformed pair '0:1:1' for relation 0 entry"),
+        (_CHAIN + "1\n1 1 2 1 0:1:1\n",
+         "line 11, column 7: expected index:coeff pair for X column 0 entry, got '1'"),
+    ],
+)
+def test_a_pair_without_a_colon_and_one_with_two(text, message):
+    # the two split into as many parts as two good pairs would
+    with pytest.raises(ParseError) as info:
+        parse_any(text)
+    assert str(info.value) == message
+    assert outcome(_old_parse_any, text) == outcome(parse_any, text)
+
+
+# an early cell whose boundary has a nonzero boundary, then a later cell
+# that fails a check: the check's error comes first
+_DD = _BIF + "6\n0 0 0 0\n0 0 0 0\n1 0 0 2 0:1 1:1\n2 0 0 1 2:1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_DD + "2 0 0 1 0:1\n0 0 0 0\n", "cell 4 (dimension 2) has boundary cell 0 of dimension 0"),
+        (_DD + "0 1 1 0\n1 0 0 2 0:1 4:1\n",
+         "cell 5 born at (0, 0) has boundary cell 4 born later at (1, 1)"),
+        (_DD + "0 0 0 0\n-1 0 0 0\n", "cell 5 has negative dimension"),
+        (_DD + "0 0 0 0\n1 0 0 2 0:1 4:1\n",
+         "cell 3 (dimension 2) born at (0, 0) has a boundary whose boundary is nonzero"),
+    ],
+)
+def test_a_failed_check_comes_before_a_nonzero_boundary_of_a_boundary(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_any(text)
+    assert str(info.value) == message
+    assert outcome(_old_parse_any, text) == outcome(parse_any, text)
+    cells = []
+    for line in text.splitlines()[4:]:
+        d, x, y, _, *pairs = line.split()
+        boundary = tuple(tuple(map(int, pair.split(":"))) for pair in pairs)
+        cells.append(Cell(int(d), (float(x), float(y)), boundary))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Bifiltration(cells, 2)
+
+
+def _old_chunk_reduce(cells, p, dim):
+    """The chunk reduction before its checks, packing and boundary of the
+    boundary became one pass: the packed columns, then the boundary of the
+    boundary of each cell from its packed column, unpacked again."""
+    top = max((c.dim for c in cells), default=-1)
+    order = [[] for _ in range(top + 2)]
+    for k, cell in enumerate(cells):
+        order[cell.dim].append(k)
+    at = {}
+    for ks in order:
+        ks.sort(key=lambda k: _colex(cells[k].grade))
+        at.update((k, j) for j, k in enumerate(ks))
+    cols = [[_column(((at[i], c) for i, c in cells[k].boundary), p) for k in ks] for ks in order]
+    for k, cell in enumerate(cells):
+        dd = _column((), p)
+        for i, c in _items(cols[cell.dim][at[k]]):
+            dd = _addmul(dd, cols[cell.dim - 1][i], c, p)
+        if dd:
+            raise ValueError(
+                "cell %d (dimension %d) born at %s has a boundary whose boundary is nonzero"
+                % (k, cell.dim, _grade_str(cell.grade))
+            )
+    grades = [[cells[k].grade for k in ks] for ks in order]
+    rest = [{} for _ in order]
+    skip = ()
+    for d in range(top, -1, -1):
+        skip, rest[d] = _local_pairs(cols[d], grades[d - 1], grades[d], p, skip)
+    out = {}
+    for d in range(top + 2):
+        row = {j: n for n, j in enumerate(rest[d - 1])}
+        kept = rest[d].values()
+        entries = {(row[i], n): v for n, col in enumerate(kept) for i, v in _items(col) if i in row}
+        ks = tuple(order[d][j] for j in rest[d])
+        rg = tuple(grades[d - 1][j] for j in row)
+        m = GradedMatrix._trusted(rg, tuple(cells[k].grade for k in ks), entries, p, dim)
+        out[d] = (m, ks)
+    return out
+
+
+def test_chunks_match_the_chunk_reduction_of_separate_passes():
+    from test_cli import lower_star_square
+
+    bifs = [lower_star_square(seed, n, levels, field=p)
+            for p in (2, 3) for seed, n, levels in ((50, 6, 1000), (51, 7, 3), (52, 5, 1))]
+    bifs += chunk_corpus()
+    for text, field in reader_corpus():
+        try:
+            bifs.append(parse_bifiltration(text, field))
+        except ParseError:
+            pass
+    bifs += [parse_bifiltration(triangle_text(field, faces)) for field, faces in DUPLICATE_FACES]
+    for bif in bifs:
+        assert bif._chunks == _old_chunk_reduce(list(bif.cells), bif.field, bif.dim)
+    assert len(bifs) == 192
 
 
 # every separator str.split knows, some of which str.splitlines also breaks
@@ -969,7 +1208,7 @@ def test_whitespace_and_comments_match_the_per_token_reader():
         want = outcome(_old_parse_any, text)
         assert outcome(parse_any, text) == want, repr(text)
         seen[want[0]] += 1
-    assert seen == {"parsed": 100, "raised": 136}
+    assert seen == {"parsed": 204, "raised": 264}
 
 
 @pytest.mark.parametrize(
