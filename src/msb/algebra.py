@@ -18,6 +18,7 @@ grade coordinates must pass, or the computation aborts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
 from .grades import (
     Barcode,
@@ -25,6 +26,7 @@ from .grades import (
     Grade,
     SignedBarcode,
     _Frozen,
+    _grade_str,
     _merge_dims,
     as_grade,
     barcode_union,
@@ -269,11 +271,13 @@ def direct_sum(*presentations: Presentation) -> Presentation:
 # column reduction.  Over F_2 a column is an int with bit r set for each
 # nonzero row r, so adding columns is XOR and the largest row is
 # ``bit_length() - 1``; over an odd prime it is a dict row -> coeff.  The
-# field fixes the encoding.  Columns are packed once per matrix, straight
-# from its entries; ``_unit`` and ``_column`` build one, ``_addmul``
-# combines two, ``_lead`` finds its largest row and ``_items`` unpacks
-# one.  Beyond these helpers and ``_Reducer`` only the zero columns that
-# start a sum (in ``matmul`` and ``homology_presentation``) test the field.
+# field fixes the encoding, and only this module packs, adds or reduces
+# columns.  Columns are packed once per matrix, straight from its entries,
+# and stages hand them on packed; ``_unit`` and ``_column`` build one,
+# ``_addmul`` combines two, ``_lead`` finds its largest row and ``_items``
+# unpacks one.  Beyond these helpers, ``_Reducer`` and the fused pass of
+# ``_chunk_reduce``, only the zero columns that start a sum (in ``matmul``
+# and ``homology_presentation``) test the field.
 
 
 def _packed_columns(m: GradedMatrix) -> list:
@@ -459,6 +463,85 @@ def _local_pairs(cols, row_grades, col_grades, p: int, skip=()) -> tuple:
     return set(local.pivots), dict(zip(rest, local.clear(rest.values())))
 
 
+def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
+    """Check ``cells``, whose grades and boundary entries (earlier cells,
+    coefficients in [1, p)) are known valid, and chunk-reduce (Fugacci-Kerber,
+    arXiv:1812.08580) every degree.
+
+    The cells of each degree are numbered in colex grade order, ties by
+    index.  One pass over the cells in input order then checks each cell (a
+    nonnegative dimension; faces of one dimension less, born at or below
+    it), packs its boundary over the degree below, a later pair for a face
+    replacing an earlier one, and sums its faces' packed columns into the
+    boundary of its boundary.  A failed check raises ``ValueError`` at once;
+    after the pass, so does the first cell with a nonzero one.  Then, from
+    the top degree down, :func:`_local_pairs` takes the local pairs of each
+    boundary, skipping the cells that left as rows of the degree above; both
+    cells of a pair leave the complex.  The remaining boundaries drop their
+    entries on cells that left as columns.
+
+    Returns, per degree d from 0 to the top degree + 1, the boundary from
+    the remaining d-cells to the remaining (d-1)-cells, both in colex
+    order, and the indices in ``cells`` of those d-cells.
+    """
+    top = max((c.dim for c in cells), default=-1)
+    # degree -> cells in colex order; degree -1 reads as the empty degree top + 1
+    order = [[] for _ in range(top + 2)]
+    for k, cell in enumerate(cells):
+        if cell.dim >= 0:
+            order[cell.dim].append(k)
+    keys = [_colex(cell.grade) for cell in cells]
+    at = {}  # cell -> its position in the order of its degree
+    for ks in order:
+        ks.sort(key=keys.__getitem__)
+        at.update(zip(ks, range(len(ks))))
+    cols = [[None] * len(ks) for ks in order]
+    bad = None  # the first cell whose boundary has a nonzero boundary
+    for k, cell in enumerate(cells):
+        d, grade = cell.dim, cell.grade
+        if d < 0:
+            raise ValueError("cell %d has negative dimension" % k)
+        below = cols[d - 1]
+        col, dd = (0, 0) if p == 2 else ({}, {})  # empty columns in the field's encoding
+        for idx, coeff in cell.boundary:
+            face = cells[idx]
+            if face.dim != d - 1:
+                msg = "cell %d (dimension %d) has boundary cell %d of dimension %d"
+                raise ValueError(msg % (k, d, idx, face.dim))
+            if not all(map(le, face.grade, grade)):
+                msg = "cell %d born at %s has boundary cell %d born later at %s"
+                raise ValueError(msg % (k, _grade_str(grade), idx, _grade_str(face.grade)))
+            i = at[idx]
+            if p == 2:
+                if not col >> i & 1:
+                    col |= 1 << i
+                    dd ^= below[i]
+            else:
+                dd = _addmul(dd, below[i], coeff - col.get(i, 0), p)
+                col[i] = coeff
+        cols[d][at[k]] = col
+        if dd and bad is None:
+            bad = k
+    if bad is not None:
+        msg = "cell %d (dimension %d) born at %s has a boundary whose boundary is nonzero"
+        raise ValueError(msg % (bad, cells[bad].dim, _grade_str(cells[bad].grade)))
+    grades = [[cells[k].grade for k in ks] for ks in order]
+    rest = [{} for _ in order]  # position of a remaining cell -> its column
+    skip = ()
+    for d in range(top, -1, -1):
+        skip, rest[d] = _local_pairs(cols[d], grades[d - 1], grades[d], p, skip)
+    out = {}
+    for d in range(top + 2):
+        row = {j: n for n, j in enumerate(rest[d - 1])}
+        kept = rest[d].values()
+        entries = {(row[i], n): v for n, col in enumerate(kept) for i, v in _items(col) if i in row}
+        ks = tuple(order[d][j] for j in rest[d])
+        rg = tuple(grades[d - 1][j] for j in row)
+        m = GradedMatrix._trusted(rg, tuple(cells[k].grade for k in ks), entries, p, dim)
+        out[d] = (m, ks)
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -624,21 +707,23 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     sweep's exhaustive rank check runs, raising :class:`KernelCheckError`.
     """
     _require_valid(m)
-    return _kernel_basis(m, verify)
+    grades, cols = _kernel_basis(m, verify)
+    entries = {(i, k): v for k, col in enumerate(cols) for i, v in _items(col)}
+    inc = GradedMatrix._trusted(m.col_grades, grades, entries, m.field, m.dim)
+    return Barcode._trusted(tuple(sorted(grades)), m.dim), inc
 
 
-def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedMatrix]:
-    """:func:`kernel_basis` of a matrix its caller knows to be grade-valid."""
-    p, n = m.field, m.dim
+def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[tuple, list]:
+    """The kernel generators of :func:`kernel_basis` for a matrix its caller
+    knows to be grade-valid: their grades and their packed columns over
+    ``m``'s column indices, in discovery order."""
+    n = m.dim
     if n is not None and n > 2:
         raise UnsupportedDimension(
             "kernel computation supports 1 or 2 parameters, got %d" % n
         )
-    _, gens = _sweep(_packed_columns(m), m.col_grades, p, True, verify)
-    grades = tuple(g for g, _, _ in gens)
-    entries = {(i, k): v for k, (_, _, vec) in enumerate(gens) for i, v in _items(vec)}
-    inc = GradedMatrix._trusted(m.col_grades, grades, entries, p, n)
-    return Barcode._trusted(tuple(sorted(grades)), n), inc
+    _, gens = _sweep(_packed_columns(m), m.col_grades, m.field, True, verify)
+    return tuple(g for g, _, _ in gens), [vec for _, _, vec in gens]
 
 
 @dataclass(frozen=True)
@@ -715,10 +800,9 @@ def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Pres
     than column indices.
     """
     p = g.field
-    _, inc = _kernel_basis(g)
-    gen_grades = inc.col_grades
-    span = _Reducer(p)
-    for k, col in enumerate(_packed_columns(inc)):
+    gen_grades, gens = _kernel_basis(g)
+    span = _Reducer(p)  # reduce copies a column, so gens go in as they are
+    for k, col in enumerate(gens):
         if not span.insert(col, _unit(k, p))[0]:
             support = ""
             if cells is not None:

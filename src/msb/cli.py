@@ -14,12 +14,10 @@ import sys
 from pathlib import Path
 
 from .algebra import _is_prime, betti, pointwise_dim
-from .grades import SignedBarcode, reduce_signed
+from .grades import SignedBarcode, fmt_float, reduce_signed
 from .hilbert import hilbert_eval, minimal_hilbert_decomposition
 from .io import (
-    ParseError,
     chain_to_presentation,
-    fmt_float,
     _grade_lines,
     parse_any,
     parse_bifiltration,
@@ -323,9 +321,6 @@ def main(argv=None) -> int:
     except _CliError as e:
         sys.stderr.write("error: %s\n" % e)
         return e.code
-    except ParseError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return DATA_ERROR
     except ValueError as e:
         sys.stderr.write("error: %s\n" % e)
         return DATA_ERROR

@@ -170,8 +170,7 @@ def perturb(pres: Presentation, spec: PerturbSpec) -> PerturbResult:
         if support:
             shifted = join(shifted, *(new_gens[i] for i in support))
         col_grades.append(as_grade(shifted))
-    entries = {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
-    m = GradedMatrix._trusted(new_gens, tuple(col_grades), entries, pres.field, pres.dim)
+    m = GradedMatrix._trusted(new_gens, tuple(col_grades), pres.rels.entries, pres.field, pres.dim)
     out = Presentation._trusted(m)
     return PerturbResult(
         out,

@@ -84,6 +84,19 @@ def dist_one(a: Grade, b: Grade) -> float:
     return sum(abs(x - y) for x, y in zip(a, b))
 
 
+def fmt_float(v: float) -> str:
+    """Shortest round-trip decimal; integral values print as integers."""
+    if v != v or v in (float("inf"), float("-inf")):
+        return repr(v)
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
+def _grade_str(g) -> str:
+    return "(" + ", ".join(fmt_float(c) for c in g) + ")"
+
+
 def _merge_dims(*dims: int | None) -> int | None:
     """The common dimension of ``dims``, ignoring ``None`` (unknown); a
     dimension that is not a positive integer raises ``ValueError``."""

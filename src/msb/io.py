@@ -41,22 +41,19 @@ import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from math import isfinite
-from operator import contains, ge, le
+from operator import contains, ge
 
 from .algebra import (
     ChainPair,
     GradedMatrix,
     Presentation,
-    _addmul,
-    _colex,
+    _chunk_reduce,
     _first_invalid,
     _homology_presentation,
     _is_prime,
-    _items,
-    _local_pairs,
     _require_prime,
 )
-from .grades import Barcode, SignedBarcode, _Frozen, _merge_dims, as_grade
+from .grades import Barcode, SignedBarcode, _Frozen, _grade_str, _merge_dims, as_grade, fmt_float
 
 
 class ParseError(ValueError):
@@ -71,15 +68,6 @@ class ParseError(ValueError):
                 where += ", column %d" % column
             message = "%s: %s" % (where, message)
         super().__init__(message)
-
-
-def fmt_float(v: float) -> str:
-    """Shortest round-trip decimal; integral values print as integers."""
-    if v != v or v in (float("inf"), float("-inf")):
-        return repr(v)
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
 
 
 def _grade_lines(grades) -> list[str]:
@@ -318,10 +306,6 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation._trusted(m)
 
 
-def _grade_str(g) -> str:
-    return "(" + ", ".join(fmt_float(c) for c in g) + ")"
-
-
 def _check_grade_order(m: GradedMatrix, col_what: str, row_what: str, r: _Reader, starts) -> None:
     """ParseError at the first token of the column holding the least entry
     whose row grade is not at or below its column grade."""
@@ -402,8 +386,9 @@ class Bifiltration(_Frozen):
     Validity: boundary references point to earlier cells of dimension
     one less, born at or below the referencing cell, coefficients lie
     in [1, field), and the composite boundary vanishes over the field.
-    The complex is chunk-reduced (see :func:`_chunk_reduce`) once, at
-    construction.
+    The constructor checks the references and coefficients; the one pass
+    of :func:`msb.algebra._chunk_reduce`, which chunk-reduces the complex
+    once, at construction, checks the rest.
     """
 
     __slots__ = ("cells", "field", "dim", "_chunks")  # _chunks: what _chunk_reduce returns
@@ -461,85 +446,6 @@ class Bifiltration(_Frozen):
 
     def __repr__(self):
         return "Bifiltration(%d cells, F_%d)" % (len(self.cells), self.field)
-
-
-def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
-    """Check ``cells``, whose grades and boundary entries (earlier cells,
-    coefficients in [1, p)) are known valid, and chunk-reduce (Fugacci-Kerber,
-    arXiv:1812.08580) every degree.
-
-    The cells of each degree are numbered in colex grade order, ties by
-    index.  One pass over the cells in input order then checks each cell (a
-    nonnegative dimension; faces of one dimension less, born at or below
-    it), packs its boundary over the degree below, a later pair for a face
-    replacing an earlier one, and sums its faces' packed columns into the
-    boundary of its boundary.  A failed check raises ``ValueError`` at once;
-    after the pass, so does the first cell with a nonzero one.  Then, from
-    the top degree down, :func:`_local_pairs` takes the local pairs of each
-    boundary, skipping the cells that left as rows of the degree above; both
-    cells of a pair leave the complex.  The remaining boundaries drop their
-    entries on cells that left as columns.
-
-    Returns, per degree d from 0 to the top degree + 1, the boundary from
-    the remaining d-cells to the remaining (d-1)-cells, both in colex
-    order, and the indices in ``cells`` of those d-cells.
-    """
-    top = max((c.dim for c in cells), default=-1)
-    # degree -> cells in colex order; degree -1 reads as the empty degree top + 1
-    order = [[] for _ in range(top + 2)]
-    for k, cell in enumerate(cells):
-        if cell.dim >= 0:
-            order[cell.dim].append(k)
-    keys = [_colex(cell.grade) for cell in cells]
-    at = {}  # cell -> its position in the order of its degree
-    for ks in order:
-        ks.sort(key=keys.__getitem__)
-        at.update(zip(ks, range(len(ks))))
-    cols = [[None] * len(ks) for ks in order]
-    bad = None  # the first cell whose boundary has a nonzero boundary
-    for k, cell in enumerate(cells):
-        d, grade = cell.dim, cell.grade
-        if d < 0:
-            raise ValueError("cell %d has negative dimension" % k)
-        below = cols[d - 1]
-        col, dd = (0, 0) if p == 2 else ({}, {})  # empty columns in the field's encoding
-        for idx, coeff in cell.boundary:
-            face = cells[idx]
-            if face.dim != d - 1:
-                msg = "cell %d (dimension %d) has boundary cell %d of dimension %d"
-                raise ValueError(msg % (k, d, idx, face.dim))
-            if not all(map(le, face.grade, grade)):
-                msg = "cell %d born at %s has boundary cell %d born later at %s"
-                raise ValueError(msg % (k, _grade_str(grade), idx, _grade_str(face.grade)))
-            i = at[idx]
-            if p == 2:
-                if not col >> i & 1:
-                    col |= 1 << i
-                    dd ^= below[i]
-            else:
-                dd = _addmul(dd, below[i], coeff - col.get(i, 0), p)
-                col[i] = coeff
-        cols[d][at[k]] = col
-        if dd and bad is None:
-            bad = k
-    if bad is not None:
-        msg = "cell %d (dimension %d) born at %s has a boundary whose boundary is nonzero"
-        raise ValueError(msg % (bad, cells[bad].dim, _grade_str(cells[bad].grade)))
-    grades = [[cells[k].grade for k in ks] for ks in order]
-    rest = [{} for _ in order]  # position of a remaining cell -> its column
-    skip = ()
-    for d in range(top, -1, -1):
-        skip, rest[d] = _local_pairs(cols[d], grades[d - 1], grades[d], p, skip)
-    out = {}
-    for d in range(top + 2):
-        row = {j: n for n, j in enumerate(rest[d - 1])}
-        kept = rest[d].values()
-        entries = {(row[i], n): v for n, col in enumerate(kept) for i, v in _items(col) if i in row}
-        ks = tuple(order[d][j] for j in rest[d])
-        rg = tuple(grades[d - 1][j] for j in row)
-        m = GradedMatrix._trusted(rg, tuple(cells[k].grade for k in ks), entries, p, dim)
-        out[d] = (m, ks)
-    return out
 
 
 def parse_bifiltration(text: str, field: int | None = None) -> Bifiltration:

@@ -51,8 +51,8 @@ from .grades import (
     barcode_union,
     dist_inf,
     dist_one,
+    fmt_float,
 )
-from .io import fmt_float
 
 #: Matchings larger than this are refused by the brute-force oracle.
 BRUTE_FORCE_CAP = 8

@@ -6,7 +6,6 @@ import itertools
 import pytest
 
 from msb import (
-    Barcode,
     ChainPair,
     GradedMatrix,
     GradedValidityError,
@@ -357,6 +356,45 @@ def test_kernel_rejects_high_dimension():
         kernel_basis(m)
 
 
+def test_three_parameter_betti_and_homology_refused():
+    pres = Presentation.from_relations([(0.0, 0.0, 0.0)], [((1.0, 1.0, 1.0), {0: 1})])
+    message = r"^Betti barcodes support 1 or 2 parameters, got 3$"
+    with pytest.raises(UnsupportedDimension, match=message):
+        betti(pres)
+    # a filled triangle graded in three parameters
+    bif = Bifiltration(
+        [
+            Cell(0, (0.0, 0.0, 0.0), ()),
+            Cell(0, (1.0, 0.0, 0.0), ()),
+            Cell(0, (0.0, 1.0, 0.0), ()),
+            Cell(1, (1.0, 1.0, 0.0), ((0, 1), (1, 1))),
+            Cell(1, (0.0, 1.0, 1.0), ((0, 1), (2, 1))),
+            Cell(1, (1.0, 1.0, 1.0), ((1, 1), (2, 1))),
+            Cell(2, (2.0, 2.0, 2.0), ((3, 1), (4, 1), (5, 1))),
+        ]
+    )
+    chain = ChainPair(f=bif.boundary_matrix(2), g=bif.boundary_matrix(1))
+    message = r"^kernel computation supports 1 or 2 parameters, got 3$"
+    with pytest.raises(UnsupportedDimension, match=message):
+        homology_presentation(chain)
+    for degree in (0, 1, 2):
+        with pytest.raises(UnsupportedDimension, match=message):
+            chain_to_presentation(bif, degree)
+
+
+def test_three_parameter_minimization_accepted():
+    # a local pair (generator 1, relation 0) and a dependent relation (2)
+    # leave; the rest is the module F(0, 0, 0) / F(2, 2, 2)
+    top = (2.0, 2.0, 2.0)
+    pres = Presentation.from_relations(
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+        [((1.0, 0.0, 0.0), {1: 1}), (top, {0: 1}), (top, {0: 1, 1: 1})],
+    )
+    mini = minimize_presentation(pres)
+    assert mini.gens == ((0.0, 0.0, 0.0),)
+    assert mini.rels.col_grades == (top,) and mini.rels.entries == {(0, 0): 1}
+
+
 # ---------------------------------------------------------------------------
 # betti
 
@@ -539,16 +577,16 @@ def test_homology_of_staged_cycle():
 
 def _triangle_with_kernel(gens):
     # a triangle's boundary pair, with _kernel_basis replaced by one that
-    # returns the given (grade, column) generators of g's kernel
+    # returns the given (grade, column) generators of g's kernel: their
+    # grades and their columns packed over F_2
     g = GradedMatrix(
         [(0.0, 0.0)] * 3,
         [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
         {(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 1, (0, 2): 1, (2, 2): 1},
     )
     f = GradedMatrix(g.col_grades, [(2.0, 2.0)], {(0, 0): 1, (1, 0): 1, (2, 0): 1})
-    entries = {(i, k): v for k, (_, col) in enumerate(gens) for i, v in col.items()}
-    inc = GradedMatrix(g.col_grades, [grade for grade, _ in gens], entries, dim=2)
-    kernel = (Barcode([grade for grade, _ in gens], dim=2), inc)
+    grades = tuple(grade for grade, _ in gens)
+    kernel = (grades, [algebra._column(col.items(), 2) for _, col in gens])
     return ChainPair(f=f, g=g), lambda m: kernel
 
 

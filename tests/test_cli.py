@@ -324,6 +324,21 @@ def test_ingest_pipeline(capsys, tmp_path):
     assert res.by_degree[0].bars == ((1.0, 1.0),)
 
 
+def test_three_parameter_betti_and_ingest_are_data_errors(capsys, tmp_path):
+    src = tmp_path / "m.mpres"
+    pres = Presentation.from_relations([(0.0, 0.0, 0.0)], [((1.0, 1.0, 1.0), {0: 1})])
+    src.write_text(serialize_presentation(pres))
+    message = "error: Betti barcodes support 1 or 2 parameters, got 3\n"
+    assert run(capsys, "betti", str(src)) == (2, "", message)
+    src = tmp_path / "edge.mbif"
+    cells = [Cell(0, (0.0, 0.0, 0.0), ()), Cell(0, (1.0, 0.0, 0.0), ())]
+    cells.append(Cell(1, (1.0, 1.0, 1.0), ((0, 1), (1, 1))))
+    src.write_text(serialize_bifiltration(Bifiltration(cells, 2)))
+    message = "error: kernel computation supports 1 or 2 parameters, got 3\n"
+    for degree in ("0", "1", "2"):
+        assert run(capsys, "ingest", str(src), "--degree", degree) == (2, "", message)
+
+
 def lower_star_square(seed, n, levels, field=2):
     """Lower-star bifiltration of the triangulated n x n grid over F_field.
 
@@ -557,6 +572,49 @@ def test_package_imports_only_the_standard_library_and_declared_dependencies():
                 imported.setdefault(name.partition(".")[0], path.name)
     assert "numpy" in imported and "math" in imported
     assert {m: where for m, where in imported.items() if m not in allowed} == {}
+
+
+def _imported_modules(tree):
+    """The dotted names of the modules an ``msb`` module's imports load."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the msb package
+                base = "msb" + ("." + base if base else "")
+            yield base
+            yield from (base + "." + alias.name for alias in node.names)
+
+
+def test_column_arithmetic_lives_in_algebra_only():
+    # algebra.py is the one module that packs, adds or reduces columns: no
+    # other module names its column helpers, io.py neither shifts nor XORs,
+    # and matching.py and grades.py, which io.py imports through algebra.py,
+    # do not import io.py
+    helpers = {"_addmul", "_column", "_items", "_lead", "_unit", "_packed_columns",
+               "_Reducer", "_local_pairs"}
+    src = PYPROJECT.parent / "src" / "msb"
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    named = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add((name, node.id))
+            elif isinstance(node, ast.Attribute):
+                named.add((name, node.attr))
+            elif isinstance(node, ast.alias):
+                named |= {(name, node.name), (name, node.asname)}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named.add((name, node.name))
+    assert {(name, h) for name, h in named if h in helpers and name != "algebra.py"} == set()
+    bit_ops = (ast.LShift, ast.RShift, ast.BitXor)
+    assert [
+        node.lineno
+        for node in ast.walk(trees["io.py"])
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, bit_ops)
+    ] == []
+    assert [n for n in ("matching.py", "grades.py") if "msb.io" in _imported_modules(trees[n])] == []
 
 
 @pytest.mark.skipif(
