@@ -18,7 +18,7 @@ grade coordinates must pass, or the computation aborts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
+from operator import index, le
 
 from .grades import (
     Barcode,
@@ -62,7 +62,7 @@ def _is_prime(p: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
-    if not _is_prime(p):
+    if not _is_prime(index(p)):
         raise ValueError("field order must be prime, got %r" % (p,))
 
 
@@ -80,28 +80,42 @@ def _colex(g: Grade):
 class GradedMatrix(_Frozen):
     """Sparse matrix over a prime field with graded rows and columns.
 
-    ``entries`` maps ``(row, col)`` to a nonzero field element.  ``dim``
-    is the grade dimension; it must be passed explicitly when the matrix
-    has neither rows nor columns.
+    ``cols`` holds the columns in the encoding of the field (see the
+    column helpers below): an int per column over F_2, a dict row ->
+    coeff over an odd prime.  The constructor takes ``entries``, a map
+    ``(row, col) -> coeff`` of integers, and the ``entries`` property
+    reads the nonzero ones back as a new dict.  ``dim`` is the grade
+    dimension; it must be passed explicitly when the matrix has neither
+    rows nor columns.
     """
 
-    __slots__ = ("row_grades", "col_grades", "entries", "field", "dim")
+    __slots__ = ("row_grades", "col_grades", "cols", "field", "dim")
 
     def __init__(self, row_grades, col_grades, entries, field=2, dim=None):
         _require_prime(field)
         rg = tuple(as_grade(g) for g in row_grades)
         cg = tuple(as_grade(g) for g in col_grades)
         dim = _merge_dims(dim, *map(len, rg + cg))
-        norm = {}
+        cols = [[] for _ in cg]
         for (i, j), v in entries.items():
-            i = int(i)
-            j = int(j)
+            i, j, v = index(i), index(j), index(v) % field
             if not (0 <= i < len(rg)) or not (0 <= j < len(cg)):
                 raise IndexError("entry (%d, %d) outside matrix shape" % (i, j))
-            v = int(v) % field
             if v:
-                norm[(i, j)] = v
-        self._freeze(rg, cg, norm, field, dim)
+                cols[j].append((i, v))
+        self._freeze(rg, cg, tuple(_column(c, field) for c in cols), field, dim)
+
+    @classmethod
+    def _trusted_pairs(cls, row_grades, col_grades, cols, field, dim):
+        """A new matrix whose column j has the ``(row, coeff)`` pairs of
+        ``cols[j]``, known valid (a later pair for a row replacing an
+        earlier one), packed unchecked."""
+        return cls._trusted(row_grades, col_grades, tuple(_column(c, field) for c in cols), field, dim)
+
+    @property
+    def entries(self) -> dict:
+        """``(row, col) -> coeff`` for each nonzero entry, a new dict on each read."""
+        return {(i, j): v for j, col in enumerate(self.cols) for i, v in _items(col)}
 
     @property
     def num_rows(self) -> int:
@@ -112,10 +126,7 @@ class GradedMatrix(_Frozen):
         return len(self.col_grades)
 
     def columns(self) -> list[dict]:
-        cols = [dict() for _ in range(self.num_cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
+        return [dict(_items(col)) for col in self.cols]
 
     def matmul(self, other: "GradedMatrix") -> "GradedMatrix":
         """Composite self @ other, for self: Y -> Z and other: X -> Y."""
@@ -124,14 +135,15 @@ class GradedMatrix(_Frozen):
         if self.col_grades != other.row_grades:
             raise DimensionMismatch("inner grades disagree in matrix product")
         p = self.field
-        mycols = _packed_columns(self)
         # column x of the product is the sum of self's columns y times other[y, x]
-        acc = [0 if p == 2 else {} for _ in range(other.num_cols)]
-        for (y, x), c in other.entries.items():
-            acc[x] = _addmul(acc[x], mycols[y], c, p)
-        out = {(z, x): v for x, col in enumerate(acc) for z, v in _items(col)}
+        out = []
+        for col in other.cols:
+            acc = _column((), p)
+            for y, c in _items(col):
+                acc = _addmul(acc, self.cols[y], c, p)
+            out.append(acc)
         dim = _merge_dims(self.dim, other.dim if other.col_grades else None)
-        return GradedMatrix._trusted(self.row_grades, other.col_grades, out, p, dim)
+        return GradedMatrix._trusted(self.row_grades, other.col_grades, tuple(out), p, dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedMatrix):
@@ -139,7 +151,7 @@ class GradedMatrix(_Frozen):
         return (
             self.row_grades == other.row_grades
             and self.col_grades == other.col_grades
-            and self.entries == other.entries
+            and self.cols == other.cols
             and self.field == other.field
         )
 
@@ -161,7 +173,8 @@ def _first_invalid(m: GradedMatrix) -> tuple[int, int] | None:
     """The least ``(row, col)`` of a nonzero entry whose row grade is not
     at or below its column grade, or None when ``m`` is grade-valid."""
     rg, cg = m.row_grades, m.col_grades
-    return min((e for e in m.entries if not leq(rg[e[0]], cg[e[1]])), default=None)
+    bad = ((i, j) for j, col in enumerate(m.cols) for i, _ in _items(col) if not leq(rg[i], cg[j]))
+    return min(bad, default=None)
 
 
 def validate_graded(m: GradedMatrix) -> bool:
@@ -206,7 +219,7 @@ class Presentation(_Frozen):
         for j, (grade, col) in enumerate(rel_specs):
             col_grades.append(grade)
             for i, v in col.items():
-                entries[(int(i), j)] = v
+                entries[(i, j)] = v
         m = GradedMatrix(gens, col_grades, entries, field=field, dim=dim)
         _require_valid(m)
         return cls._trusted(m)
@@ -253,18 +266,17 @@ def direct_sum(*presentations: Presentation) -> Presentation:
         raise ValueError("direct_sum needs at least one presentation")
     field = presentations[0].field
     dim = None
-    gens = []
-    rel_specs = []
+    gens, col_grades, cols = [], [], []
     for pr in presentations:
         if pr.field != field:
             raise ValueError("field mismatch in direct sum")
         dim = _merge_dims(dim, pr.dim)
         off = len(gens)
-        gens.extend(pr.gens)
-        cols = pr.rels.columns()
-        for j, grade in enumerate(pr.rels.col_grades):
-            rel_specs.append((grade, {off + i: v for i, v in cols[j].items()}))
-    return Presentation.from_relations(gens, rel_specs, field=field, dim=dim)
+        gens += pr.gens
+        col_grades += pr.rels.col_grades
+        cols += ([(off + i, v) for i, v in _items(col)] for col in pr.rels.cols)
+    m = GradedMatrix._trusted_pairs(tuple(gens), tuple(col_grades), cols, field, dim)
+    return Presentation._trusted(m)
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +284,11 @@ def direct_sum(*presentations: Presentation) -> Presentation:
 # nonzero row r, so adding columns is XOR and the largest row is
 # ``bit_length() - 1``; over an odd prime it is a dict row -> coeff.  The
 # field fixes the encoding, and only this module packs, adds or reduces
-# columns.  Columns are packed once per matrix, straight from its entries,
-# and stages hand them on packed; ``_unit`` and ``_column`` build one,
-# ``_addmul`` combines two, ``_lead`` finds its largest row and ``_items``
-# unpacks one.  Beyond these helpers, ``_Reducer`` and the fused pass of
-# ``_chunk_reduce``, only the zero columns that start a sum (in ``matmul``
-# and ``homology_presentation``) test the field.
-
-
-def _packed_columns(m: GradedMatrix) -> list:
-    """The columns of ``m`` in the encoding of its field."""
-    if m.field != 2:
-        return m.columns()
-    cols = [0] * m.num_cols
-    for i, j in m.entries:
-        cols[j] |= 1 << i
-    return cols
+# columns.  A ``GradedMatrix`` keeps its columns packed, so stages read
+# ``m.cols`` and freeze the columns they compute; ``_unit`` and ``_column``
+# build one, ``_addmul`` combines two, ``_lead`` finds its largest row and
+# ``_items`` unpacks one.  Beyond these helpers, ``_Reducer`` and the fused
+# pass of ``_chunk_reduce`` alone test the field.
 
 
 def _unit(k: int, p: int):
@@ -533,11 +534,10 @@ def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
     out = {}
     for d in range(top + 2):
         row = {j: n for n, j in enumerate(rest[d - 1])}
-        kept = rest[d].values()
-        entries = {(row[i], n): v for n, col in enumerate(kept) for i, v in _items(col) if i in row}
+        kept = tuple(_column(((row[i], v) for i, v in _items(c) if i in row), p) for c in rest[d].values())
         ks = tuple(order[d][j] for j in rest[d])
         rg = tuple(grades[d - 1][j] for j in row)
-        m = GradedMatrix._trusted(rg, tuple(cells[k].grade for k in ks), entries, p, dim)
+        m = GradedMatrix._trusted(rg, tuple(cells[k].grade for k in ks), kept, p, dim)
         out[d] = (m, ks)
     return out
 
@@ -661,21 +661,18 @@ def _minimize(pres: Presentation, track: bool) -> tuple:
     rows = sorted(range(len(gens)), key=lambda i: _colex(gens[i]))
     order = sorted(range(len(rels.col_grades)), key=lambda j: _colex(rels.col_grades[j]))
     at = {i: r for r, i in enumerate(rows)}
-    pos = {j: n for n, j in enumerate(order)}
-    cols = [[] for _ in order]
-    for (i, j), v in rels.entries.items():
-        cols[pos[j]].append((at[i], v))
+    cols = [_column(((at[i], v) for i, v in _items(rels.cols[j])), p) for j in order]
     row_grades = [gens[i] for i in rows]
     col_grades = [rels.col_grades[j] for j in order]
-    gone, live = _local_pairs([_column(c, p) for c in cols], row_grades, col_grades, p)
+    gone, live = _local_pairs(cols, row_grades, col_grades, p)
     dep, found = _sweep(list(live.values()), [col_grades[j] for j in live], p, track, track)
     kept = sorted((j for n, j in enumerate(live) if n not in dep), key=order.__getitem__)
 
     new_rows = [i for i in range(len(gens)) if at[i] not in gone]
     remap = {at[i]: new for new, i in enumerate(new_rows)}
-    entries = {(remap[r], jj): v for jj, j in enumerate(kept) for r, v in _items(live[j])}
+    cols = tuple(_column(((remap[r], v) for r, v in _items(live[j])), p) for j in kept)
     new_gens = tuple(gens[i] for i in new_rows)
-    m = GradedMatrix._trusted(new_gens, tuple(col_grades[j] for j in kept), entries, p, pres.dim)
+    m = GradedMatrix._trusted(new_gens, tuple(col_grades[j] for j in kept), cols, p, pres.dim)
     return Presentation._trusted(m), tuple(sorted(g for g, k, _ in found if k not in dep))
 
 
@@ -689,11 +686,10 @@ def pointwise_dim(pres: Presentation, x) -> int:
     x = as_grade(x)
     _merge_dims(pres.dim, len(x))
     gens_in = sum(1 for g in pres.gens if leq(g, x))
-    cols = _packed_columns(pres.rels)
     rank = _Reducer(pres.field)
-    for j, c in enumerate(pres.rels.col_grades):
+    for col, c in zip(pres.rels.cols, pres.rels.col_grades):
         if leq(c, x):
-            rank.insert(cols[j])
+            rank.insert(col)
     return gens_in - len(rank.pivots)
 
 
@@ -708,8 +704,7 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     """
     _require_valid(m)
     grades, cols = _kernel_basis(m, verify)
-    entries = {(i, k): v for k, col in enumerate(cols) for i, v in _items(col)}
-    inc = GradedMatrix._trusted(m.col_grades, grades, entries, m.field, m.dim)
+    inc = GradedMatrix._trusted(m.col_grades, grades, tuple(cols), m.field, m.dim)
     return Barcode._trusted(tuple(sorted(grades)), m.dim), inc
 
 
@@ -722,7 +717,7 @@ def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[tuple, list]:
         raise UnsupportedDimension(
             "kernel computation supports 1 or 2 parameters, got %d" % n
         )
-    _, gens = _sweep(_packed_columns(m), m.col_grades, m.field, True, verify)
+    _, gens = _sweep(m.cols, m.col_grades, m.field, True, verify)
     return tuple(g for g, _, _ in gens), [vec for _, _, vec in gens]
 
 
@@ -776,7 +771,7 @@ class ChainPair:
             )
         _require_valid(self.f)
         _require_valid(self.g)
-        if self.g.matmul(self.f).entries:
+        if any(self.g.matmul(self.f).cols):
             raise ValueError("g @ f is not zero; not a chain pair")
 
 
@@ -813,18 +808,16 @@ def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Pres
                 "homology_presentation: kernel generator %d (grade %r)%s depends "
                 "linearly on the generators before it" % (k, gen_grades[k], support)
             )
-    fcols = _packed_columns(f)
-    entries = {}
-    for j, cgrade in enumerate(f.col_grades):
-        cur, comb = span.reduce(fcols[j], 0 if p == 2 else {})
-        comb = dict(_items(comb))
-        if cur or not all(leq(gen_grades[k], cgrade) for k in comb):
+    cols = []
+    for j, (col, cgrade) in enumerate(zip(f.cols, f.col_grades)):
+        cur, comb = span.reduce(col, _column((), p))
+        if cur or not all(leq(gen_grades[k], cgrade) for k, _ in _items(comb)):
             what = "column %d of f" % j if cells is None else "the boundary of cell %d" % cells[1][j]
             raise RuntimeError(
                 "homology_presentation: %s (grade %r) is not in "
                 "the kernel of g at its grade" % (what, cgrade)
             )
         # the reduction subtracted sum(x_k * generator k) from the column
-        entries.update(((k, j), -comb[k] % p) for k in sorted(comb))
+        cols.append(_addmul(_column((), p), comb, p - 1, p))
     dim = _merge_dims(g.dim, f.dim if f.col_grades else None)
-    return Presentation._trusted(GradedMatrix._trusted(gen_grades, f.col_grades, entries, p, dim))
+    return Presentation._trusted(GradedMatrix._trusted(gen_grades, f.col_grades, tuple(cols), p, dim))

@@ -109,9 +109,9 @@ def gen_random(seed: int, gens: int, rels: int, grid: int) -> Presentation:
     gen_grades = [
         (float(rng.below(grid)), float(rng.below(grid))) for _ in range(gens)
     ]
-    col_grades, entries = [], {}
+    col_grades, cols = [], []
     if gens > 0:
-        for j in range(rels):
+        for _ in range(rels):
             size = 1 + rng.below(min(3, gens))
             chosen: list[int] = []
             while len(chosen) < size:
@@ -120,8 +120,8 @@ def gen_random(seed: int, gens: int, rels: int, grid: int) -> Presentation:
                     chosen.append(i)
             chosen.sort()
             col_grades.append(join(*(gen_grades[i] for i in chosen)))
-            entries.update(((i, j), 1) for i in chosen)
-    m = GradedMatrix._trusted(tuple(gen_grades), tuple(col_grades), entries, 2, 2)
+            cols.append([(i, 1) for i in chosen])
+    m = GradedMatrix._trusted_pairs(tuple(gen_grades), tuple(col_grades), cols, 2, 2)
     return Presentation._trusted(m)
 
 
@@ -170,7 +170,7 @@ def perturb(pres: Presentation, spec: PerturbSpec) -> PerturbResult:
         if support:
             shifted = join(shifted, *(new_gens[i] for i in support))
         col_grades.append(as_grade(shifted))
-    m = GradedMatrix._trusted(new_gens, tuple(col_grades), pres.rels.entries, pres.field, pres.dim)
+    m = GradedMatrix._trusted(new_gens, tuple(col_grades), pres.rels.cols, pres.field, pres.dim)
     out = Presentation._trusted(m)
     return PerturbResult(
         out,

@@ -19,7 +19,8 @@ once, with ``_freeze``.  There are two routes to that call.  Public
 constructors normalize and check their arguments first.  Internal
 producers call ``_trusted``, which freezes fields that already hold the
 invariant: grades are tuples of finite floats, bars are sorted, matrix
-entries are ints in ``[1, p)`` and a presentation's matrix is grade-valid.
+columns are packed in their field's encoding with coefficients in ``[1, p)``
+and a presentation's matrix is grade-valid.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from math import isfinite
-from operator import contains, ge
+from operator import contains, ge, index
 
 from .algebra import (
     ChainPair,
@@ -283,13 +283,12 @@ def serialize_signed_barcode(s: SignedBarcode) -> str:
 
 
 def _parse_block(r: _Reader, name: str, label: str, n: int, field: int, nrows: int):
-    """Grades, entries and first token indices of the sparse columns after
-    keyword ``name``; messages call column j "``label`` j"."""
+    """Grades, ``(row, coeff)`` pairs and first token indices of the sparse
+    columns after keyword ``name``; messages call column j "``label`` j"."""
     r.keyword(name)
     labels = (None, label + " %d", "entry count of " + label + " %d", label + " %d entry")
     starts, _, grades, cols = r.columns(r.count("%s count", label), n, labels, nrows, field)
-    entries = {(i, j): coeff for j, col in enumerate(cols) for i, coeff in col}
-    return grades, entries, starts
+    return grades, cols, starts
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -299,9 +298,9 @@ def parse_presentation(text: str) -> Presentation:
     n = r.ndim()
     r.keyword("gens")
     gens = r.grades(r.count("generator count"), n, "generator")
-    col_grades, entries, rel_starts = _parse_block(r, "rels", "relation", n, field, len(gens))
+    col_grades, cols, rel_starts = _parse_block(r, "rels", "relation", n, field, len(gens))
     r.done()
-    m = GradedMatrix._trusted(tuple(gens), tuple(col_grades), entries, field, n)
+    m = GradedMatrix._trusted_pairs(tuple(gens), tuple(col_grades), cols, field, n)
     _check_grade_order(m, "relation", "generator", r, rel_starts)
     return Presentation._trusted(m)
 
@@ -346,11 +345,11 @@ def parse_chain_pair(text: str) -> ChainPair:
     n = r.ndim()
     r.keyword("Z")
     zgrades = r.grades(r.count("Z grade count"), n, "Z grade")
-    ygrades, gentries, ystarts = _parse_block(r, "Y", "Y column", n, field, len(zgrades))
-    xgrades, fentries, xstarts = _parse_block(r, "X", "X column", n, field, len(ygrades))
+    ygrades, gcols, ystarts = _parse_block(r, "Y", "Y column", n, field, len(zgrades))
+    xgrades, fcols, xstarts = _parse_block(r, "X", "X column", n, field, len(ygrades))
     r.done()
-    g = GradedMatrix._trusted(tuple(zgrades), tuple(ygrades), gentries, field, n)
-    f = GradedMatrix._trusted(tuple(ygrades), tuple(xgrades), fentries, field, n)
+    g = GradedMatrix._trusted_pairs(tuple(zgrades), tuple(ygrades), gcols, field, n)
+    f = GradedMatrix._trusted_pairs(tuple(ygrades), tuple(xgrades), fcols, field, n)
     _check_grade_order(g, "Y column", "Z generator", r, ystarts)
     _check_grade_order(f, "X column", "Y column", r, xstarts)
     try:
@@ -386,7 +385,9 @@ class Bifiltration(_Frozen):
     Validity: boundary references point to earlier cells of dimension
     one less, born at or below the referencing cell, coefficients lie
     in [1, field), and the composite boundary vanishes over the field.
-    The constructor checks the references and coefficients; the one pass
+    The constructor takes integer dimensions, references and coefficients
+    (``TypeError`` otherwise, nothing is truncated), reduces coefficients
+    mod the field and checks the references and coefficients; the one pass
     of :func:`msb.algebra._chunk_reduce`, which chunk-reduces the complex
     once, at construction, checks the rest.
     """
@@ -399,14 +400,14 @@ class Bifiltration(_Frozen):
         for k, cell in enumerate(cells):
             grade = as_grade(cell.grade)
             dim = _merge_dims(dim, len(grade))
-            for idx, coeff in cell.boundary:
+            boundary = tuple((index(i), index(c) % field) for i, c in cell.boundary)
+            for idx, coeff in boundary:
                 if not 0 <= idx < k:
                     msg = "cell %d boundary references cell %d, not an earlier cell"
                     raise ValueError(msg % (k, idx))
-                if not 0 < coeff % field:
+                if not coeff:
                     raise ValueError("cell %d has zero boundary coefficient on cell %d" % (k, idx))
-            boundary = tuple((i, c % field) for i, c in cell.boundary)
-            norm.append(Cell._trusted(cell.dim, grade, boundary))
+            norm.append(Cell._trusted(index(cell.dim), grade, boundary))
         dim = _merge_dims(dim)
         self._freeze(tuple(norm), field, dim, _chunk_reduce(norm, field, dim))
 
@@ -420,16 +421,12 @@ class Bifiltration(_Frozen):
         rows = self.cells_of_dim(d - 1)
         cols = self.cells_of_dim(d)
         rowpos = {k: i for i, k in enumerate(rows)}
-        entries = {}
-        for j, k in enumerate(cols):
-            for idx, coeff in self.cells[k].boundary:
-                entries[(rowpos[idx], j)] = coeff
-        return GradedMatrix(
+        return GradedMatrix._trusted_pairs(
             tuple(self.cells[k].grade for k in rows),
             tuple(self.cells[k].grade for k in cols),
-            entries,
-            field=self.field,
-            dim=self.dim,
+            [[(rowpos[idx], coeff) for idx, coeff in self.cells[k].boundary] for k in cols],
+            self.field,
+            self.dim,
         )
 
     def _chunked(self, d: int) -> tuple[GradedMatrix, tuple[int, ...]]:

@@ -504,7 +504,7 @@ def presentation_pair_cost(pm: Presentation, pn: Presentation, p=1) -> float:
         raise ValueError("presentations over different fields")
     if pm.num_gens != pn.num_gens or pm.num_rels != pn.num_rels:
         raise ValueError("presentations have different shapes")
-    if pm.rels.entries != pn.rels.entries:
+    if pm.rels.cols != pn.rels.cols:
         raise ValueError("presentations have different underlying matrices")
     _merge_dims(pm.dim, pn.dim)
     pairs = list(zip(pm.gens + pm.rels.col_grades, pn.gens + pn.rels.col_grades))

@@ -91,6 +91,40 @@ def test_matrix_immutable():
         m.field = 3
 
 
+def test_matrix_constructors_take_only_integers():
+    # indices and coefficients are not truncated: (0.7, 0) is no row 0
+    for entries in ({(0.7, 0): 1}, {(0, 0.0): 1}, {(0, 0): 2.5}):
+        with pytest.raises(TypeError):
+            GradedMatrix([(0.0, 0.0)], [(1.0, 1.0)], entries, field=3)
+    for col in ({0.7: 1}, {0: 2.5}):
+        with pytest.raises(TypeError):
+            Presentation.from_relations([(0.0, 0.0)], [((1.0, 1.0), col)], field=3)
+    with pytest.raises(TypeError):  # nor a field order of 3.0, whose entries would be floats
+        GradedMatrix([(0.0, 0.0)], [(1.0, 1.0)], {(0, 0): 2}, field=3.0)
+    # any integer type is taken, and coefficients reduce mod p
+    m = GradedMatrix([(0.0, 0.0)] * 2, [(1.0, 1.0)], {(True, 0): -1}, field=3)
+    assert m.entries == {(1, 0): 2}
+
+
+def test_entries_is_a_view_not_state():
+    rg, cg = [(0.0, 0.0)] * 2, [(1.0, 1.0)] * 2
+    m = GradedMatrix(rg, cg, {(0, 0): 1, (1, 1): 2}, field=3)
+    h = hash(m)
+    view = m.entries
+    view[(0, 0)] = 0
+    view[(1, 0)] = 1
+    del view[(1, 1)]
+    m.columns()[0][0] = 2
+    assert m.entries == {(0, 0): 1, (1, 1): 2}
+    assert m == GradedMatrix(rg, cg, {(1, 1): 2, (0, 0): 1}, field=3) and hash(m) == h
+    # the same entries in another insertion order: equal, with one hash
+    entries = {(0, 0): 1, (1, 0): 2, (0, 1): 1, (1, 1): 1}
+    a = GradedMatrix(rg, cg, entries, field=3)
+    b = GradedMatrix(rg, cg, dict(reversed(entries.items())), field=3)
+    assert list(a.cols[0]) == [0, 1] and list(b.cols[0]) == [1, 0]
+    assert a == b and hash(a) == hash(b)
+
+
 # ---------------------------------------------------------------------------
 # minimize_presentation
 

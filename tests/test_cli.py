@@ -18,6 +18,7 @@ except ModuleNotFoundError:  # Python 3.10: tomli is the same parser
 
 from msb import (
     ChainPair,
+    GradedMatrix,
     Presentation,
     SplitMix64,
     betti,
@@ -615,6 +616,30 @@ def test_column_arithmetic_lives_in_algebra_only():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, bit_ops)
     ] == []
     assert [n for n in ("matching.py", "grades.py") if "msb.io" in _imported_modules(trees[n])] == []
+    # a graded matrix is its packed columns: no module but algebra.py reads
+    # the entries view, and outside the view itself only the public
+    # from_relations builds a (row, col)-keyed dict, for the public constructor
+    assert "cols" in GradedMatrix.__slots__ and "entries" not in GradedMatrix.__slots__
+    reads, builds = set(), set()
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "entries":
+                    reads.add(name)
+                if isinstance(node, ast.DictComp):
+                    keys = [node.key]
+                elif isinstance(node, ast.Dict):
+                    keys = node.keys
+                elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    keys = [node.slice]
+                else:
+                    continue
+                if any(isinstance(k, ast.Tuple) for k in keys):
+                    builds.add((name, fn.name))
+    assert reads == {"algebra.py"}
+    assert builds == {("algebra.py", "entries"), ("algebra.py", "from_relations")}
 
 
 @pytest.mark.skipif(

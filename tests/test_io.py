@@ -313,6 +313,19 @@ def test_mbif_rejects_bad_face_dimension():
         Bifiltration(cells, 2)
 
 
+def test_bifiltration_takes_only_integers():
+    # a coefficient of 2.5 is not kept as is, nor truncated to 2
+    vertex = Cell(0, (0.0, 0.0), ())
+    for dim, boundary in ((1, ((0, 2.5), (1, 1))), (1, ((0.0, 2), (1, 1))), (1.0, ((0, 2), (1, 1)))):
+        with pytest.raises(TypeError):
+            Bifiltration([vertex, vertex, Cell(dim, (1.0, 1.0), boundary)], 3)
+    with pytest.raises(TypeError):
+        Bifiltration([vertex, vertex, Cell(1, (1.0, 1.0), ((0, 2), (1, 1)))], 3.0)
+    bif = Bifiltration([vertex, vertex, Cell(1, (1.0, 1.0), ((0, -1), (1, 1)))], 3)
+    assert bif.cells[2].boundary == ((0, 2), (1, 1))
+    assert chain_to_presentation(bif, 0).rels.entries == {(0, 0): 2, (1, 0): 1}
+
+
 def test_mbif_field_override():
     bif = hollow_triangle([(0.0, 0.0)] * 3)
     text = serialize_bifiltration(bif)
@@ -1172,7 +1185,7 @@ def _old_chunk_reduce(cells, p, dim):
         entries = {(row[i], n): v for n, col in enumerate(kept) for i, v in _items(col) if i in row}
         ks = tuple(order[d][j] for j in rest[d])
         rg = tuple(grades[d - 1][j] for j in row)
-        m = GradedMatrix._trusted(rg, tuple(cells[k].grade for k in ks), entries, p, dim)
+        m = GradedMatrix(rg, tuple(cells[k].grade for k in ks), entries, field=p, dim=dim)
         out[d] = (m, ks)
     return out
 
