@@ -286,9 +286,10 @@ def direct_sum(*presentations: Presentation) -> Presentation:
 # field fixes the encoding, and only this module packs, adds or reduces
 # columns.  A ``GradedMatrix`` keeps its columns packed, so stages read
 # ``m.cols`` and freeze the columns they compute; ``_unit`` and ``_column``
-# build one, ``_addmul`` combines two, ``_lead`` finds its largest row and
-# ``_items`` unpacks one.  Beyond these helpers, ``_Reducer`` and the fused
-# pass of ``_chunk_reduce`` alone test the field.
+# build one, ``_addmul`` combines two, ``_lead`` finds its largest row,
+# ``_items`` unpacks one and ``_renumber``, the one row map, renumbers many.
+# Beyond these helpers, ``_Reducer`` and the fused pass of ``_chunk_reduce``
+# alone test the field.
 
 
 def _unit(k: int, p: int):
@@ -336,6 +337,24 @@ def _items(col):
         out.append((low.bit_length() - 1, 1))
         col ^= low
     return out
+
+
+def _renumber(cols, rows, p: int) -> tuple:
+    """``cols`` with old row ``rows[k]`` moved to row ``k`` and every row
+    not in ``rows`` dropped."""
+    if p != 2:
+        at = {r: k for k, r in enumerate(rows)}
+        return tuple({at[r]: v for r, v in col.items() if r in at} for col in cols)
+    bit = {r: 1 << k for k, r in enumerate(rows)}
+    out = []
+    for col in cols:
+        new = 0
+        while col:
+            low = col & -col
+            new |= bit.get(low.bit_length() - 1, 0)
+            col ^= low
+        out.append(new)
+    return tuple(out)
 
 
 class _Reducer:
@@ -533,10 +552,9 @@ def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
         skip, rest[d] = _local_pairs(cols[d], grades[d - 1], grades[d], p, skip)
     out = {}
     for d in range(top + 2):
-        row = {j: n for n, j in enumerate(rest[d - 1])}
-        kept = tuple(_column(((row[i], v) for i, v in _items(c) if i in row), p) for c in rest[d].values())
+        kept = _renumber(rest[d].values(), rest[d - 1], p)
         ks = tuple(order[d][j] for j in rest[d])
-        rg = tuple(grades[d - 1][j] for j in row)
+        rg = tuple(grades[d - 1][j] for j in rest[d - 1])
         m = GradedMatrix._trusted(rg, tuple(cells[k].grade for k in ks), kept, p, dim)
         out[d] = (m, ks)
     return out
@@ -660,18 +678,16 @@ def _minimize(pres: Presentation, track: bool) -> tuple:
     # sorted() is stable, so ties keep index order
     rows = sorted(range(len(gens)), key=lambda i: _colex(gens[i]))
     order = sorted(range(len(rels.col_grades)), key=lambda j: _colex(rels.col_grades[j]))
-    at = {i: r for r, i in enumerate(rows)}
-    cols = [_column(((at[i], v) for i, v in _items(rels.cols[j])), p) for j in order]
+    cols = _renumber([rels.cols[j] for j in order], rows, p)
     row_grades = [gens[i] for i in rows]
     col_grades = [rels.col_grades[j] for j in order]
     gone, live = _local_pairs(cols, row_grades, col_grades, p)
     dep, found = _sweep(list(live.values()), [col_grades[j] for j in live], p, track, track)
+    # rows and columns go back to input order
     kept = sorted((j for n, j in enumerate(live) if n not in dep), key=order.__getitem__)
-
-    new_rows = [i for i in range(len(gens)) if at[i] not in gone]
-    remap = {at[i]: new for new, i in enumerate(new_rows)}
-    cols = tuple(_column(((remap[r], v) for r, v in _items(live[j])), p) for j in kept)
-    new_gens = tuple(gens[i] for i in new_rows)
+    left = sorted((r for r in range(len(rows)) if r not in gone), key=rows.__getitem__)
+    cols = _renumber([live[j] for j in kept], left, p)
+    new_gens = tuple(row_grades[r] for r in left)
     m = GradedMatrix._trusted(new_gens, tuple(col_grades[j] for j in kept), cols, p, pres.dim)
     return Presentation._trusted(m), tuple(sorted(g for g, k, _ in found if k not in dep))
 

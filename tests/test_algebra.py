@@ -125,6 +125,44 @@ def test_entries_is_a_view_not_state():
     assert a == b and hash(a) == hash(b)
 
 
+def test_renumber_against_a_round_trip_through_pairs():
+    # the reference unpacks each column to (row, coeff) pairs, maps the
+    # kept rows through a dict and packs the column again
+    def reference(cols, rows, p):
+        at = {r: k for k, r in enumerate(rows)}
+        pairs = ([(at[r], v) for r, v in algebra._items(col) if r in at] for col in cols)
+        return tuple(algebra._column(c, p) for c in pairs)
+
+    def shuffled(rng, xs):
+        xs = list(xs)
+        for i in range(len(xs) - 1, 0, -1):
+            k = rng.below(i + 1)
+            xs[i], xs[k] = xs[k], xs[i]
+        return xs
+
+    rng = SplitMix64(67)
+    for p in (2, 3, 5):
+        assert algebra._renumber([], [2, 0, 1], p) == ()
+        for _ in range(80):
+            n = 1 + rng.below(70)  # past 64 rows, an F_2 column is more than one machine word
+            cols = [
+                algebra._column([(r, 1 + rng.below(p - 1)) for r in range(n) if rng.below(4) == 0], p)
+                for _ in range(rng.below(9))
+            ]
+            maps = [
+                range(n),  # the identity
+                shuffled(rng, range(n)),  # a permutation
+                range(n - 1),  # the top row dropped
+                [],  # every row dropped
+                [r for r in range(n) if r % 3 != 1],  # rows between kept ones dropped
+                shuffled(rng, [r for r in range(n) if rng.below(2)]),  # drops, then a permutation
+            ]
+            before = [dict(c) if p != 2 else c for c in cols]
+            for rows in maps:
+                assert algebra._renumber(cols, rows, p) == reference(cols, rows, p)
+            assert cols == before  # the input columns are left as they were
+
+
 # ---------------------------------------------------------------------------
 # minimize_presentation
 

@@ -18,7 +18,9 @@ from msb import (
     gen_one_param_interval,
     gen_random,
     gen_staircase,
+    hilbert_distance,
     minimal_hilbert_decomposition,
+    minimize_presentation,
     perturb,
     pointwise_dim,
     presentation_pair_cost,
@@ -253,3 +255,29 @@ def test_perturbed_staircase_stability_instance():
     out = perturb(p, PerturbSpec(0.05, 7))
     d = bottleneck_signed(betti(p).signed, betti(out.presentation).signed).value
     assert d <= 3 * out.cost_linf + 1e-9
+
+
+@pytest.mark.parametrize("seed, delta, witnessed", [(7, 0.05, 80), (11, 0.5, 104), (13, 2.0, 81)])
+def test_label_matching_bounds_the_distances_where_it_is_a_witness(seed, delta, witnessed):
+    # run_stability's draws.  Where both presentations are minimal and
+    # neither has a degree-2 bar, the signed barcodes are the labels
+    # themselves (generators positive, relations negative), so matching
+    # each label to its perturbed self is one admissible matching: the
+    # bottleneck is at most the l-inf cost and the Hilbert distance at most
+    # the l1 cost, with no stability factor
+    rng = SplitMix64(seed)
+    seen = 0
+    for _ in range(500):
+        ngens, nrels = 1 + rng.below(6), rng.below(7)
+        p = gen_random(rng.next_u64(), ngens, nrels, 8)
+        out = perturb(p, PerturbSpec(delta, rng.next_u64()))
+        q = out.presentation
+        if minimize_presentation(p) != p or minimize_presentation(q) != q:
+            continue
+        before, after = betti(p), betti(q)
+        if before.by_degree[2].bars or after.by_degree[2].bars:
+            continue
+        seen += 1
+        assert bottleneck_signed(before.signed, after.signed).value <= out.cost_linf
+        assert hilbert_distance(before.signed, after.signed) <= out.cost_l1 + 1e-9
+    assert seen == witnessed
