@@ -11,8 +11,9 @@ The minimal Hilbert decomposition of a finitely presented module over
 one or two parameters is computed from a minimal presentation plus, in
 the two-parameter case, the kernel of its relation matrix (the module
 of second syzygies, which is free).  Kernel output is never trusted
-blindly: an exhaustive pointwise rank check over the grid of column
-grade coordinates must pass, or the computation aborts.
+blindly: each kernel vector is checked, and so is an exhaustive
+pointwise rank count over the grid of column grade coordinates, or the
+computation aborts.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class UnsupportedDimension(ValueError):
 
 
 class KernelCheckError(RuntimeError):
-    """The computed kernel failed the exhaustive pointwise rank check."""
+    """The computed kernel failed its check of the vectors or of the ranks."""
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +288,8 @@ def direct_sum(*presentations: Presentation) -> Presentation:
 # columns.  A ``GradedMatrix`` keeps its columns packed, so stages read
 # ``m.cols`` and freeze the columns they compute; ``_unit`` and ``_column``
 # build one, ``_addmul`` combines two, ``_lead`` finds its largest row,
-# ``_items`` unpacks one and ``_renumber``, the one row map, renumbers many.
+# ``_items`` unpacks one (``_sorted_items`` by row, for output) and
+# ``_renumber``, the one row map, renumbers many.
 # Beyond these helpers, ``_Reducer`` and the fused pass of ``_chunk_reduce``
 # alone test the field.
 
@@ -339,6 +341,11 @@ def _items(col):
     return out
 
 
+def _sorted_items(col) -> list:
+    """The ``(row, coeff)`` pairs of a column in either encoding, by row."""
+    return _items(col) if isinstance(col, int) else sorted(col.items())
+
+
 def _renumber(cols, rows, p: int) -> tuple:
     """``cols`` with old row ``rows[k]`` moved to row ``k`` and every row
     not in ``rows`` dropped."""
@@ -371,17 +378,28 @@ class _Reducer:
     adds ``p - c`` times the monic pivot column, where ``c`` is the
     coefficient of the largest row, so it takes no inverse.  Both give the
     same pivots, so the same reduced columns.
+
+    A column may carry a ``key``, its place in an order the caller fixes,
+    when every stored column has one.  A keyed column is reduced only by
+    the pivots of columns with smaller keys.  On reaching a pivot held by a
+    larger key it takes that pivot, made monic, and the displaced column
+    goes on in its place: the step is the same, only the column that holds
+    the pivot changes.  So each stored column is its own inserted column
+    plus columns of smaller keys, as if all had gone in in key order, and
+    the column left at the end may be another than the one inserted.
     """
 
-    __slots__ = ("p", "pivots", "combs")
+    __slots__ = ("p", "pivots", "combs", "keys")
 
     def __init__(self, p: int):
         self.p = p
         self.pivots: dict = {}  # largest row -> stored column
         self.combs: dict = {}  # largest row -> its tracked combination
+        self.keys: dict = {}  # largest row -> the key of its column
 
-    def reduce(self, col, comb=None) -> tuple:
-        """``(col, comb)`` reduced: col zero, or with a non-pivot largest row."""
+    def reduce(self, col, comb=None, key=None) -> tuple:
+        """``(col, comb, key)`` of the column left: col zero, or with a
+        non-pivot largest row.  Only a keyed column displaces stored ones."""
         pivots, combs = self.pivots, self.combs
         if self.p == 2:
             while col:
@@ -389,10 +407,16 @@ class _Reducer:
                 piv = pivots.get(r)
                 if piv is None:
                     break
+                if key is not None and self.keys[r] > key:
+                    # this column takes the pivot; the step below leaves the displaced one
+                    keys = self.keys
+                    pivots[r], keys[r], key = col, key, keys[r]
+                    if comb is not None:
+                        combs[r], comb = comb, combs[r]
                 col ^= piv
                 if comb is not None:
                     comb ^= combs[r]
-            return col, comb
+            return col, comb, key
         p = self.p
         cur = dict(col)
         while cur:
@@ -400,16 +424,25 @@ class _Reducer:
             piv = pivots.get(r)
             if piv is None:
                 break
+            if key is not None and self.keys[r] > key:
+                # this column takes the pivot, made monic; the displaced one steps on
+                keys, inv = self.keys, _inv(cur[r], p)
+                pivots[r], cur = _addmul({}, cur, inv, p), dict(piv)
+                if comb is not None:
+                    combs[r], comb = _addmul({}, comb, inv, p), dict(combs[r])
+                keys[r], key = key, keys[r]
+                piv = pivots[r]
             f = p - cur[r]
             _addmul(cur, piv, f, p)
             if comb is not None:
                 _addmul(comb, combs[r], f, p)
-        return cur, comb
+        return cur, comb, key
 
-    def insert(self, col, comb=None) -> tuple:
-        """Reduce ``col`` and keep it, made monic, as a pivot column unless
-        it is zero; returns the reduced column and combination as kept."""
-        col, comb = self.reduce(col, comb)
+    def insert(self, col, comb=None, key=None) -> tuple:
+        """Reduce ``col`` and keep the column left, made monic, as a pivot
+        column unless it is zero; returns that column, combination and key
+        as kept."""
+        col, comb, key = self.reduce(col, comb, key)
         if col:
             p = self.p
             if p == 2:
@@ -422,7 +455,9 @@ class _Reducer:
                     comb = _addmul({}, comb, inv, p)
             self.pivots[r] = col
             self.combs[r] = comb
-        return col, comb
+            if key is not None:
+                self.keys[r] = key
+        return col, comb, key
 
     def clear(self, cols) -> list:
         """Each of ``cols`` plus the multiples of stored columns that leave
@@ -475,7 +510,7 @@ def _local_pairs(cols, row_grades, col_grades, p: int, skip=()) -> tuple:
     for j, col in enumerate(cols):
         if j in skip:
             continue
-        col, _ = local.reduce(col)
+        col = local.reduce(col)[0]
         if col and row_grades[_lead(col)] == col_grades[j]:
             local.insert(col)
         else:
@@ -569,30 +604,38 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
 
     Grades become index pairs ``(i, j)``: ``i`` on the sorted x axis, ``j``
     on the rows, the grades without x in tuple order (a linear extension of
-    <=; one row ``()`` in one parameter).  Each row starts a fresh gate,
-    which takes in x order, ties by index, the columns whose row is at or
-    below it.  A column that reduces to zero in the gate of its own row is
+    <=; one row ``()`` in one parameter).  A column's key (see
+    :class:`_Reducer`) is its place in x order, ties by index, and each row
+    inserts columns in key order.  In one and two parameters, where the
+    rows are a chain, one reducer lasts the whole sweep and row ``j``
+    inserts only the columns born in it; as keys ascend with x, after row
+    ``j`` the columns of x index at most ``i`` stand as if only they, of
+    the rows up to ``j``, had gone in.  In three or more each row starts a
+    fresh reducer and inserts every column at or below it, so none is
+    displaced.  A column that is zero on entering its own row is
     *dependent*: it lies in the span of the columns before it at or below
-    its grade.  It reduces to zero in every later row too, where the
-    echelon reducer already spans its combination, so later rows skip it.
+    its grade.
 
-    With ``track`` (one or two parameters, where rows are a chain) each
-    column tracks its own index, so the combinations of the columns that
-    reduce to zero span the fiber kernel at ``(i, j)`` once x index ``i``
-    is in.  The echelon reducer of row ``j`` holds the generators at or
-    below the point: before x index ``i`` those of the rows below at ``i``,
-    then each combination from the gate.  One it does not reduce to zero is
-    a minimal generator born at ``(i, j)``, the join of its columns'
-    grades, kept monic.  A dependent column finds one at its own grade: the
-    kernel is that of the other columns plus one free generator for each.
+    With ``track`` (one or two parameters) each column tracks its
+    combination, its own index plus columns of smaller keys, so the
+    combinations of the zero columns are independent, and after row ``j``
+    those of x index at most ``i`` span the fiber kernel at ``(i, j)``.
+    The minimal generators born at ``(i, j)`` are then the combinations of
+    the columns of x index ``i`` that turn zero in row ``j``, scaled to 1
+    on their own column.  A dependent column is one of these, at its own
+    grade: the kernel is that of the other columns plus one free generator
+    for each.
 
-    With ``verify``, :class:`KernelCheckError` is raised unless at every
-    grid point the generators born at or below it number the corank of its
-    fiber.  The check shares no reducer or count with the gate: per x
-    index, columns go in row order into a rank-only reducer that persists
-    up that column of grid points, and the counts are prefix sums of births.
-    Returns the dependent columns and the generators as ``(grade, column
-    that found it, vector over column indices)`` in discovery order.
+    With ``verify``, :class:`KernelCheckError` is raised unless each
+    generator is nonzero, has the join of its columns' grades, sends the
+    columns to zero and is independent of those before it (in one fresh
+    rank-only reducer), and at every grid point the generators born at or
+    below it number the corank of its fiber.  That count shares no reducer
+    with the sweep: per x index, columns go in row order into a rank-only
+    reducer that persists up that column of grid points, and the counts are
+    prefix sums of births.  Returns the dependent columns and the
+    generators as ``(grade, column that found it, vector over column
+    indices)`` in discovery order: by row, then by key.
     """
     if not cols:
         return set(), []
@@ -601,49 +644,66 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
     ix, iy = {v: i for i, v in enumerate(xs)}, {t: j for j, t in enumerate(rows)}
     cx, cy = [ix[g[0]] for g in grades], [iy[g[1:]] for g in grades]
     nx, ny = len(xs), len(rows)
-    at_x, by_y = [[] for _ in xs], [[] for _ in rows]
-    for k, (i, j) in enumerate(zip(cx, cy)):
-        at_x[i].append(k)
-        by_y[j].append(k)
-    chain = not grades or len(grades[0]) < 3  # where cy[k] <= j is leq itself
+    order = sorted(range(len(cols)), key=cx.__getitem__)  # key -> column; sorted() is stable
+    key, by_y = [0] * len(cols), [[] for _ in rows]
+    for n, k in enumerate(order):
+        key[k] = n
+        by_y[cy[k]].append(k)
+    chain = len(grades[0]) < 3  # where cy[k] <= j is leq itself
     dep, gens = set(), []  # gens: (i, j, column that found it, vector)
-    # (row index, generator) by x index; one born at (i, j) joins after row j passed i
-    below: list[list] = [[] for _ in range(nx)]
+    red = _Reducer(p)
     for j, t in enumerate(rows):
-        gate, ech = _Reducer(p), _Reducer(p)
-        for i in range(nx):
-            for _, vec in below[i]:
-                ech.insert(vec)
-            for k in at_x[i]:
-                if cy[k] > j or k in dep or not (chain or leq(grades[k][1:], t)):
-                    continue
-                cur, comb = gate.insert(cols[k], _unit(k, p) if track else None)
-                if not cur and cy[k] == j:
-                    dep.add(k)
-                if cur or not track:
-                    continue
-                cur, _ = ech.insert(comb)
-                if not cur:
-                    continue
-                ks = [c for c, _ in _items(cur)]
-                if (max(cx[c] for c in ks), max(cy[c] for c in ks)) != (i, j):
-                    raise KernelCheckError(
-                        "kernel_basis: generator born at grade %r is not the "
-                        "join of the grades of its columns" % ((xs[i],) + t,)
-                    )
-                gens.append((i, j, k, cur))
-                below[i].append((j, cur))
+        if chain:
+            new = by_y[j]
+        else:
+            red, new = _Reducer(p), [k for k in order if k not in dep and leq(grades[k][1:], t)]
+        zero = []  # (key, combination) of each column that turns zero in this row
+        for k in new:
+            col, vec, n = red.insert(cols[k], _unit(k, p) if track else None, key[k])
+            if col:
+                continue
+            if n == key[k] and cy[k] == j:  # zero on entering its own row
+                dep.add(k)
+            if track:
+                zero.append((n, vec))
+        zero.sort()
+        for n, vec in zero:
+            k = order[n]
+            if p != 2:
+                vec = _addmul({}, vec, _inv(vec[k], p), p)
+            gens.append((cx[k], j, k, vec))
 
     if verify:
+        indep = _Reducer(p)
+        for i, j, _, vec in gens:
+            items, image = _items(vec), _column((), p)
+            for c, v in items:
+                image = _addmul(image, cols[c], v, p)
+            if not items:
+                fault = "is zero"
+            elif (max(cx[c] for c, _ in items), max(cy[c] for c, _ in items)) != (i, j):
+                fault = "is not the join of the grades of its columns"
+            elif image:
+                fault = "does not send the columns to zero"
+            elif not indep.insert(vec)[0]:
+                fault = "depends linearly on the generators before it"
+            else:
+                continue
+            raise KernelCheckError(
+                "kernel_basis: generator born at grade %r %s" % ((xs[i],) + rows[j], fault)
+            )
+        at_x = [[] for _ in xs]  # at_x[i]: the row index of each generator at x index i
+        for i, j, _, _ in gens:
+            at_x[i].append(j)
         born = [0] * ny  # born[j]: generators at row index j, x index <= i
         for i in range(nx):
-            for j, _ in below[i]:
+            for j in at_x[i]:
                 born[j] += 1
-            red, got, corank = _Reducer(p), 0, 0
+            rank, got, corank = _Reducer(p), 0, 0
             for j in range(ny):
                 got += born[j]
                 for k in by_y[j]:
-                    if cx[k] <= i and not red.insert(cols[k])[0]:
+                    if cx[k] <= i and not rank.insert(cols[k])[0]:
                         corank += 1
                 if got != corank:
                     raise KernelCheckError(
@@ -716,7 +776,7 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     Returns their grades and their inclusion matrix in ``m``'s column
     basis, in discovery order; the grades are the minimal ones, the
     generators one generating set of many.  With ``verify`` (default) the
-    sweep's exhaustive rank check runs, raising :class:`KernelCheckError`.
+    sweep's checks run, raising :class:`KernelCheckError`.
     """
     _require_valid(m)
     grades, cols = _kernel_basis(m, verify)
@@ -826,7 +886,7 @@ def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Pres
             )
     cols = []
     for j, (col, cgrade) in enumerate(zip(f.cols, f.col_grades)):
-        cur, comb = span.reduce(col, _column((), p))
+        cur, comb, _ = span.reduce(col, _column((), p))
         if cur or not all(leq(gen_grades[k], cgrade) for k, _ in _items(comb)):
             what = "column %d of f" % j if cells is None else "the boundary of cell %d" % cells[1][j]
             raise RuntimeError(

@@ -52,6 +52,7 @@ from .algebra import (
     _homology_presentation,
     _is_prime,
     _require_prime,
+    _sorted_items,
 )
 from .grades import Barcode, SignedBarcode, _Frozen, _grade_str, _merge_dims, as_grade, fmt_float
 
@@ -321,9 +322,9 @@ def _check_grade_order(m: GradedMatrix, col_what: str, row_what: str, r: _Reader
 def _block_lines(name: str, m: GradedMatrix) -> list[str]:
     """The block that :func:`_parse_block` reads back as ``m``'s columns."""
     lines = ["%s %d" % (name, m.num_cols)]
-    for grade, col in zip(m.col_grades, m.columns()):
-        pairs = ["%d:%d" % (i, col[i]) for i in sorted(col)]
-        lines.append(" ".join([fmt_float(c) for c in grade] + [str(len(col))] + pairs))
+    for grade, col in zip(m.col_grades, m.cols):
+        pairs = ["%d:%d" % rc for rc in _sorted_items(col)]
+        lines.append(" ".join([fmt_float(c) for c in grade] + [str(len(pairs))] + pairs))
     return lines
 
 

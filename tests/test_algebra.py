@@ -328,7 +328,7 @@ def test_kernel_output_pinned_on_random_corpus():
         for m in (p.rels, minimize_presentation(p).rels):
             bars, inc = kernel_basis(m)
             digest.update(repr((bars.bars, inc.col_grades, sorted(inc.entries.items()))).encode())
-    assert digest.hexdigest() == "3f5330cb111233ac7afe061463627960db977ce3cb63479c4a36ac82eeefb616"
+    assert digest.hexdigest() == "2642cb664ddaa26858632b466aabebf3db5dce787c8c12152905685ac66afac2"
 
 
 def graded_matrix_over(rng, p, rows, cols, dim):
@@ -371,7 +371,7 @@ def test_kernel_output_pinned_over_odd_fields_in_one_and_two_parameters():
             for _ in range(40):
                 bars, inc = kernel_basis(random_graded_matrix(rng, p, dim))
                 digest.update(repr((bars.bars, inc.col_grades, sorted(inc.entries.items()))).encode())
-    assert digest.hexdigest() == "cc7d0cabe05a5939f31893ef3db7051c43eda53eb183793f5472007593d3d41d"
+    assert digest.hexdigest() == "8207b42adc2edd7c2b05a2da4007a7441776d2bcda48e8b3cce5cb450a1d7099"
 
 
 @pytest.mark.parametrize("degree, grades", [(0, 25), (1, 22)])
@@ -384,6 +384,32 @@ def test_kernel_birth_grades_on_lower_star_grid(degree, grades):
     assert len(set(bars.bars)) == grades
 
 
+def test_kernel_grades_pinned_where_they_are_unique():
+    # the kernel vectors are one basis of many, but the grade of each
+    # generator in discovery order, the dependent columns and betti's
+    # degree-2 bars are not: over the matrices of the two pins above and
+    # the lower-star kernels, this pin holds whichever basis the sweep picks
+    from test_cli import lower_star_square
+
+    mats = []
+    rng = SplitMix64(31)
+    for trial in range(120):
+        p = gen_random(5000 + trial, 1 + rng.below(6), rng.below(7), 5)
+        mats += [p.rels, minimize_presentation(p).rels]
+    rng = SplitMix64(59)
+    mats += [random_graded_matrix(rng, p, dim) for p in (3, 5, 7) for dim in (1, 2) for _ in range(40)]
+    bif = lower_star_square(20240, 5, 50)
+    mats += [bif.boundary_matrix(degree) for degree in (0, 1)]
+    digest = hashlib.sha256()
+    for m in mats:
+        _, inc = kernel_basis(m)
+        dep, _ = algebra._sweep(m.cols, m.col_grades, m.field, True, True)
+        assert algebra._sweep(m.cols, m.col_grades, m.field, False, False)[0] == dep
+        b2 = betti(Presentation(m.row_grades, m)).by_degree[2:]
+        digest.update(repr((inc.col_grades, sorted(dep), [b.bars for b in b2])).encode())
+    assert digest.hexdigest() == "cc3e11c92f7f51143d15334bf2164c91d1463bc5c533654a0c117aa344895906"
+
+
 def test_kernel_verify_flag_runs_clean():
     rng = SplitMix64(37)
     for trial in range(100):
@@ -392,19 +418,19 @@ def test_kernel_verify_flag_runs_clean():
 
 
 def test_kernel_check_catches_a_dropped_vector(monkeypatch):
-    # the exhaustive check shares no step with the sweep: when the gate
-    # hands on a zero combination for a column that reduces to zero, the
-    # unchecked kernel is wrong, and the checked one is refused at the
-    # grade where the generator is missing
+    # the exhaustive check shares no step with the sweep: when the reducer
+    # reports a column left zero as one that took a pivot, the sweep drops
+    # its vector, the unchecked kernel is wrong, and the checked one is
+    # refused at the grade where the generator is missing
     m = GradedMatrix([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], {(0, 0): 1, (0, 1): 1})
     good, _ = kernel_basis(m)
 
     class Lossy(algebra._Reducer):
-        def insert(self, col, comb=None):
-            col, comb = super().insert(col, comb)
-            if comb is not None and not col:  # only the gate tracks combinations
-                comb = 0 if self.p == 2 else {}
-            return col, comb
+        def insert(self, col, comb=None, key=None):
+            col, comb, key = super().insert(col, comb, key)
+            if comb is not None and not col:  # only the sweep tracks combinations
+                col = 1
+            return col, comb, key
 
     monkeypatch.setattr(algebra, "_Reducer", Lossy)
     with pytest.raises(
@@ -414,6 +440,48 @@ def test_kernel_check_catches_a_dropped_vector(monkeypatch):
         kernel_basis(m)
     bad, _ = kernel_basis(m, verify=False)
     assert bad != good
+
+
+@pytest.mark.parametrize("fault", ["zero", "off the kernel", "duplicate", "lower"])
+def test_kernel_check_certifies_each_vector(monkeypatch, fault):
+    # three equal columns at (1, 1) and a fourth at (2, 2): the sweep hands
+    # on two kernel vectors at (1, 1) and one at (2, 2).  Each mutant leaves
+    # the count of generators at every grid point right, so it is refused
+    # by the check of the vectors themselves: a zero vector, one off the
+    # kernel, the first vector again, or the first in place of the last
+    m = GradedMatrix(
+        [(0.0, 0.0)], [(1.0, 1.0)] * 3 + [(2.0, 2.0)], {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1}
+    )
+    _, good = kernel_basis(m)
+    handed = []
+
+    def mutant(comb):
+        return {
+            "zero": 0,
+            "off the kernel": comb ^ 1,
+            "duplicate": handed[0],
+            "lower": handed[0] if len(handed) % 3 == 0 else comb,
+        }[fault]
+
+    class Faulty(algebra._Reducer):
+        def insert(self, col, comb=None, key=None):
+            col, comb, key = super().insert(col, comb, key)
+            if comb is not None and not col:  # a kernel vector the sweep hands on
+                handed.append(comb)
+                comb = mutant(comb)
+            return col, comb, key
+
+    message = {
+        "zero": r"\(1\.0, 1\.0\) is zero",
+        "off the kernel": r"\(1\.0, 1\.0\) does not send the columns to zero",
+        "duplicate": r"\(1\.0, 1\.0\) depends linearly on the generators before it",
+        "lower": r"\(2\.0, 2\.0\) is not the join of the grades of its columns",
+    }[fault]
+    monkeypatch.setattr(algebra, "_Reducer", Faulty)
+    with pytest.raises(KernelCheckError, match=r"^kernel_basis: generator born at grade %s$" % message):
+        kernel_basis(m)
+    _, bad = kernel_basis(m, verify=False)
+    assert len(handed) == 6 and bad != good
 
 
 def test_kernel_one_param():
@@ -525,24 +593,33 @@ def test_betti_signed_is_even_odd_split():
 
 
 def test_sweep_enters_a_dependent_column_once(monkeypatch):
-    # with no rows every column is zero, so each is dependent in its own
-    # grid row and later rows skip it: C columns in C rows make C gate
-    # inserts (the gate is the reducer that tracks combinations), where a
-    # sweep that enters every column again in each row above makes C(C+1)/2
-    C = 12
-    m = GradedMatrix([], [(float(C - k), float(k)) for k in range(C)], {}, dim=2)
-    gate_inserts = []
+    # one reducer lasts the whole sweep and each grid row inserts only the
+    # columns born in it, so every column goes in exactly once, under its
+    # key; a sweep that starts afresh in each row enters a column again in
+    # every row above its own, about C * rows / 2 inserts in all
+    from test_cli import lower_star_square
+
+    keys = []
 
     class Counting(algebra._Reducer):
-        def insert(self, col, comb=None):
-            if comb is not None:
-                gate_inserts.append(col)
-            return super().insert(col, comb)
+        def insert(self, col, comb=None, key=None):
+            if key is not None:  # the rank-only reducers of the check take no key
+                keys.append(key)
+            return super().insert(col, comb, key)
 
     monkeypatch.setattr(algebra, "_Reducer", Counting)
+    # with no rows every column is zero, so each is dependent in its own row
+    C = 12
+    m = GradedMatrix([], [(float(C - k), float(k)) for k in range(C)], {}, dim=2)
     bars, _ = kernel_basis(m)
     assert bars.bars == tuple(sorted(m.col_grades))
-    assert len(gate_inserts) == C
+    assert sorted(keys) == list(range(C))
+    # the chunked degree-1 boundary of a 14 x 14 grid at 1000 levels
+    g = lower_star_square(7, 14, 1000)._chunked(1)[0]
+    assert (g.num_cols, len({c[1] for c in g.col_grades})) == (140, 107)
+    keys.clear()
+    kernel_basis(g)
+    assert sorted(keys) == list(range(140))
 
 
 def test_betti_agrees_with_minimizing_then_sweeping_the_kernel():
@@ -601,8 +678,8 @@ def test_homology_output_pinned_over_odd_fields(p):
         chain = ChainPair(f=bif.boundary_matrix(degree + 1), g=bif.boundary_matrix(degree))
         digest.update(serialize_presentation(homology_presentation(chain)).encode())
     assert digest.hexdigest() == {
-        3: "e15120872d82438e2bf93099400e49300135f739d74a88d355108bf3383e7c83",
-        5: "d19eaae5076865d678d606716b70eb74a8ab761dfefdf17e671c6c887222ee56",
+        3: "a517b168d2e766ba797989e30588c0a094e003b99049e47a5fae040a739cc94e",
+        5: "dad03da0f02422b37bcb718eefe05b62653204e300c4dcc0de440676fcb60e65",
     }[p]
 
 

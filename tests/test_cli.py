@@ -379,7 +379,7 @@ def lower_star_square(seed, n, levels, field=2):
     "degree, digest",
     [
         (0, "b6403c8ed57477665070bc129d44617d1ced3c52270b935ca78ad7428ae5f7f7"),
-        (1, "5d31bb0b0046fc5678001b084cfce5c94af1431204f6e64ad49b8e5a4ee3f629"),
+        (1, "3917ec9e5a7b87a257acee2a8f4c82359ea81cf144b8c12a5d3db7fa069dd83e"),
     ],
 )
 def test_ingest_output_bytes_pinned(capsys, tmp_path, degree, digest):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -595,6 +596,18 @@ def test_matchers_agree_with_brute_force_on_tied_bars():
         assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
 
 
+def oracle_costs(b, c, p):
+    """The cost matrix as the brute-force oracle builds it, as lists."""
+    return [[sum(abs(x - y) ** p for x, y in zip(u, w)) for w in c.bars] for u in b.bars]
+
+
+def rows_of_columns(matching):
+    row_of = [0] * len(matching)
+    for i, j in matching:
+        row_of[j] = i
+    return row_of
+
+
 def least_rotation_gain(b, c, p, matching):
     """Least cost change over cycles of columns rotated along ``matching``.
 
@@ -603,15 +616,44 @@ def least_rotation_gain(b, c, p, matching):
     leaves the least cycle weight through each column on the diagonal.
     Costs are built as the brute-force oracle builds them.
     """
-    C = np.array([[sum(abs(x - y) ** p for x, y in zip(u, w)) for w in c.bars] for u in b.bars])
+    C = np.array(oracle_costs(b, c, p))
     K = len(matching)
-    row_of = [0] * K
-    for i, j in matching:
-        row_of[j] = i
+    row_of = rows_of_columns(matching)
     W = C[row_of] - C[row_of, range(K)][:, None]
     for k in range(K):
         W = np.minimum(W, W[:, k, None] + W[None, k, :])
     return W.diagonal().min()
+
+
+def exact_rotation_potentials(b, c, p, matching, slack):
+    """Potentials certifying, in exact arithmetic, that no cycle of columns
+    rotated along ``matching`` gains more than ``slack``, or None.
+
+    The graph is that of :func:`least_rotation_gain`, on the oracle's float
+    costs taken as exact rationals, with ``slack / K`` added to every edge:
+    a simple cycle has at most K edges, so one that gains more than
+    ``slack`` is a negative cycle.  Bellman-Ford from zero settles within K
+    rounds exactly when there is none, and then its distances d satisfy
+    d[j2] <= d[j] + weight(j, j2) on every edge, which bounds every cycle.
+    No rounding enters, so near-ties cannot compound as they do in floats.
+    """
+    C = [[Fraction(x) for x in row] for row in oracle_costs(b, c, p)]
+    K = len(matching)
+    row_of = rows_of_columns(matching)
+    step = Fraction(slack) / K
+    W = [[C[row_of[j]][j2] - C[row_of[j]][j] + step for j2 in range(K)] for j in range(K)]
+    d = [Fraction(0)] * K
+    for _ in range(K + 1):
+        settled = True
+        for j in range(K):
+            for j2, w in enumerate(W[j]):
+                if d[j] + w < d[j2]:
+                    d[j2] = d[j] + w
+                    settled = False
+        if settled:
+            assert all(d[j] + w >= d[j2] for j in range(K) for j2, w in enumerate(W[j]))
+            return d
+    return None
 
 
 def test_wasserstein_matching_has_no_cheaper_rotation():
@@ -629,6 +671,35 @@ def test_wasserstein_matching_has_no_cheaper_rotation():
             assert least_rotation_gain(b, c, 1, r.matching) == 0.0
             r = wasserstein(b, c, 2.5)
             assert least_rotation_gain(b, c, 2.5, r.matching) >= -1e-9 * r.value ** 2.5
+
+
+def test_exact_certificate_on_rounding_size_near_ties():
+    # bars (x, 0) against bars (0, y) cost x**2.5 + y**2.5, so every
+    # bijection costs the same but for rounding.  At 60 bars a side the float
+    # Floyd-Warshall of least_rotation_gain compounds rounding-size cycles
+    # far past its tolerance; the exact certificate, with that tolerance as
+    # slack, vouches for the solver's matching
+    rng = SplitMix64(163)
+    K = 60
+    b = Barcode([(rng.below(1 << 20) / 7.0, 0.0) for _ in range(K)], dim=2)
+    c = Barcode([(0.0, rng.below(1 << 20) / 7.0) for _ in range(K)], dim=2)
+    r = wasserstein(b, c, 2.5)
+    assert sorted(j for _, j in r.matching) == list(range(K))
+    tol = 1e-9 * r.value ** 2.5
+    assert least_rotation_gain(b, c, 2.5, r.matching) < -tol
+    assert exact_rotation_potentials(b, c, 2.5, r.matching, tol) is not None
+    # and it refuses a matching that a swap makes cheaper by more than the
+    # slack: swapping back the rows of two columns gains what swapping cost
+    b = random_barcode(rng, 12, 1000)
+    c = random_barcode(rng, 12, 1000)
+    r = wasserstein(b, c, 2.5)
+    tol = 1e-9 * r.value ** 2.5
+    assert exact_rotation_potentials(b, c, 2.5, r.matching, tol) is not None
+    (i0, j0), (i1, j1) = r.matching[:2]
+    swapped = ((i0, j1), (i1, j0)) + r.matching[2:]
+    C = oracle_costs(b, c, 2.5)
+    assert C[i0][j1] + C[i1][j0] - C[i0][j0] - C[i1][j1] > tol
+    assert exact_rotation_potentials(b, c, 2.5, swapped, tol) is None
 
 
 def test_wasserstein_with_overflowing_costs():
