@@ -198,17 +198,21 @@ class Presentation(_Frozen):
 
     Rows of ``rels`` are the generators, columns the relations; the
     presented module is the cokernel.  A free module is a presentation
-    with no relation columns.
+    with no relation columns, over ``field`` (2 when None).  With ``rels``
+    given, a ``field`` or ``dim`` that disagrees with it raises.
     """
 
     __slots__ = ("rels",)
 
-    def __init__(self, gens, rels: GradedMatrix | None = None, field=2, dim=None):
+    def __init__(self, gens, rels: GradedMatrix | None = None, field=None, dim=None):
         if rels is None:
-            rels = GradedMatrix(tuple(gens), (), {}, field=field, dim=dim)
+            rels = GradedMatrix(tuple(gens), (), {}, field=2 if field is None else field, dim=dim)
         else:
             if tuple(as_grade(g) for g in gens) != rels.row_grades:
                 raise ValueError("generator grades disagree with relation row grades")
+            if field not in (None, rels.field):
+                raise ValueError("field %r disagrees with the relations' field %d" % (field, rels.field))
+            _merge_dims(dim, rels.dim)
         _require_valid(rels)
         self._freeze(rels)
 
@@ -275,8 +279,8 @@ def direct_sum(*presentations: Presentation) -> Presentation:
         off = len(gens)
         gens += pr.gens
         col_grades += pr.rels.col_grades
-        cols += ([(off + i, v) for i, v in _items(col)] for col in pr.rels.cols)
-    m = GradedMatrix._trusted_pairs(tuple(gens), tuple(col_grades), cols, field, dim)
+        cols += (_shift(col, off, field) for col in pr.rels.cols)
+    m = GradedMatrix._trusted(tuple(gens), tuple(col_grades), tuple(cols), field, dim)
     return Presentation._trusted(m)
 
 
@@ -286,17 +290,13 @@ def direct_sum(*presentations: Presentation) -> Presentation:
 # ``bit_length() - 1``; over an odd prime it is a dict row -> coeff.  The
 # field fixes the encoding, and only this module packs, adds or reduces
 # columns.  A ``GradedMatrix`` keeps its columns packed, so stages read
-# ``m.cols`` and freeze the columns they compute; ``_unit`` and ``_column``
-# build one, ``_addmul`` combines two, ``_lead`` finds its largest row,
-# ``_items`` unpacks one (``_sorted_items`` by row, for output) and
-# ``_renumber``, the one row map, renumbers many.
+# ``m.cols`` and freeze the columns they compute; ``_column`` builds one,
+# ``_shift`` moves one up (and stacks it over a label row), ``_addmul``
+# combines two, ``_lead`` finds its largest row, ``_items`` unpacks one
+# (``_sorted_items`` by row, for output) and ``_renumber``, the one row
+# map, renumbers many.
 # Beyond these helpers, ``_Reducer`` and the fused pass of ``_chunk_reduce``
 # alone test the field.
-
-
-def _unit(k: int, p: int):
-    """The column with a single 1 in row ``k``."""
-    return 1 << k if p == 2 else {k: 1}
 
 
 def _addmul(dst, src, a: int, p: int):
@@ -322,6 +322,16 @@ def _column(items, p: int):
     for r, _ in items:
         col |= 1 << r
     return col
+
+
+def _shift(col, n: int, p: int, label=None):
+    """``col`` moved up ``n`` rows, over a 1 in row ``label`` when given."""
+    if p == 2:
+        return col << n | (0 if label is None else 1 << label)
+    out = {r + n: v for r, v in col.items()}
+    if label is not None:
+        out[label] = 1
+    return out
 
 
 def _lead(col) -> int:
@@ -368,13 +378,12 @@ class _Reducer:
     """Column echelon form over F_p, the one elimination loop here.
 
     A column is reduced while its largest row is the pivot of a stored
-    column; a tracked combination ``comb`` (a column over the labels the
-    caller gave the inserted columns), when given, undergoes the same
-    operations.  Stored pivot columns are monic: ``insert`` scales a new
-    pivot column and its combination so the pivot coefficient is 1, and
-    returns them scaled.  Columns and combinations are encoded by the
-    field (see above).  Over F_2 a step is ``col ^= pivot`` and the
-    largest row is ``col.bit_length() - 1``.  Over an odd prime a step
+    column and not one of the ``low`` label rows at the bottom.  A caller
+    tracking combinations stacks each column over a 1 on its own label row
+    (``_shift``); the steps carry the labels, so a column left zero from
+    ``low`` up is, in its labels, a combination of inserted columns.
+    Stored pivot columns are monic.  Columns are encoded by the field (see
+    above).  Over F_2 a step is ``col ^= pivot``; over an odd prime it
     adds ``p - c`` times the monic pivot column, where ``c`` is the
     coefficient of the largest row, so it takes no inverse.  Both give the
     same pivots, so the same reduced columns.
@@ -384,26 +393,25 @@ class _Reducer:
     the pivots of columns with smaller keys.  On reaching a pivot held by a
     larger key it takes that pivot, made monic, and the displaced column
     goes on in its place: the step is the same, only the column that holds
-    the pivot changes.  So each stored column is its own inserted column
-    plus columns of smaller keys, as if all had gone in in key order, and
-    the column left at the end may be another than the one inserted.
+    the pivot changes.  So each stored column, labels too, is its own
+    inserted column plus columns of smaller keys, as if all had gone in in
+    key order, and the column left may be another than the one inserted.
     """
 
-    __slots__ = ("p", "pivots", "combs", "keys")
+    __slots__ = ("p", "low", "pivots", "keys")
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, low: int = 0):
         self.p = p
+        self.low = low  # the number of label rows
         self.pivots: dict = {}  # largest row -> stored column
-        self.combs: dict = {}  # largest row -> its tracked combination
         self.keys: dict = {}  # largest row -> the key of its column
 
-    def reduce(self, col, comb=None, key=None) -> tuple:
-        """``(col, comb, key)`` of the column left: col zero, or with a
+    def reduce(self, col, key=None) -> tuple:
+        """``(col, key)`` of the column left: zero from ``low`` up, or with a
         non-pivot largest row.  Only a keyed column displaces stored ones."""
-        pivots, combs = self.pivots, self.combs
+        pivots, low = self.pivots, self.low
         if self.p == 2:
-            while col:
-                r = col.bit_length() - 1
+            while (r := col.bit_length() - 1) >= low:
                 piv = pivots.get(r)
                 if piv is None:
                     break
@@ -411,53 +419,36 @@ class _Reducer:
                     # this column takes the pivot; the step below leaves the displaced one
                     keys = self.keys
                     pivots[r], keys[r], key = col, key, keys[r]
-                    if comb is not None:
-                        combs[r], comb = comb, combs[r]
                 col ^= piv
-                if comb is not None:
-                    comb ^= combs[r]
-            return col, comb, key
+            return col, key
         p = self.p
         cur = dict(col)
-        while cur:
-            r = max(cur)
+        while cur and (r := max(cur)) >= low:
             piv = pivots.get(r)
             if piv is None:
                 break
             if key is not None and self.keys[r] > key:
                 # this column takes the pivot, made monic; the displaced one steps on
-                keys, inv = self.keys, _inv(cur[r], p)
-                pivots[r], cur = _addmul({}, cur, inv, p), dict(piv)
-                if comb is not None:
-                    combs[r], comb = _addmul({}, comb, inv, p), dict(combs[r])
+                keys = self.keys
+                pivots[r], cur = _addmul({}, cur, _inv(cur[r], p), p), dict(piv)
                 keys[r], key = key, keys[r]
                 piv = pivots[r]
-            f = p - cur[r]
-            _addmul(cur, piv, f, p)
-            if comb is not None:
-                _addmul(comb, combs[r], f, p)
-        return cur, comb, key
+            _addmul(cur, piv, p - cur[r], p)
+        return cur, key
 
-    def insert(self, col, comb=None, key=None) -> tuple:
+    def insert(self, col, key=None):
         """Reduce ``col`` and keep the column left, made monic, as a pivot
-        column unless it is zero; returns that column, combination and key
-        as kept."""
-        col, comb, key = self.reduce(col, comb, key)
-        if col:
-            p = self.p
-            if p == 2:
-                r = col.bit_length() - 1
-            else:
-                r = max(col)
-                inv = _inv(col[r], p)
-                col = _addmul({}, col, inv, p)
-                if comb is not None:
-                    comb = _addmul({}, comb, inv, p)
-            self.pivots[r] = col
-            self.combs[r] = comb
-            if key is not None:
-                self.keys[r] = key
-        return col, comb, key
+        column unless it is zero from ``low`` up; returns None when it kept
+        one, and otherwise ``(col, key)`` of the column left."""
+        col, key = self.reduce(col, key)
+        p = self.p
+        r = col.bit_length() - 1 if p == 2 else max(col, default=-1)
+        if r < self.low:
+            return col, key
+        if p != 2:
+            col = _addmul({}, col, _inv(col[r], p), p)
+        self.pivots[r], self.keys[r] = col, key
+        return None
 
     def clear(self, cols) -> list:
         """Each of ``cols`` plus the multiples of stored columns that leave
@@ -616,15 +607,15 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
     *dependent*: it lies in the span of the columns before it at or below
     its grade.
 
-    With ``track`` (one or two parameters) each column tracks its
-    combination, its own index plus columns of smaller keys, so the
-    combinations of the zero columns are independent, and after row ``j``
-    those of x index at most ``i`` span the fiber kernel at ``(i, j)``.
-    The minimal generators born at ``(i, j)`` are then the combinations of
-    the columns of x index ``i`` that turn zero in row ``j``, scaled to 1
-    on their own column.  A dependent column is one of these, at its own
-    grade: the kernel is that of the other columns plus one free generator
-    for each.
+    With ``track`` (one or two parameters) column ``k`` goes in over label
+    row ``k`` (see :class:`_Reducer`), so its labels are its combination:
+    its own index plus columns of smaller keys.  The labels of the zero
+    columns are then independent, and after row ``j`` those of x index at
+    most ``i`` span the fiber kernel at ``(i, j)``.  The minimal generators
+    born at ``(i, j)`` are the labels of the columns of x index ``i`` that
+    turn zero in row ``j``, scaled to 1 on their own column.  A dependent
+    column is one of these, at its own grade: the kernel is that of the
+    other columns plus one free generator for each.
 
     With ``verify``, :class:`KernelCheckError` is raised unless each
     generator is nonzero, has the join of its columns' grades, sends the
@@ -651,17 +642,19 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
         by_y[cy[k]].append(k)
     chain = len(grades[0]) < 3  # where cy[k] <= j is leq itself
     dep, gens = set(), []  # gens: (i, j, column that found it, vector)
-    red = _Reducer(p)
+    low = len(cols) if track else 0  # label rows
+    stacked = [_shift(col, low, p, k) for k, col in enumerate(cols)] if track else cols
+    red = _Reducer(p, low)
     for j, t in enumerate(rows):
         if chain:
             new = by_y[j]
         else:
-            red, new = _Reducer(p), [k for k in order if k not in dep and leq(grades[k][1:], t)]
-        zero = []  # (key, combination) of each column that turns zero in this row
+            red, new = _Reducer(p, low), [k for k in order if k not in dep and leq(grades[k][1:], t)]
+        zero = []  # (key, labels) of each column that turns zero in this row
         for k in new:
-            col, vec, n = red.insert(cols[k], _unit(k, p) if track else None, key[k])
-            if col:
+            if (left := red.insert(stacked[k], key[k])) is None:
                 continue
+            vec, n = left
             if n == key[k] and cy[k] == j:  # zero on entering its own row
                 dep.add(k)
             if track:
@@ -685,7 +678,7 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
                 fault = "is not the join of the grades of its columns"
             elif image:
                 fault = "does not send the columns to zero"
-            elif not indep.insert(vec)[0]:
+            elif indep.insert(vec) is not None:
                 fault = "depends linearly on the generators before it"
             else:
                 continue
@@ -703,7 +696,7 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
             for j in range(ny):
                 got += born[j]
                 for k in by_y[j]:
-                    if cx[k] <= i and not rank.insert(cols[k])[0]:
+                    if cx[k] <= i and rank.insert(cols[k]) is not None:
                         corank += 1
                 if got != corank:
                     raise KernelCheckError(
@@ -866,15 +859,19 @@ def homology_presentation(chain: ChainPair) -> Presentation:
 def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Presentation:
     """:func:`homology_presentation` of maps known to form a :class:`ChainPair`.
 
+    Kernel generator ``k`` goes into one reducer over label row ``k`` (see
+    :class:`_Reducer`); a column of ``f``, moved up past the labels, is in
+    their span when left with labels only, minus its coefficients.
     ``cells``, when given, is the pair of tuples naming the input cell of
     each column of ``g`` and of ``f``; errors then name those cells rather
     than column indices.
     """
     p = g.field
     gen_grades, gens = _kernel_basis(g)
-    span = _Reducer(p)  # reduce copies a column, so gens go in as they are
+    low = len(gens)  # generator k goes in over label row k
+    span = _Reducer(p, low)
     for k, col in enumerate(gens):
-        if not span.insert(col, _unit(k, p))[0]:
+        if span.insert(_shift(col, low, p, k)) is not None:
             support = ""
             if cells is not None:
                 support = ", a cycle on cells %s," % ", ".join(
@@ -886,14 +883,14 @@ def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Pres
             )
     cols = []
     for j, (col, cgrade) in enumerate(zip(f.cols, f.col_grades)):
-        cur, comb, _ = span.reduce(col, _column((), p))
-        if cur or not all(leq(gen_grades[k], cgrade) for k, _ in _items(comb)):
+        cur = span.reduce(_shift(col, low, p))[0]
+        if not all(k < low and leq(gen_grades[k], cgrade) for k, _ in _items(cur)):
             what = "column %d of f" % j if cells is None else "the boundary of cell %d" % cells[1][j]
             raise RuntimeError(
                 "homology_presentation: %s (grade %r) is not in "
                 "the kernel of g at its grade" % (what, cgrade)
             )
-        # the reduction subtracted sum(x_k * generator k) from the column
-        cols.append(_addmul(_column((), p), comb, p - 1, p))
+        # the reduction subtracted sum(x_k * generator k), leaving -x_k on label k
+        cols.append(_addmul(_column((), p), cur, p - 1, p))
     dim = _merge_dims(g.dim, f.dim if f.col_grades else None)
     return Presentation._trusted(GradedMatrix._trusted(gen_grades, f.col_grades, tuple(cols), p, dim))

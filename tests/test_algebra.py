@@ -7,6 +7,7 @@ import pytest
 
 from msb import (
     ChainPair,
+    DimensionMismatch,
     GradedMatrix,
     GradedValidityError,
     KernelCheckError,
@@ -42,6 +43,14 @@ def grid_points(pres, grid=8):
         xs.add(g[0])
         ys.add(g[1])
     return [(x, y) for x in sorted(xs) for y in sorted(ys)]
+
+
+def shuffled(rng, xs):
+    xs = list(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        k = rng.below(i + 1)
+        xs[i], xs[k] = xs[k], xs[i]
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +142,6 @@ def test_renumber_against_a_round_trip_through_pairs():
         pairs = ([(at[r], v) for r, v in algebra._items(col) if r in at] for col in cols)
         return tuple(algebra._column(c, p) for c in pairs)
 
-    def shuffled(rng, xs):
-        xs = list(xs)
-        for i in range(len(xs) - 1, 0, -1):
-            k = rng.below(i + 1)
-            xs[i], xs[k] = xs[k], xs[i]
-        return xs
-
     rng = SplitMix64(67)
     for p in (2, 3, 5):
         assert algebra._renumber([], [2, 0, 1], p) == ()
@@ -161,6 +163,79 @@ def test_renumber_against_a_round_trip_through_pairs():
             for rows in maps:
                 assert algebra._renumber(cols, rows, p) == reference(cols, rows, p)
             assert cols == before  # the input columns are left as they were
+
+
+def test_presentation_refuses_a_field_or_dim_its_relations_disagree_with():
+    m = GradedMatrix([(0.0, 0.0)], [(1.0, 1.0)], {(0, 0): 1})
+    with pytest.raises(ValueError, match=r"^field 3 disagrees with the relations' field 2$"):
+        Presentation([(0.0, 0.0)], m, field=3)
+    with pytest.raises(DimensionMismatch, match=r"^grade dimensions differ: 3 vs 2$"):
+        Presentation([(0.0, 0.0)], m, dim=3)
+    # agreeing values, and none, are taken; with no relations the field defaults to 2
+    assert Presentation([(0.0, 0.0)], m, field=2, dim=2) == Presentation([(0.0, 0.0)], m)
+    assert Presentation([(0.0, 0.0)]).field == 2 and Presentation([(0.0, 0.0)], field=5).field == 5
+
+
+def _combine(coeffs, cols, n, p):
+    """``sum(c * cols[k])`` over the ``(k, c)`` pairs ``coeffs``, for dict
+    columns ``cols``, as a dense list of length ``n``."""
+    out = [0] * n
+    for k, c in coeffs:
+        for r, v in cols[k].items():
+            out[r] = (out[r] + c * v) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reducer_label_rows_hold_the_combinations(p):
+    # each column goes in stacked over a 1 on its own label row; the labels
+    # of every column insert does not keep combine the inserted columns to
+    # zero, reduce leaves a column of the span with labels that rebuild it,
+    # and every stored column's labels rebuild its matrix rows.  With keys,
+    # a stored column's labels are its own plus labels of smaller keys.
+    rng = SplitMix64(71 + p)
+    for trial in range(120):
+        # past 64 rows a packed F_2 column spans words; few rows leave many columns dependent
+        n, m = 1 + rng.below(70 if trial % 3 else 8), rng.below(14)
+        density = 1 + rng.below(4)
+        sparse = [
+            {r: 1 + rng.below(p - 1) for r in range(n) if rng.below(density) == 0} for _ in range(m)
+        ]
+        keys = shuffled(rng, range(m)) if trial % 2 else [None] * m
+        red = algebra._Reducer(p, m)
+        left = 0
+        for k, col in enumerate(sparse):
+            out = red.insert(algebra._shift(algebra._column(col.items(), p), m, p, k), keys[k])
+            if out is None:
+                continue
+            left += 1
+            vec, key = out
+            labels = list(algebra._items(vec))
+            assert labels and all(r < m for r, _ in labels)
+            assert _combine(labels, sparse, n, p) == [0] * n
+            if key is not None:  # the column left is the one of the largest key among its labels
+                assert key == max(keys[r] for r, _ in labels)
+        assert left == m - dense_rank(sparse, n, p)
+        for r, stored in red.pivots.items():
+            assert r >= m and algebra._lead(stored) == r and dict(algebra._items(stored))[r] == 1
+            labels = [(k, v) for k, v in algebra._items(stored) if k < m]
+            rows = {k - m: v for k, v in algebra._items(stored) if k >= m}
+            assert _combine(labels, sparse, n, p) == _combine([(0, 1)], [rows], n, p)
+            if keys[0] is not None:
+                own = red.keys[r]
+                assert own in [keys[k] for k, _ in labels]
+                assert all(keys[k] <= own for k, _ in labels)
+        for _ in range(4):
+            target = _combine([(k, rng.below(p)) for k in range(m)], sparse, n, p)
+            packed = algebra._column([(r, v) for r, v in enumerate(target) if v], p)
+            cur, _ = red.reduce(algebra._shift(packed, m, p))
+            labels = list(algebra._items(cur))
+            assert all(r < m for r, _ in labels)
+            assert _combine([(k, p - v) for k, v in labels], sparse, n, p) == target
+        extra = {r: 1 for r in range(n) if rng.below(2)}
+        cur, _ = red.reduce(algebra._shift(algebra._column(extra.items(), p), m, p))
+        outside = dense_rank(sparse + [extra], n, p) > dense_rank(sparse, n, p)
+        assert any(r >= m for r, _ in algebra._items(cur)) == outside
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +501,11 @@ def test_kernel_check_catches_a_dropped_vector(monkeypatch):
     good, _ = kernel_basis(m)
 
     class Lossy(algebra._Reducer):
-        def insert(self, col, comb=None, key=None):
-            col, comb, key = super().insert(col, comb, key)
-            if comb is not None and not col:  # only the sweep tracks combinations
-                col = 1
-            return col, comb, key
+        def insert(self, col, key=None):
+            left = super().insert(col, key)
+            if self.low and left is not None:  # only the sweep tracks combinations
+                left = None
+            return left
 
     monkeypatch.setattr(algebra, "_Reducer", Lossy)
     with pytest.raises(
@@ -464,12 +539,12 @@ def test_kernel_check_certifies_each_vector(monkeypatch, fault):
         }[fault]
 
     class Faulty(algebra._Reducer):
-        def insert(self, col, comb=None, key=None):
-            col, comb, key = super().insert(col, comb, key)
-            if comb is not None and not col:  # a kernel vector the sweep hands on
-                handed.append(comb)
-                comb = mutant(comb)
-            return col, comb, key
+        def insert(self, col, key=None):
+            left = super().insert(col, key)
+            if self.low and left is not None:  # a kernel vector the sweep hands on
+                handed.append(left[0])
+                left = mutant(left[0]), left[1]
+            return left
 
     message = {
         "zero": r"\(1\.0, 1\.0\) is zero",
@@ -602,10 +677,10 @@ def test_sweep_enters_a_dependent_column_once(monkeypatch):
     keys = []
 
     class Counting(algebra._Reducer):
-        def insert(self, col, comb=None, key=None):
+        def insert(self, col, key=None):
             if key is not None:  # the rank-only reducers of the check take no key
                 keys.append(key)
-            return super().insert(col, comb, key)
+            return super().insert(col, key)
 
     monkeypatch.setattr(algebra, "_Reducer", Counting)
     # with no rows every column is zero, so each is dependent in its own row

@@ -593,7 +593,7 @@ def test_column_arithmetic_lives_in_algebra_only():
     # other module names its column helpers, io.py neither shifts nor XORs,
     # and matching.py and grades.py, which io.py imports through algebra.py,
     # do not import io.py
-    helpers = {"_addmul", "_column", "_items", "_lead", "_renumber", "_unit",
+    helpers = {"_addmul", "_column", "_items", "_lead", "_renumber", "_shift",
                "_packed_columns", "_Reducer", "_local_pairs"}
     src = PYPROJECT.parent / "src" / "msb"
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
