@@ -11,14 +11,16 @@ The minimal Hilbert decomposition of a finitely presented module over
 one or two parameters is computed from a minimal presentation plus, in
 the two-parameter case, the kernel of its relation matrix (the module
 of second syzygies, which is free).  Kernel output is never trusted
-blindly: each kernel vector is checked, and so is an exhaustive
-pointwise rank count over the grid of column grade coordinates, or the
-computation aborts.
+blindly: each kernel vector is checked, and so is the number of
+generators at every point of the grid of column grade coordinates,
+against a rank count made in one pass of its own, or the computation
+aborts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from operator import index, le
 
 from .grades import (
@@ -199,7 +201,8 @@ class Presentation(_Frozen):
     Rows of ``rels`` are the generators, columns the relations; the
     presented module is the cokernel.  A free module is a presentation
     with no relation columns, over ``field`` (2 when None).  With ``rels``
-    given, a ``field`` or ``dim`` that disagrees with it raises.
+    given, a ``field`` or ``dim`` that disagrees with it raises, and a
+    ``dim`` given with relations of unknown dimension is taken.
     """
 
     __slots__ = ("rels",)
@@ -212,7 +215,8 @@ class Presentation(_Frozen):
                 raise ValueError("generator grades disagree with relation row grades")
             if field not in (None, rels.field):
                 raise ValueError("field %r disagrees with the relations' field %d" % (field, rels.field))
-            _merge_dims(dim, rels.dim)
+            if _merge_dims(dim, rels.dim) != rels.dim:
+                rels = GradedMatrix._trusted(rels.row_grades, rels.col_grades, rels.cols, rels.field, dim)
         _require_valid(rels)
         self._freeze(rels)
 
@@ -621,12 +625,17 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
     generator is nonzero, has the join of its columns' grades, sends the
     columns to zero and is independent of those before it (in one fresh
     rank-only reducer), and at every grid point the generators born at or
-    below it number the corank of its fiber.  That count shares no reducer
-    with the sweep: per x index, columns go in row order into a rank-only
-    reducer that persists up that column of grid points, and the counts are
-    prefix sums of births.  Returns the dependent columns and the
-    generators as ``(grade, column that found it, vector over column
-    indices)`` in discovery order: by row, then by key.
+    below it number the corank of its fiber.  That count shares no state
+    with the sweep and runs transposed to it: one rank-only reducer takes
+    the columns x index by x index, each once, keyed by row then index.  By
+    the displacement, after x index ``i`` the pivots held by columns of rows
+    up to ``j`` span the columns at or below ``(i, j)``, so the corank there
+    is the number of those columns that hold none (the rows must be a
+    chain, as they are wherever ``verify`` runs).  Per row, the generators
+    born and the columns left are counted; the two lists are equal exactly
+    when every grid point's prefix sums agree.  Returns the dependent
+    columns and the generators as ``(grade, column that found it, vector
+    over column indices)`` in discovery order: by row, then by key.
     """
     if not cols:
         return set(), []
@@ -634,7 +643,7 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
     rows = sorted({g[1:] for g in grades})
     ix, iy = {v: i for i, v in enumerate(xs)}, {t: j for j, t in enumerate(rows)}
     cx, cy = [ix[g[0]] for g in grades], [iy[g[1:]] for g in grades]
-    nx, ny = len(xs), len(rows)
+    ny = len(rows)
     order = sorted(range(len(cols)), key=cx.__getitem__)  # key -> column; sorted() is stable
     key, by_y = [0] * len(cols), [[] for _ in rows]
     for n, k in enumerate(order):
@@ -688,22 +697,21 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
         at_x = [[] for _ in xs]  # at_x[i]: the row index of each generator at x index i
         for i, j, _, _ in gens:
             at_x[i].append(j)
-        born = [0] * ny  # born[j]: generators at row index j, x index <= i
-        for i in range(nx):
+        C, rank = len(cols), _Reducer(p)
+        born, free = [0] * ny, [0] * ny  # per row index, at x index <= i
+        for i, at_i in groupby(order, cx.__getitem__):  # every x index has a column
             for j in at_x[i]:
                 born[j] += 1
-            rank, got, corank = _Reducer(p), 0, 0
-            for j in range(ny):
-                got += born[j]
-                for k in by_y[j]:
-                    if cx[k] <= i and rank.insert(cols[k]) is not None:
-                        corank += 1
-                if got != corank:
-                    raise KernelCheckError(
-                        "kernel_basis: kernel rank check failed at grade %r: "
-                        "%d generators born, fiber kernel has dimension %d"
-                        % ((xs[i],) + rows[j], got, corank)
-                    )
+            for k in at_i:
+                if (left := rank.insert(cols[k], cy[k] * C + k)) is not None:
+                    free[left[1] // C] += 1
+            if born != free:
+                j = next(j for j in range(ny) if born[j] != free[j])
+                raise KernelCheckError(
+                    "kernel_basis: kernel rank check failed at grade %r: "
+                    "%d generators born, fiber kernel has dimension %d"
+                    % ((xs[i],) + rows[j], sum(born[: j + 1]), sum(free[: j + 1]))
+                )
     return dep, [((xs[i],) + rows[j], k, vec) for i, j, k, vec in gens]
 
 

@@ -176,6 +176,21 @@ def test_presentation_refuses_a_field_or_dim_its_relations_disagree_with():
     assert Presentation([(0.0, 0.0)]).field == 2 and Presentation([(0.0, 0.0)], field=5).field == 5
 
 
+def test_presentation_takes_a_dim_its_empty_relations_lack():
+    # a matrix with neither rows nor columns may have no dimension; a given
+    # dim is then taken, as it is with no relations at all
+    empty = GradedMatrix((), (), {}, field=3)
+    assert empty.dim is None
+    pres = Presentation((), empty, dim=3)
+    assert (pres.dim, pres.rels.dim, pres.field) == (3, 3, 3)
+    assert pres == Presentation((), field=3, dim=3) and pres.dim == Presentation((), dim=3).dim
+    assert Presentation((), empty).dim is None
+    with pytest.raises(DimensionMismatch, match=r"^grade dimensions differ: 2 vs 3$"):
+        Presentation((), GradedMatrix((), (), {}, dim=3), dim=2)
+    with pytest.raises(ValueError, match=r"^grade dimension must be a positive integer, got 0$"):
+        Presentation((), empty, dim=0)
+
+
 def _combine(coeffs, cols, n, p):
     """``sum(c * cols[k])`` over the ``(k, c)`` pairs ``coeffs``, for dict
     columns ``cols``, as a dense list of length ``n``."""
@@ -493,7 +508,8 @@ def test_kernel_verify_flag_runs_clean():
 
 
 def test_kernel_check_catches_a_dropped_vector(monkeypatch):
-    # the exhaustive check shares no step with the sweep: when the reducer
+    # the exhaustive check shares no state with the sweep and runs in the
+    # transposed order (x outer, keys by row): when the sweep's reducer
     # reports a column left zero as one that took a pivot, the sweep drops
     # its vector, the unchecked kernel is wrong, and the checked one is
     # refused at the grade where the generator is missing
@@ -515,6 +531,51 @@ def test_kernel_check_catches_a_dropped_vector(monkeypatch):
         kernel_basis(m)
     bad, _ = kernel_basis(m, verify=False)
     assert bad != good
+
+
+def test_kernel_check_refuses_a_miscounted_rank(monkeypatch):
+    # the sweep is left alone and only the check's reducer (keyed, no label
+    # rows) lies: it reports a column that took a pivot as one left zero, so
+    # the count finds a fiber kernel where the sweep rightly found none
+    m = GradedMatrix([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], {(0, 0): 1, (0, 1): 1})
+
+    class Miscounting(algebra._Reducer):
+        def insert(self, col, key=None):
+            left = super().insert(col, key)
+            if not self.low and key is not None and left is None:
+                left = algebra._column((), self.p), key
+            return left
+
+    monkeypatch.setattr(algebra, "_Reducer", Miscounting)
+    with pytest.raises(
+        KernelCheckError,
+        match=r"^kernel_basis: kernel rank check failed at grade \(0\.0, 1\.0\): "
+        r"0 generators born, fiber kernel has dimension 1$",
+    ):
+        kernel_basis(m)
+    assert kernel_basis(m, verify=False)[0].bars == ((1.0, 1.0),)
+
+
+def test_kernel_check_reports_the_prefix_counts(monkeypatch):
+    # with no rows every column is a generator at its own grade: two at
+    # (0, 0) and one at (0, 1).  The sweep drops the one at (0, 1), a row
+    # above the other two, and the message gives the counts of the rows up
+    # to it: 2 generators born against a fiber kernel of dimension 3
+    m = GradedMatrix([], [(0.0, 0.0), (0.0, 0.0), (0.0, 1.0)], {}, dim=2)
+
+    class Lossy(algebra._Reducer):
+        def insert(self, col, key=None):
+            left = super().insert(col, key)
+            return None if self.low and key == 2 else left
+
+    monkeypatch.setattr(algebra, "_Reducer", Lossy)
+    with pytest.raises(
+        KernelCheckError,
+        match=r"^kernel_basis: kernel rank check failed at grade \(0\.0, 1\.0\): "
+        r"2 generators born, fiber kernel has dimension 3$",
+    ):
+        kernel_basis(m)
+    assert kernel_basis(m, verify=False)[0].bars == ((0.0, 0.0), (0.0, 0.0))
 
 
 @pytest.mark.parametrize("fault", ["zero", "off the kernel", "duplicate", "lower"])
@@ -671,15 +732,18 @@ def test_sweep_enters_a_dependent_column_once(monkeypatch):
     # one reducer lasts the whole sweep and each grid row inserts only the
     # columns born in it, so every column goes in exactly once, under its
     # key; a sweep that starts afresh in each row enters a column again in
-    # every row above its own, about C * rows / 2 inserts in all
+    # every row above its own, about C * rows / 2 inserts in all.  The rank
+    # check's one keyed reducer (no label rows) takes each column once too,
+    # under key row * C + column, where one fresh reducer per x index
+    # entered a column again at every x index right of its own
     from test_cli import lower_star_square
 
-    keys = []
+    keys, checked = [], []
 
     class Counting(algebra._Reducer):
         def insert(self, col, key=None):
-            if key is not None:  # the rank-only reducers of the check take no key
-                keys.append(key)
+            if key is not None:  # the check of the vectors takes no key
+                (keys if self.low else checked).append(key)
             return super().insert(col, key)
 
     monkeypatch.setattr(algebra, "_Reducer", Counting)
@@ -689,12 +753,15 @@ def test_sweep_enters_a_dependent_column_once(monkeypatch):
     bars, _ = kernel_basis(m)
     assert bars.bars == tuple(sorted(m.col_grades))
     assert sorted(keys) == list(range(C))
+    assert sorted(key % C for key in checked) == list(range(C))
     # the chunked degree-1 boundary of a 14 x 14 grid at 1000 levels
     g = lower_star_square(7, 14, 1000)._chunked(1)[0]
     assert (g.num_cols, len({c[1] for c in g.col_grades})) == (140, 107)
     keys.clear()
+    checked.clear()
     kernel_basis(g)
     assert sorted(keys) == list(range(140))
+    assert sorted(key % 140 for key in checked) == list(range(140))
 
 
 def test_betti_agrees_with_minimizing_then_sweeping_the_kernel():
