@@ -11,10 +11,10 @@ The minimal Hilbert decomposition of a finitely presented module over
 one or two parameters is computed from a minimal presentation plus, in
 the two-parameter case, the kernel of its relation matrix (the module
 of second syzygies, which is free).  Kernel output is never trusted
-blindly: each kernel vector is checked, and so is the number of
-generators at every point of the grid of column grade coordinates,
-against a rank count made in one pass of its own, or the computation
-aborts.
+blindly: each kernel vector is checked where it leaves, and the number
+of generators at every point of the grid of column grade coordinates,
+which alone fixes the Betti grades, against a rank count made in one
+pass of its own, or the computation aborts.
 """
 
 from __future__ import annotations
@@ -611,31 +611,32 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
     *dependent*: it lies in the span of the columns before it at or below
     its grade.
 
-    With ``track`` (one or two parameters) column ``k`` goes in over label
-    row ``k`` (see :class:`_Reducer`), so its labels are its combination:
-    its own index plus columns of smaller keys.  The labels of the zero
-    columns are then independent, and after row ``j`` those of x index at
-    most ``i`` span the fiber kernel at ``(i, j)``.  The minimal generators
-    born at ``(i, j)`` are the labels of the columns of x index ``i`` that
-    turn zero in row ``j``, scaled to 1 on their own column.  A dependent
-    column is one of these, at its own grade: the kernel is that of the
-    other columns plus one free generator for each.
+    In one and two parameters each column that turns zero is an *event*:
+    its grade, the column that found it and the column left.  With
+    ``track`` column ``k`` goes in over label row ``k`` (see
+    :class:`_Reducer`), so the labels of the column left are its
+    combination: its own index plus columns of smaller keys.  Label rows
+    never steer a pivot, so the events are the same either way.  These
+    combinations are independent, and after row ``j`` those of x index at
+    most ``i`` span the fiber kernel at ``(i, j)``: the minimal generators
+    born at ``(i, j)`` are those of the columns of x index ``i`` that turn
+    zero in row ``j``.  A dependent column is one of them, at its own grade:
+    the kernel is that of the other columns plus one free generator for
+    each.  :func:`_kernel_basis` scales and checks the combinations.
 
-    With ``verify``, :class:`KernelCheckError` is raised unless each
-    generator is nonzero, has the join of its columns' grades, sends the
-    columns to zero and is independent of those before it (in one fresh
-    rank-only reducer), and at every grid point the generators born at or
-    below it number the corank of its fiber.  That count shares no state
-    with the sweep and runs transposed to it: one rank-only reducer takes
-    the columns x index by x index, each once, keyed by row then index.  By
-    the displacement, after x index ``i`` the pivots held by columns of rows
-    up to ``j`` span the columns at or below ``(i, j)``, so the corank there
-    is the number of those columns that hold none (the rows must be a
-    chain, as they are wherever ``verify`` runs).  Per row, the generators
-    born and the columns left are counted; the two lists are equal exactly
-    when every grid point's prefix sums agree.  Returns the dependent
-    columns and the generators as ``(grade, column that found it, vector
-    over column indices)`` in discovery order: by row, then by key.
+    With ``verify``, :class:`KernelCheckError` is raised unless at every
+    grid point the events at or below it number the corank of its fiber;
+    the kernel is free, so that fixes the multiset of the event grades.
+    The count shares no state with the sweep and runs transposed to it:
+    one rank-only reducer takes the columns x index by x index, each once,
+    keyed by row then index.  By the displacement, after x index ``i`` the
+    pivots held by columns of rows up to ``j`` span the columns at or below
+    ``(i, j)``, so the corank there is the number of those columns that
+    hold none (the rows must be a chain, as they are wherever ``verify``
+    runs).  Per row, the events and the columns left are counted; the two
+    lists are equal exactly when every grid point's prefix sums agree.
+    Returns the dependent columns and the events as ``(grade, column that
+    found it, column left)`` in discovery order: by row, then by key.
     """
     if not cols:
         return set(), []
@@ -650,7 +651,7 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
         key[k] = n
         by_y[cy[k]].append(k)
     chain = len(grades[0]) < 3  # where cy[k] <= j is leq itself
-    dep, gens = set(), []  # gens: (i, j, column that found it, vector)
+    dep, gens = set(), []  # gens, the events: (i, j, column that found it, column left)
     low = len(cols) if track else 0  # label rows
     stacked = [_shift(col, low, p, k) for k, col in enumerate(cols)] if track else cols
     red = _Reducer(p, low)
@@ -659,41 +660,18 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
             new = by_y[j]
         else:
             red, new = _Reducer(p, low), [k for k in order if k not in dep and leq(grades[k][1:], t)]
-        zero = []  # (key, labels) of each column that turns zero in this row
         for k in new:
             if (left := red.insert(stacked[k], key[k])) is None:
                 continue
             vec, n = left
             if n == key[k] and cy[k] == j:  # zero on entering its own row
                 dep.add(k)
-            if track:
-                zero.append((n, vec))
-        zero.sort()
-        for n, vec in zero:
-            k = order[n]
-            if p != 2:
-                vec = _addmul({}, vec, _inv(vec[k], p), p)
-            gens.append((cx[k], j, k, vec))
+            if chain:
+                gens.append((j, n, vec))
+    gens.sort()  # by row, then by key; no two events share both
+    gens = [(cx[order[n]], j, order[n], vec) for j, n, vec in gens]
 
     if verify:
-        indep = _Reducer(p)
-        for i, j, _, vec in gens:
-            items, image = _items(vec), _column((), p)
-            for c, v in items:
-                image = _addmul(image, cols[c], v, p)
-            if not items:
-                fault = "is zero"
-            elif (max(cx[c] for c, _ in items), max(cy[c] for c, _ in items)) != (i, j):
-                fault = "is not the join of the grades of its columns"
-            elif image:
-                fault = "does not send the columns to zero"
-            elif indep.insert(vec) is not None:
-                fault = "depends linearly on the generators before it"
-            else:
-                continue
-            raise KernelCheckError(
-                "kernel_basis: generator born at grade %r %s" % ((xs[i],) + rows[j], fault)
-            )
         at_x = [[] for _ in xs]  # at_x[i]: the row index of each generator at x index i
         for i, j, _, _ in gens:
             at_x[i].append(j)
@@ -732,8 +710,9 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     return _minimize(pres, False)[0]
 
 
-def _minimize(pres: Presentation, track: bool) -> tuple:
-    """:func:`minimize_presentation`, with ``track`` its relations' kernel grades."""
+def _minimize(pres: Presentation, verify: bool) -> tuple:
+    """:func:`minimize_presentation`, and its relations' kernel grades (one
+    or two parameters), certified by the sweep's rank count with ``verify``."""
     p = pres.field
     gens, rels = pres.gens, pres.rels
     # sorted() is stable, so ties keep index order
@@ -743,7 +722,7 @@ def _minimize(pres: Presentation, track: bool) -> tuple:
     row_grades = [gens[i] for i in rows]
     col_grades = [rels.col_grades[j] for j in order]
     gone, live = _local_pairs(cols, row_grades, col_grades, p)
-    dep, found = _sweep(list(live.values()), [col_grades[j] for j in live], p, track, track)
+    dep, found = _sweep(list(live.values()), [col_grades[j] for j in live], p, False, verify)
     # rows and columns go back to input order
     kept = sorted((j for n, j in enumerate(live) if n not in dep), key=order.__getitem__)
     left = sorted((r for r in range(len(rows)) if r not in gone), key=rows.__getitem__)
@@ -773,11 +752,11 @@ def pointwise_dim(pres: Presentation, x) -> int:
 def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedMatrix]:
     """Minimal generators of the kernel of a graded matrix (n <= 2).
 
-    They are those the tracked :func:`_sweep` of ``m``'s columns finds.
-    Returns their grades and their inclusion matrix in ``m``'s column
-    basis, in discovery order; the grades are the minimal ones, the
+    They are the combinations of the tracked :func:`_sweep` of ``m``'s
+    columns.  Returns their grades and their inclusion matrix in ``m``'s
+    column basis, in discovery order; the grades are the minimal ones, the
     generators one generating set of many.  With ``verify`` (default) the
-    sweep's checks run, raising :class:`KernelCheckError`.
+    vectors and the sweep's rank count are checked (:class:`KernelCheckError`).
     """
     _require_valid(m)
     grades, cols = _kernel_basis(m, verify)
@@ -786,16 +765,37 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
 
 
 def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[tuple, list]:
-    """The kernel generators of :func:`kernel_basis` for a matrix its caller
-    knows to be grade-valid: their grades and their packed columns over
-    ``m``'s column indices, in discovery order."""
-    n = m.dim
+    """:func:`kernel_basis` of an ``m`` its caller knows to be grade-valid:
+    the grades and the packed columns over ``m``'s column indices, in
+    discovery order, each 1 on the column that found it.  With ``verify``
+    each is checked where it leaves: nonzero, at the join of its columns'
+    grades, sending the columns to zero and independent of those before it."""
+    n, p = m.dim, m.field
     if n is not None and n > 2:
         raise UnsupportedDimension(
             "kernel computation supports 1 or 2 parameters, got %d" % n
         )
-    _, gens = _sweep(m.cols, m.col_grades, m.field, True, verify)
-    return tuple(g for g, _, _ in gens), [vec for _, _, vec in gens]
+    found = _sweep(m.cols, m.col_grades, p, True, verify)[1]
+    grades = tuple(g for g, _, _ in found)
+    vecs = [vec if p == 2 else _addmul({}, vec, _inv(vec.get(k, 0), p), p) for _, k, vec in found]
+    if verify:
+        indep = _Reducer(p)  # rank only
+        for g, vec in zip(grades, vecs):
+            items, image = _items(vec), _column((), p)
+            for c, v in items:
+                image = _addmul(image, m.cols[c], v, p)
+            if not items:
+                fault = "is zero"
+            elif tuple(map(max, zip(*[m.col_grades[c] for c, _ in items]))) != g:
+                fault = "is not the join of the grades of its columns"
+            elif image:
+                fault = "does not send the columns to zero"
+            elif indep.insert(vec) is not None:
+                fault = "depends linearly on the generators before it"
+            else:
+                continue
+            raise KernelCheckError("kernel_basis: generator born at grade %r %s" % (g, fault))
+    return grades, vecs
 
 
 @dataclass(frozen=True)
@@ -811,9 +811,9 @@ def betti(pres: Presentation) -> BettiResult:
     :func:`_sweep` of :func:`_minimize`.
 
     Degrees 0 and 1 are the grades of the minimal presentation; degree 2
-    (two parameters only) those of its relations' kernel, the sweep's
-    checked generators but the dependent columns' own.  The signed barcode
-    is (even degrees, odd degrees).
+    (two parameters only) those of its relations' kernel: the untracked
+    sweep's events but the dependent columns' own, certified by its rank
+    count.  The signed barcode is (even degrees, odd degrees).
     """
     n = pres.dim or 1
     if n > 2:

@@ -442,6 +442,9 @@ class Bifiltration(_Frozen):
             return NotImplemented
         return self.cells == other.cells and self.field == other.field
 
+    def __hash__(self):
+        return hash((self.cells, self.field))
+
     def __repr__(self):
         return "Bifiltration(%d cells, F_%d)" % (len(self.cells), self.field)
 

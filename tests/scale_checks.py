@@ -66,8 +66,9 @@ def ingest(n: int = 40) -> None:
     ``bench/workloads.py`` (9283 cells at n = 40): round trip, H0 and H1 at
     the top grade by pointwise_dim and by the Hilbert function of the Betti
     barcodes, a malformed late token; time and peak RSS printed, with the
-    parse, chain_to_presentation and betti times per degree, and the time of
-    the kernel of the chunked degree-1 boundary with and without its
+    parse time, the chain_to_presentation, betti and minimize_presentation
+    times per degree (betti costs minimization plus the rank count), and the
+    time of the kernel of the chunked degree-1 boundary with and without its
     check."""
     bench = str(Path(__file__).resolve().parents[1] / "bench")
     if bench not in sys.path:
@@ -94,7 +95,13 @@ def ingest(n: int = 40) -> None:
         t3 = time.perf_counter()
         got = msb.hilbert_eval(res.signed, top)
         assert got == want, "the Betti barcodes give H%d dimension %d at the top grade" % (degree, got)
-        stages.append("degree %d: chain_to_presentation %.3f s, betti %.3f s" % (degree, t1 - t0, t3 - t2))
+        t4 = time.perf_counter()
+        msb.minimize_presentation(pres)
+        t5 = time.perf_counter()
+        stages.append(
+            "degree %d: chain_to_presentation %.3f s, betti %.3f s, minimize_presentation %.3f s"
+            % (degree, t1 - t0, t3 - t2, t5 - t4)
+        )
     bd = bif._chunked(1)[0]  # the degree-1 boundary that chain_to_presentation takes the kernel of
     kernel = []
     for verify in (False, True):

@@ -191,6 +191,41 @@ def test_presentation_takes_a_dim_its_empty_relations_lack():
         Presentation((), empty, dim=0)
 
 
+def test_constructors_refuse_what_does_not_fit():
+    # each refusal with its exact message
+    with pytest.raises(IndexError, match=r"^entry \(1, 0\) outside matrix shape$"):
+        GradedMatrix([(0.0, 0.0)], [(1.0, 1.0)], {(1, 0): 1})
+    with pytest.raises(IndexError, match=r"^entry \(0, 1\) outside matrix shape$"):
+        GradedMatrix([(0.0, 0.0)], [(1.0, 1.0)], {(0, 1): 1})
+    with pytest.raises(IndexError, match=r"^entry \(-1, 0\) outside matrix shape$"):
+        GradedMatrix([(0.0, 0.0)], [(1.0, 1.0)], {(-1, 0): 1})
+    m = GradedMatrix([(0.0, 0.0)], [(1.0, 1.0)], {(0, 0): 1})
+    with pytest.raises(ValueError, match=r"^generator grades disagree with relation row grades$"):
+        Presentation([(0.0, 1.0)], m)
+    with pytest.raises(ValueError, match=r"^generator grades disagree with relation row grades$"):
+        Presentation([(0.0, 0.0)] * 2, m)
+
+
+def test_products_and_sums_refuse_mismatched_operands():
+    f2 = GradedMatrix([(0.0, 0.0)], [(1.0, 1.0)], {(0, 0): 1})
+    f3 = GradedMatrix([(1.0, 1.0)], [(2.0, 2.0)], {(0, 0): 2}, field=3)
+    with pytest.raises(ValueError, match=r"^field mismatch in matrix product$"):
+        f2.matmul(GradedMatrix([(1.0, 1.0)], [(2.0, 2.0)], {(0, 0): 1}, field=3))
+    with pytest.raises(DimensionMismatch, match=r"^inner grades disagree in matrix product$"):
+        f2.matmul(GradedMatrix([(0.0, 1.0)], [(2.0, 2.0)], {(0, 0): 1}))
+    with pytest.raises(ValueError, match=r"^direct_sum needs at least one presentation$"):
+        direct_sum()
+    with pytest.raises(ValueError, match=r"^field mismatch in direct sum$"):
+        direct_sum(Presentation(f2.row_grades, f2), Presentation(f3.row_grades, f3))
+    with pytest.raises(ValueError, match=r"^chain maps over different fields$"):
+        ChainPair(f=f3, g=f2)
+    # f's rows at (1, 1) against g's columns at (1, 1) and (2, 2)
+    g = GradedMatrix([(0.0, 0.0)], [(1.0, 1.0), (2.0, 2.0)], {})
+    f = GradedMatrix([(1.0, 1.0)], [(3.0, 3.0)], {})
+    with pytest.raises(DimensionMismatch, match=r"^column grades of g must equal row grades of f$"):
+        ChainPair(f=f, g=g)
+
+
 def _combine(coeffs, cols, n, p):
     """``sum(c * cols[k])`` over the ``(k, c)`` pairs ``coeffs``, for dict
     columns ``cols``, as a dense list of length ``n``."""
@@ -578,18 +613,13 @@ def test_kernel_check_reports_the_prefix_counts(monkeypatch):
     assert kernel_basis(m, verify=False)[0].bars == ((0.0, 0.0), (0.0, 0.0))
 
 
-@pytest.mark.parametrize("fault", ["zero", "off the kernel", "duplicate", "lower"])
-def test_kernel_check_certifies_each_vector(monkeypatch, fault):
-    # three equal columns at (1, 1) and a fourth at (2, 2): the sweep hands
-    # on two kernel vectors at (1, 1) and one at (2, 2).  Each mutant leaves
-    # the count of generators at every grid point right, so it is refused
-    # by the check of the vectors themselves: a zero vector, one off the
-    # kernel, the first vector again, or the first in place of the last
-    m = GradedMatrix(
-        [(0.0, 0.0)], [(1.0, 1.0)] * 3 + [(2.0, 2.0)], {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1}
-    )
-    _, good = kernel_basis(m)
-    handed = []
+FAULTS = ["zero", "off the kernel", "duplicate", "lower"]
+
+
+def faulty_reducer(fault, handed):
+    """A ``_Reducer`` whose tracked reducers (label rows set) hand on a
+    wrong kernel vector, as ``fault`` says; ``handed`` collects the right
+    ones.  The grades and the count of the vectors stay right."""
 
     def mutant(comb):
         return {
@@ -607,17 +637,125 @@ def test_kernel_check_certifies_each_vector(monkeypatch, fault):
                 left = mutant(left[0]), left[1]
             return left
 
+    return Faulty
+
+
+# three equal columns at (1, 1) and a fourth at (2, 2): the sweep hands on
+# two kernel vectors at (1, 1) and one at (2, 2)
+THREE_AND_ONE = GradedMatrix(
+    [(0.0, 0.0)], [(1.0, 1.0)] * 3 + [(2.0, 2.0)], {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1}
+)
+# one generator and relations at (1, 0) and (0, 1): one degree-2 bar, at (1, 1)
+CORNER = Presentation.from_relations([(0.0, 0.0)], [((1.0, 0.0), {0: 1}), ((0.0, 1.0), {0: 1})])
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_kernel_check_certifies_each_vector(monkeypatch, fault):
+    # each mutant leaves the count of generators at every grid point right,
+    # so it is refused by the check of the vectors themselves: a zero
+    # vector, one off the kernel, the first vector again, or the first in
+    # place of the last
+    m = THREE_AND_ONE
+    _, good = kernel_basis(m)
+    handed = []
     message = {
         "zero": r"\(1\.0, 1\.0\) is zero",
         "off the kernel": r"\(1\.0, 1\.0\) does not send the columns to zero",
         "duplicate": r"\(1\.0, 1\.0\) depends linearly on the generators before it",
         "lower": r"\(2\.0, 2\.0\) is not the join of the grades of its columns",
     }[fault]
-    monkeypatch.setattr(algebra, "_Reducer", Faulty)
+    monkeypatch.setattr(algebra, "_Reducer", faulty_reducer(fault, handed))
     with pytest.raises(KernelCheckError, match=r"^kernel_basis: generator born at grade %s$" % message):
         kernel_basis(m)
     _, bad = kernel_basis(m, verify=False)
     assert len(handed) == 6 and bad != good
+
+
+def test_kernel_check_refuses_a_zero_vector_over_an_odd_field(monkeypatch):
+    # over F_3 each vector is scaled to 1 on the column that found it; a
+    # vector with no entry there is refused by the check, not by the scaling
+    m = GradedMatrix(
+        [(0.0, 0.0)], [(1.0, 1.0)] * 3 + [(2.0, 2.0)], {(0, 0): 1, (0, 1): 2, (0, 2): 1, (0, 3): 1}, field=3
+    )
+    assert kernel_basis(m)[0].bars == ((1.0, 1.0), (1.0, 1.0), (2.0, 2.0))
+
+    class Faulty(algebra._Reducer):
+        def insert(self, col, key=None):
+            left = super().insert(col, key)
+            return ({}, left[1]) if self.low and left is not None else left
+
+    monkeypatch.setattr(algebra, "_Reducer", Faulty)
+    with pytest.raises(KernelCheckError, match=r"^kernel_basis: generator born at grade \(1\.0, 1\.0\) is zero$"):
+        kernel_basis(m)
+
+
+def betti_corpus():
+    """Two-parameter presentations with degree-2 bars, and without."""
+    from test_cli import lower_star_square
+
+    rng = SplitMix64(71)
+    mats = [THREE_AND_ONE] + [random_graded_matrix(rng, p, 2) for p in (2, 3) for _ in range(20)]
+    corpus = [CORNER, chain_to_presentation(lower_star_square(20240, 5, 50), 0)]
+    corpus += [Presentation(m.row_grades, m) for m in mats]
+    assert sum(len(betti(p).by_degree[2]) for p in corpus) > 10
+    return corpus
+
+
+def test_betti_stacks_no_label_rows(monkeypatch):
+    # betti needs the grades of the kernel, not its vectors: its sweep runs
+    # untracked, so no reducer it makes has label rows, while kernel_basis
+    # still stacks one per column
+    corpus = betti_corpus()
+    lows = []
+
+    class Recording(algebra._Reducer):
+        def __init__(self, p, low=0):
+            super().__init__(p, low)
+            lows.append(low)
+
+    monkeypatch.setattr(algebra, "_Reducer", Recording)
+    for pres in corpus:
+        betti(pres)
+    assert lows and not any(lows)
+    kernel_basis(corpus[0].rels)
+    assert lows[-3:] == [2, 0, 0]  # the tracked sweep, its rank count, the vectors' check
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_wrong_kernel_vector_leaves_betti_as_it_is(monkeypatch, fault):
+    # a mutant that corrupts only the vectors the tracked sweep hands on
+    # cannot reach betti, which builds none, and is still refused by
+    # kernel_basis, which returns them
+    corpus = betti_corpus()
+    want = [betti(pres) for pres in corpus]
+    monkeypatch.setattr(algebra, "_Reducer", faulty_reducer(fault, []))
+    assert [betti(pres) for pres in corpus] == want
+    with pytest.raises(KernelCheckError, match=r"^kernel_basis: generator born at grade "):
+        kernel_basis(THREE_AND_ONE)
+
+
+def test_betti_refuses_a_lost_kernel_grade(monkeypatch):
+    # guard: the rank count still gates betti's degree 2.  The first reducer
+    # to take a keyed column is the sweep's, the count's comes after it;
+    # when the sweep's reports the column that turns zero at (1, 1) as one
+    # that kept a pivot, that grade goes missing and betti is refused there
+    assert betti(CORNER).by_degree[2].bars == ((1.0, 1.0),)
+    sweep = []
+
+    class Lossy(algebra._Reducer):
+        def insert(self, col, key=None):
+            left = super().insert(col, key)
+            if key is not None and not sweep:
+                sweep.append(self)
+            return None if sweep and sweep[0] is self else left
+
+    monkeypatch.setattr(algebra, "_Reducer", Lossy)
+    with pytest.raises(
+        KernelCheckError,
+        match=r"^kernel_basis: kernel rank check failed at grade \(1\.0, 1\.0\): "
+        r"0 generators born, fiber kernel has dimension 1$",
+    ):
+        betti(CORNER)
 
 
 def test_kernel_one_param():

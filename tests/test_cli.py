@@ -467,6 +467,54 @@ def test_check_stability_zero_delta(capsys):
     assert "max_ratio_wasserstein 0" in lines
 
 
+def test_check_stability_violations_exit_3_and_go_to_stderr(capsys, monkeypatch):
+    import msb.stability
+
+    # a bound of 0 on the bottleneck: every trial that moves a bar violates it
+    monkeypatch.setattr(msb.stability, "BOTTLENECK_FACTOR", 0.0)
+    code, out, err = run(capsys, "check-stability", "--trials", "3", "--delta", "0.5", "--seed", "7")
+    assert code == 3
+    assert out.splitlines()[0] == "trials 3" and out.splitlines()[4] == "violations 3"
+    assert "max_ratio_bottleneck inf" in out.splitlines()
+    lines = err.splitlines()
+    assert len(lines) == 3
+    for t, line in enumerate(lines):
+        assert re.fullmatch(r"trial %d: bottleneck [0-9.e-]+ exceeds bound 0\.0" % t, line), line
+
+
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        ("0,0;1,x", "malformed query point '1,x'"),
+        ("0,0;1,2,3", "query point '1,2,3' has 3 coordinates, expected 2"),
+        (";", "no query points given"),
+    ],
+)
+def test_hilbert_bad_query_points_are_usage_errors(capsys, tmp_path, at, message):
+    f = tmp_path / "hook.mpres"
+    f.write_text(serialize_presentation(corner_module()))
+    code, out, err = run(capsys, "hilbert", str(f), "--at", at)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def test_dist_on_directories_with_no_common_name_is_a_data_error(capsys, tmp_path, square_files):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    shutil.copy(square_files[0], a / "m.sbarc")
+    shutil.copy(square_files[1], b / "n.sbarc")
+    code, out, err = run(capsys, "dist", str(a), str(b))
+    assert (code, out, err) == (2, "", "error: no common file names under %s and %s\n" % (a, b))
+
+
+def test_a_file_of_the_wrong_kind_is_a_data_error(capsys, tmp_path, square_files):
+    sbarc = square_files[0]
+    code, out, err = run(capsys, "ingest", sbarc)
+    assert (code, out, err) == (2, "", "error: %s: expected an mbif document\n" % sbarc)
+    code, out, err = run(capsys, "betti", sbarc)
+    assert (code, out, err) == (2, "", "error: %s: expected an mpres document, found sbarc\n" % sbarc)
+
+
 def test_exit_code_usage(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "dist", "only_one")[0] == 1

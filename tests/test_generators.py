@@ -196,6 +196,26 @@ def test_random_always_valid():
         assert validate_graded(p.rels)
 
 
+@pytest.mark.parametrize("size", [(-1, 0, 8), (0, -1, 8), (1, 1, 0)])
+def test_random_refuses_a_negative_size_or_an_empty_grid(size):
+    with pytest.raises(ValueError, match=r"^gen_random needs gens, rels >= 0 and grid >= 1$"):
+        gen_random(1, *size)
+
+
+def test_stability_refuses_negative_trials_and_reports_each_violation(monkeypatch):
+    import msb.stability
+
+    with pytest.raises(ValueError, match=r"^trial count must be nonnegative$"):
+        run_stability(-1, 0.05, 7)
+    # a bound of 0 on the bottleneck: every trial that moves a bar violates it
+    monkeypatch.setattr(msb.stability, "BOTTLENECK_FACTOR", 0.0)
+    report = run_stability(4, 0.5, 7)
+    assert not report.ok and report.max_ratio_bottleneck == math.inf
+    assert [v.split(":")[0] for v in report.violations] == ["trial %d" % t for t in range(4)]
+    for v, t in zip(report.violations, report.trials):
+        assert v == "trial %d: bottleneck %r exceeds bound 0.0" % (t.index, t.dist_bottleneck)
+
+
 def test_perturb_zero_delta_is_identity():
     p = gen_staircase(3)
     out = perturb(p, PerturbSpec(0.0, 99))

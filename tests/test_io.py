@@ -326,6 +326,40 @@ def test_bifiltration_takes_only_integers():
     assert chain_to_presentation(bif, 0).rels.entries == {(0, 0): 2, (1, 0): 1}
 
 
+def test_bifiltration_refuses_bad_references_and_zero_coefficients():
+    # built directly, not parsed: the constructor's own checks
+    vertex = Cell(0, (0.0, 0.0), ())
+    for idx in (2, 3, -1):  # the cell itself, a later cell, no cell
+        with pytest.raises(ValueError, match=r"^cell 2 boundary references cell %d, not an earlier cell$" % idx):
+            Bifiltration([vertex, vertex, Cell(1, (1.0, 1.0), ((0, 1), (idx, 1)))], 2)
+    with pytest.raises(ValueError, match=r"^cell 2 has zero boundary coefficient on cell 1$"):
+        Bifiltration([vertex, vertex, Cell(1, (1.0, 1.0), ((0, 1), (1, 3)))], 3)
+
+
+def test_equal_values_hash_equal():
+    # equal values built in different ways hash equal, so a dict keyed by
+    # one finds the other: a presentation over F_3 from the same entries in
+    # two insertion orders, and each value type after a parse round trip
+    entries = {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 2): 1}
+    rows, cols = [(0.0, 0.0), (1.0, 0.0)], [(1.0, 1.0), (2.0, 0.0), (1.0, 2.0)]
+    pres = Presentation(rows, GradedMatrix(rows, cols, entries, field=3))
+    other = Presentation(rows, GradedMatrix(rows, cols, dict(reversed(entries.items())), field=3))
+    signed = betti(pres).signed
+    bif = hollow_triangle([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], fill=(2.0, 2.0))
+    pairs = [
+        (pres, other),
+        (pres, parse_presentation(serialize_presentation(pres))),
+        (signed, parse_signed_barcode(serialize_signed_barcode(signed))),
+        (signed.negative, betti(other).signed.negative),
+        (bif, parse_bifiltration(serialize_bifiltration(bif))),
+        (bif, Bifiltration(list(bif.cells), bif.field)),
+    ]
+    assert signed.positive.bars and signed.negative.bars
+    for x, y in pairs:
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert {x: "found"}[y] == "found"
+
+
 def test_mbif_field_override():
     bif = hollow_triangle([(0.0, 0.0)] * 3)
     text = serialize_bifiltration(bif)

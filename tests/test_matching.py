@@ -979,6 +979,14 @@ def test_pair_cost_requires_same_matrix():
         presentation_pair_cost(a, b, 1)
 
 
+def test_pair_cost_refuses_other_orders_and_fields():
+    p = gen_staircase(2)
+    with pytest.raises(ValueError, match=r"^presentation pair cost supports p = 1 or p = inf$"):
+        presentation_pair_cost(p, p, 2)
+    with pytest.raises(ValueError, match=r"^presentations over different fields$"):
+        presentation_pair_cost(gen_free((0.0, 0.0)), gen_free((0.0, 0.0), field=3), 1)
+
+
 # ---------------------------------------------------------------------------
 # MatchingResult serialization
 
