@@ -11,10 +11,11 @@ The minimal Hilbert decomposition of a finitely presented module over
 one or two parameters is computed from a minimal presentation plus, in
 the two-parameter case, the kernel of its relation matrix (the module
 of second syzygies, which is free).  Kernel output is never trusted
-blindly: each kernel vector is checked where it leaves, and the number
-of generators at every point of the grid of column grade coordinates,
-which alone fixes the Betti grades, against a rank count made in one
-pass of its own, or the computation aborts.
+blindly: each kernel vector is checked where it leaves (independence in
+the reducer the homology solve then reads), and the number of generators
+at every point of the grid of column grade coordinates, which alone fixes
+the Betti grades, against a rank count made in one pass of its own, or
+the computation aborts.
 """
 
 from __future__ import annotations
@@ -593,7 +594,7 @@ def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
+def _sweep(cols, grades, p: int, track: bool, verify: str | None) -> tuple:
     """The one span test here, read by :func:`minimize_presentation`,
     :func:`kernel_basis` and :func:`betti`, over packed ``cols``.
 
@@ -624,9 +625,10 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
     the kernel is that of the other columns plus one free generator for
     each.  :func:`_kernel_basis` scales and checks the combinations.
 
-    With ``verify``, :class:`KernelCheckError` is raised unless at every
-    grid point the events at or below it number the corank of its fiber;
-    the kernel is free, so that fixes the multiset of the event grades.
+    With ``verify``, a stage name, :class:`KernelCheckError` in that name is
+    raised unless at every grid point the events at or below it number the
+    corank of its fiber; the kernel is free, so that fixes the multiset of
+    the event grades.
     The count shares no state with the sweep and runs transposed to it:
     one rank-only reducer takes the columns x index by x index, each once,
     keyed by row then index.  By the displacement, after x index ``i`` the
@@ -686,9 +688,9 @@ def _sweep(cols, grades, p: int, track: bool, verify: bool) -> tuple:
             if born != free:
                 j = next(j for j in range(ny) if born[j] != free[j])
                 raise KernelCheckError(
-                    "kernel_basis: kernel rank check failed at grade %r: "
+                    "%s: kernel rank check failed at grade %r: "
                     "%d generators born, fiber kernel has dimension %d"
-                    % ((xs[i],) + rows[j], sum(born[: j + 1]), sum(free[: j + 1]))
+                    % (verify, (xs[i],) + rows[j], sum(born[: j + 1]), sum(free[: j + 1]))
                 )
     return dep, [((xs[i],) + rows[j], k, vec) for i, j, k, vec in gens]
 
@@ -707,12 +709,13 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     order agree).  After both passes the generator and relation grades are
     the degree-0 and degree-1 Betti barcodes of the module.
     """
-    return _minimize(pres, False)[0]
+    return _minimize(pres, None)[0]
 
 
-def _minimize(pres: Presentation, verify: bool) -> tuple:
+def _minimize(pres: Presentation, verify: str | None) -> tuple:
     """:func:`minimize_presentation`, and its relations' kernel grades (one
-    or two parameters), certified by the sweep's rank count with ``verify``."""
+    or two parameters), certified by the sweep's rank count in the name of
+    the stage ``verify`` when given."""
     p = pres.field
     gens, rels = pres.gens, pres.rels
     # sorted() is stable, so ties keep index order
@@ -759,43 +762,47 @@ def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedM
     vectors and the sweep's rank count are checked (:class:`KernelCheckError`).
     """
     _require_valid(m)
-    grades, cols = _kernel_basis(m, verify)
+    grades, cols, _ = _kernel_basis(m, verify)
     inc = GradedMatrix._trusted(m.col_grades, grades, tuple(cols), m.field, m.dim)
     return Barcode._trusted(tuple(sorted(grades)), m.dim), inc
 
 
-def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[tuple, list]:
+def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[tuple, list, _Reducer | None]:
     """:func:`kernel_basis` of an ``m`` its caller knows to be grade-valid:
     the grades and the packed columns over ``m``'s column indices, in
     discovery order, each 1 on the column that found it.  With ``verify``
     each is checked where it leaves: nonzero, at the join of its columns'
-    grades, sending the columns to zero and independent of those before it."""
+    grades, sending the columns to zero and independent of those before it,
+    vector ``k`` going into one reducer over label row ``k``.  That reducer,
+    None without ``verify``, is returned third, for the homology solve."""
     n, p = m.dim, m.field
     if n is not None and n > 2:
         raise UnsupportedDimension(
             "kernel computation supports 1 or 2 parameters, got %d" % n
         )
-    found = _sweep(m.cols, m.col_grades, p, True, verify)[1]
+    found = _sweep(m.cols, m.col_grades, p, True, "kernel_basis" if verify else None)[1]
     grades = tuple(g for g, _, _ in found)
     vecs = [vec if p == 2 else _addmul({}, vec, _inv(vec.get(k, 0), p), p) for _, k, vec in found]
-    if verify:
-        indep = _Reducer(p)  # rank only
-        for g, vec in zip(grades, vecs):
-            items, image = _items(vec), _column((), p)
-            for c, v in items:
-                image = _addmul(image, m.cols[c], v, p)
-            if not items:
-                fault = "is zero"
-            elif tuple(map(max, zip(*[m.col_grades[c] for c, _ in items]))) != g:
-                fault = "is not the join of the grades of its columns"
-            elif image:
-                fault = "does not send the columns to zero"
-            elif indep.insert(vec) is not None:
-                fault = "depends linearly on the generators before it"
-            else:
-                continue
-            raise KernelCheckError("kernel_basis: generator born at grade %r %s" % (g, fault))
-    return grades, vecs
+    if not verify:
+        return grades, vecs, None
+    low = len(vecs)
+    span = _Reducer(p, low)
+    for k, (g, vec) in enumerate(zip(grades, vecs)):
+        items, image = _items(vec), _column((), p)
+        for c, v in items:
+            image = _addmul(image, m.cols[c], v, p)
+        if not items:
+            fault = "is zero"
+        elif tuple(map(max, zip(*[m.col_grades[c] for c, _ in items]))) != g:
+            fault = "is not the join of the grades of its columns"
+        elif image:
+            fault = "does not send the columns to zero"
+        elif span.insert(_shift(vec, low, p, k)) is not None:
+            fault = "depends linearly on the generators before it"
+        else:
+            continue
+        raise KernelCheckError("kernel_basis: generator born at grade %r %s" % (g, fault))
+    return grades, vecs, span
 
 
 @dataclass(frozen=True)
@@ -820,7 +827,7 @@ def betti(pres: Presentation) -> BettiResult:
         raise UnsupportedDimension(
             "Betti barcodes support 1 or 2 parameters, got %d" % n
         )
-    mini, b2 = _minimize(pres, n == 2)
+    mini, b2 = _minimize(pres, "betti" if n == 2 else None)
     b0 = Barcode._trusted(tuple(sorted(mini.gens)), pres.dim)
     b1 = Barcode._trusted(tuple(sorted(mini.rels.col_grades)), pres.dim)
     b2 = Barcode._trusted(b2, pres.dim)
@@ -860,6 +867,8 @@ def homology_presentation(chain: ChainPair) -> Presentation:
     grade.  The generators of a free module are linearly independent, so
     one reducer over them gives each column its unique coefficients; the
     column must reduce to zero using only generators at or below its grade.
+    That reducer is the one :func:`kernel_basis`'s check put the generators
+    in, so their independence is certified once.
     """
     return _homology_presentation(chain.f, chain.g)
 
@@ -867,33 +876,21 @@ def homology_presentation(chain: ChainPair) -> Presentation:
 def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Presentation:
     """:func:`homology_presentation` of maps known to form a :class:`ChainPair`.
 
-    Kernel generator ``k`` goes into one reducer over label row ``k`` (see
-    :class:`_Reducer`); a column of ``f``, moved up past the labels, is in
-    their span when left with labels only, minus its coefficients.
-    ``cells``, when given, is the pair of tuples naming the input cell of
-    each column of ``g`` and of ``f``; errors then name those cells rather
-    than column indices.
+    The reducer is the one :func:`_kernel_basis` certified the generators
+    in, generator ``k`` over label row ``k`` (see :class:`_Reducer`); a
+    column of ``f``, moved up past the labels, is in their span when left
+    with labels only, minus its coefficients.  ``cells``, when given, names
+    the input cell of each column of ``f``; errors then name that cell
+    rather than a column index.
     """
     p = g.field
-    gen_grades, gens = _kernel_basis(g)
-    low = len(gens)  # generator k goes in over label row k
-    span = _Reducer(p, low)
-    for k, col in enumerate(gens):
-        if span.insert(_shift(col, low, p, k)) is not None:
-            support = ""
-            if cells is not None:
-                support = ", a cycle on cells %s," % ", ".join(
-                    map(str, sorted(cells[0][i] for i, _ in _items(col)))
-                )
-            raise RuntimeError(
-                "homology_presentation: kernel generator %d (grade %r)%s depends "
-                "linearly on the generators before it" % (k, gen_grades[k], support)
-            )
+    gen_grades, _, span = _kernel_basis(g)
+    low = len(gen_grades)
     cols = []
     for j, (col, cgrade) in enumerate(zip(f.cols, f.col_grades)):
         cur = span.reduce(_shift(col, low, p))[0]
         if not all(k < low and leq(gen_grades[k], cgrade) for k, _ in _items(cur)):
-            what = "column %d of f" % j if cells is None else "the boundary of cell %d" % cells[1][j]
+            what = "column %d of f" % j if cells is None else "the boundary of cell %d" % cells[j]
             raise RuntimeError(
                 "homology_presentation: %s (grade %r) is not in "
                 "the kernel of g at its grade" % (what, cgrade)

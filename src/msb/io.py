@@ -492,9 +492,9 @@ def chain_to_presentation(bif: Bifiltration, degree: int = 0) -> Presentation:
     """
     if degree < 0:
         raise ValueError("homology degree must be nonnegative, got %d" % degree)
-    g, ycells = bif._chunked(degree)
-    f, xcells = bif._chunked(degree + 1)
-    return _homology_presentation(f, g, (ycells, xcells))
+    g = bif._chunked(degree)[0]
+    f, cells = bif._chunked(degree + 1)
+    return _homology_presentation(f, g, cells)
 
 
 # ---------------------------------------------------------------------------

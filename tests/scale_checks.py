@@ -108,7 +108,10 @@ def ingest(n: int = 40) -> None:
         t0 = time.perf_counter()
         msb.algebra._kernel_basis(bd, verify)
         kernel.append(time.perf_counter() - t0)
-    stages.append("kernel of the %d-column degree-1 boundary: %.3f s, %.3f s with verify" % (bd.num_cols, *kernel))
+    stages.append(
+        "kernel of the %d-column degree-1 boundary: %.3f s, %.3f s with verify "
+        "(the checks and the labelled reducer the homology solve reads)" % (bd.num_cols, *kernel)
+    )
     lines = text.splitlines()
     lines[-2] = lines[-2].replace(":1", ":x", 1)  # a pair of the next-to-last cell
     try:

@@ -528,8 +528,8 @@ def test_kernel_grades_pinned_where_they_are_unique():
     digest = hashlib.sha256()
     for m in mats:
         _, inc = kernel_basis(m)
-        dep, _ = algebra._sweep(m.cols, m.col_grades, m.field, True, True)
-        assert algebra._sweep(m.cols, m.col_grades, m.field, False, False)[0] == dep
+        dep, _ = algebra._sweep(m.cols, m.col_grades, m.field, True, "kernel_basis")
+        assert algebra._sweep(m.cols, m.col_grades, m.field, False, None)[0] == dep
         b2 = betti(Presentation(m.row_grades, m)).by_degree[2:]
         digest.update(repr((inc.col_grades, sorted(dep), [b.bars for b in b2])).encode())
     assert digest.hexdigest() == "cc3e11c92f7f51143d15334bf2164c91d1463bc5c533654a0c117aa344895906"
@@ -614,12 +614,19 @@ def test_kernel_check_reports_the_prefix_counts(monkeypatch):
 
 
 FAULTS = ["zero", "off the kernel", "duplicate", "lower"]
+# the check that refuses each mutant of faulty_reducer on THREE_AND_ONE
+FAULT_MESSAGE = {
+    "zero": r"\(1\.0, 1\.0\) is zero",
+    "off the kernel": r"\(1\.0, 1\.0\) does not send the columns to zero",
+    "duplicate": r"\(1\.0, 1\.0\) depends linearly on the generators before it",
+    "lower": r"\(2\.0, 2\.0\) is not the join of the grades of its columns",
+}
 
 
 def faulty_reducer(fault, handed):
-    """A ``_Reducer`` whose tracked reducers (label rows set) hand on a
-    wrong kernel vector, as ``fault`` says; ``handed`` collects the right
-    ones.  The grades and the count of the vectors stay right."""
+    """A ``_Reducer`` whose tracked sweeps (label rows set, keyed columns)
+    hand on a wrong kernel vector, as ``fault`` says; ``handed`` collects
+    the right ones.  The grades and the count of the vectors stay right."""
 
     def mutant(comb):
         return {
@@ -632,7 +639,7 @@ def faulty_reducer(fault, handed):
     class Faulty(algebra._Reducer):
         def insert(self, col, key=None):
             left = super().insert(col, key)
-            if self.low and left is not None:  # a kernel vector the sweep hands on
+            if self.low and key is not None and left is not None:  # a vector the sweep hands on
                 handed.append(left[0])
                 left = mutant(left[0]), left[1]
             return left
@@ -644,6 +651,11 @@ def faulty_reducer(fault, handed):
 # two kernel vectors at (1, 1) and one at (2, 2)
 THREE_AND_ONE = GradedMatrix(
     [(0.0, 0.0)], [(1.0, 1.0)] * 3 + [(2.0, 2.0)], {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1}
+)
+# a vertex at (0, 0), three edges at (1, 1) and one at (2, 2), each on the
+# vertex alone: no local pair, so its chunked degree-1 boundary is THREE_AND_ONE
+THREE_AND_ONE_EDGES = Bifiltration(
+    [Cell(0, (0.0, 0.0), ())] + [Cell(1, g, ((0, 1),)) for g in THREE_AND_ONE.col_grades]
 )
 # one generator and relations at (1, 0) and (0, 1): one degree-2 bar, at (1, 1)
 CORNER = Presentation.from_relations([(0.0, 0.0)], [((1.0, 0.0), {0: 1}), ((0.0, 1.0), {0: 1})])
@@ -658,14 +670,9 @@ def test_kernel_check_certifies_each_vector(monkeypatch, fault):
     m = THREE_AND_ONE
     _, good = kernel_basis(m)
     handed = []
-    message = {
-        "zero": r"\(1\.0, 1\.0\) is zero",
-        "off the kernel": r"\(1\.0, 1\.0\) does not send the columns to zero",
-        "duplicate": r"\(1\.0, 1\.0\) depends linearly on the generators before it",
-        "lower": r"\(2\.0, 2\.0\) is not the join of the grades of its columns",
-    }[fault]
     monkeypatch.setattr(algebra, "_Reducer", faulty_reducer(fault, handed))
-    with pytest.raises(KernelCheckError, match=r"^kernel_basis: generator born at grade %s$" % message):
+    message = r"^kernel_basis: generator born at grade %s$" % FAULT_MESSAGE[fault]
+    with pytest.raises(KernelCheckError, match=message):
         kernel_basis(m)
     _, bad = kernel_basis(m, verify=False)
     assert len(handed) == 6 and bad != good
@@ -704,7 +711,7 @@ def betti_corpus():
 def test_betti_stacks_no_label_rows(monkeypatch):
     # betti needs the grades of the kernel, not its vectors: its sweep runs
     # untracked, so no reducer it makes has label rows, while kernel_basis
-    # still stacks one per column
+    # still stacks one per column, and one per vector where it checks them
     corpus = betti_corpus()
     lows = []
 
@@ -718,7 +725,7 @@ def test_betti_stacks_no_label_rows(monkeypatch):
         betti(pres)
     assert lows and not any(lows)
     kernel_basis(corpus[0].rels)
-    assert lows[-3:] == [2, 0, 0]  # the tracked sweep, its rank count, the vectors' check
+    assert lows[-3:] == [2, 0, 1]  # the tracked sweep, its rank count, the vectors' check
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -752,7 +759,7 @@ def test_betti_refuses_a_lost_kernel_grade(monkeypatch):
     monkeypatch.setattr(algebra, "_Reducer", Lossy)
     with pytest.raises(
         KernelCheckError,
-        match=r"^kernel_basis: kernel rank check failed at grade \(1\.0, 1\.0\): "
+        match=r"^betti: kernel rank check failed at grade \(1\.0, 1\.0\): "
         r"0 generators born, fiber kernel has dimension 1$",
     ):
         betti(CORNER)
@@ -1007,7 +1014,8 @@ def test_homology_of_staged_cycle():
 def _triangle_with_kernel(gens):
     # a triangle's boundary pair, with _kernel_basis replaced by one that
     # returns the given (grade, column) generators of g's kernel: their
-    # grades and their columns packed over F_2
+    # grades, their columns packed over F_2 and the reducer holding column
+    # k over label row k, unchecked
     g = GradedMatrix(
         [(0.0, 0.0)] * 3,
         [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
@@ -1015,8 +1023,11 @@ def _triangle_with_kernel(gens):
     )
     f = GradedMatrix(g.col_grades, [(2.0, 2.0)], {(0, 0): 1, (1, 0): 1, (2, 0): 1})
     grades = tuple(grade for grade, _ in gens)
-    kernel = (grades, [algebra._column(col.items(), 2) for _, col in gens])
-    return ChainPair(f=f, g=g), lambda m: kernel
+    cols = [algebra._column(col.items(), 2) for _, col in gens]
+    span = algebra._Reducer(2, len(cols))
+    for k, col in enumerate(cols):
+        span.insert(algebra._shift(col, len(cols), 2, k))
+    return ChainPair(f=f, g=g), lambda m: (grades, cols, span)
 
 
 def test_homology_error_names_stage_column_and_grade(monkeypatch):
@@ -1038,14 +1049,91 @@ def test_homology_error_when_generator_is_born_too_late(monkeypatch):
 
 
 def test_homology_error_when_generators_are_dependent(monkeypatch):
+    # the solve writes f's column in the reducer _kernel_basis hands on; a
+    # dependent generator never reaches it, as _kernel_basis refuses it
+    # first (test_homology_route_refuses_each_wrong_kernel_vector)
     cycle = ((1.0, 1.0), {0: 1, 1: 1, 2: 1})
     chain, kernel = _triangle_with_kernel([cycle])
     monkeypatch.setattr(algebra, "_kernel_basis", kernel)
     assert homology_presentation(chain).rels.entries == {(0, 0): 1}
-    chain, kernel = _triangle_with_kernel([cycle, cycle])
-    monkeypatch.setattr(algebra, "_kernel_basis", kernel)
-    with pytest.raises(RuntimeError, match=r"homology_presentation: kernel generator 1 .*depends"):
-        homology_presentation(chain)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_homology_route_refuses_each_wrong_kernel_vector(monkeypatch, fault):
+    # the homology solve makes no reducer of its own: it reads the one
+    # _kernel_basis certified the vectors in, so both routes into it refuse
+    # every mutant there, with kernel_basis's message.  On
+    # lower_star_square(20240, 5, 50) the duplicate is refused by the join
+    # check instead; here it reaches the independence check
+    bif = THREE_AND_ONE_EDGES
+    assert bif._chunked(1)[0] == THREE_AND_ONE
+    chain = ChainPair(f=bif._chunked(2)[0], g=THREE_AND_ONE)
+    message = r"^kernel_basis: generator born at grade %s$" % FAULT_MESSAGE[fault]
+    for route in (lambda: homology_presentation(chain), lambda: chain_to_presentation(bif, 1)):
+        with monkeypatch.context() as patched, pytest.raises(KernelCheckError, match=message):
+            patched.setattr(algebra, "_Reducer", faulty_reducer(fault, []))
+            route()
+
+
+def test_ingest_inserts_each_kernel_vector_once_outside_the_sweep(monkeypatch):
+    # independence is certified once, in the reducer the homology solve
+    # then reads: besides the sweep and its rank count, whose columns carry
+    # keys, chain_to_presentation inserts each kernel vector once, over
+    # its own label row
+    from test_cli import lower_star_square
+
+    bifs = [lower_star_square(20240, 5, 50), lower_star_square(20242, 5, 6, field=3), THREE_AND_ONE_EDGES]
+    inserted = []
+
+    class Recording(algebra._Reducer):
+        def insert(self, col, key=None):
+            if key is None:
+                inserted.append((self.low, col))
+            return super().insert(col, key)
+
+    monkeypatch.setattr(algebra, "_Reducer", Recording)
+    gens = 0
+    for bif in bifs:
+        for degree in (0, 1):
+            inserted.clear()
+            n = chain_to_presentation(bif, degree).num_gens
+            assert [low for low, _ in inserted] == [n] * n
+            labels = [sorted((r, v) for r, v in algebra._items(col) if r < n) for _, col in inserted]
+            assert labels == [[(k, 1)] for k in range(n)]
+            gens += n
+    assert gens > 20
+
+
+def test_ingest_route_matches_dense_homology_oracle():
+    # an oracle on the complex itself, sharing no code with the chunk
+    # reduction, the kernel sweep or the homology solve: at each grid point
+    # x, dim H_d(K_x) = #(d-cells <= x) - rank d_d|<=x - rank d_{d+1}|<=x,
+    # each rank by dense elimination over the unchunked cells
+    from test_cli import lower_star_square
+
+    checks = cycles = 0
+    for field in (2, 3):
+        for seed in range(6):
+            bif = lower_star_square(seed, 5, 6, field)
+            cells = bif.cells
+            at, count = {}, [0] * 3  # cell -> its index among the cells of its dimension
+            for k, cell in enumerate(cells):
+                at[k] = count[cell.dim]
+                count[cell.dim] += 1
+            pres = [chain_to_presentation(bif, degree) for degree in (0, 1)]
+            for x in sorted({c.grade[0] for c in cells}):
+                for y in sorted({c.grade[1] for c in cells}):
+                    born = [c for c in cells if c.grade[0] <= x and c.grade[1] <= y]
+                    rank = [0] * 4  # rank[d]: of the boundary of the d-cells born by (x, y)
+                    for d in (1, 2):
+                        cols = [{at[i]: v for i, v in c.boundary} for c in born if c.dim == d]
+                        rank[d] = dense_rank(cols, count[d - 1], field)
+                    for degree in (0, 1):
+                        want = sum(1 for c in born if c.dim == degree) - rank[degree] - rank[degree + 1]
+                        assert pointwise_dim(pres[degree], (x, y)) == want
+                        checks += 1
+                        cycles += degree * want
+    assert checks == 840 and cycles > 0
 
 
 def _padded_triangle():
@@ -1077,15 +1165,6 @@ def test_ingest_errors_name_input_cells(monkeypatch):
     with pytest.raises(
         RuntimeError,
         match=r"homology_presentation: the boundary of cell 8 \(grade \(2\.0, 2\.0\)\) is not",
-    ):
-        chain_to_presentation(bif, 1)
-    cycle = ((1.0, 1.0), {0: 1, 1: 1, 2: 1})
-    _, kernel = _triangle_with_kernel([cycle, cycle])
-    monkeypatch.setattr(algebra, "_kernel_basis", kernel)
-    with pytest.raises(
-        RuntimeError,
-        match=r"homology_presentation: kernel generator 1 \(grade \(1\.0, 1\.0\)\), "
-        r"a cycle on cells 5, 6, 7, depends linearly",
     ):
         chain_to_presentation(bif, 1)
 
