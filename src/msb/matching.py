@@ -30,8 +30,10 @@ and augments it by rounds of depth-first searches from those rows; the
 matching returned is the one found at the smallest feasible threshold.
 Minimum-cost matchings run LAPJV's initialization (2n bids a round at
 most), then lazy-potential shortest augmenting paths from the rows still
-free.  The value sums an optimal matching's costs in row order, exactly on
-integer costs below 2**53; of several optimal float ones, rounding picks one.
+free, whose predecessors are recovered along each path after its search,
+with the search's float ops.  The value sums an optimal matching's costs
+in row order, exactly on integer costs below 2**53; of several optimal
+float ones, rounding picks one.
 """
 
 from __future__ import annotations
@@ -346,7 +348,12 @@ def _min_cost_assignment(C: np.ndarray) -> list[int]:
     each row still free joins by a Dijkstra search (after Crouse 2016): a
     step relaxes one row against the distances ``d`` and finalizes the
     nearest open column, the lowest index among equals, and an augmenting
-    path of length ``mu`` moves the final potentials by ``mu - d[j]``.
+    path of length ``mu`` moves the final potentials by ``mu - d[j]``.  The
+    steps keep no predecessors: once the search reaches a free column, each
+    column on the path back takes the row of the first step that gave it
+    its final distance, among the steps up to the one that finalized it,
+    each distance recomputed with the search's potentials and float ops,
+    so it is the row whose strict decrease last set ``d[j]``.
     """
     n = C.shape[0]
     row_of_col, col_of_row = np.full(n, -1), np.full(n, -1)
@@ -379,36 +386,39 @@ def _min_cost_assignment(C: np.ndarray) -> list[int]:
                 if 0 < gap < np.inf:
                     todo.append(i0)
     u = np.where(col_of_row >= 0, C[range(n), col_of_row] - v[col_of_row], 0.0)
-    r, better, pred = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
-    for row in np.flatnonzero(col_of_row < 0).tolist():
+    row_of_col, col_of_row, r = row_of_col.tolist(), col_of_row.tolist(), np.empty(n)
+    for row in [i for i, j in enumerate(col_of_row) if j < 0]:
         d = np.full(n, np.inf)
         vw = v.copy()  # -inf on final columns, so their d never moves
         i, mu, done, dist = row, 0.0, [], []
         while True:
             np.subtract(C[i], vw, out=r)
-            r += mu - u[i]
-            np.less(r, d, out=better)
-            np.copyto(d, r, where=better)
-            np.copyto(pred, i, where=better)
+            r += mu - u.item(i)
+            np.minimum(d, r, out=d)
             j = int(d.argmin())
-            mu, d[j], vw[j] = float(d[j]), np.inf, -np.inf
+            mu, d[j], vw[j] = d.item(j), np.inf, -np.inf
             if mu == np.inf:  # no finite augmenting path: every matching costs inf
-                col_of_row[col_of_row < 0] = np.flatnonzero(row_of_col < 0)
-                return col_of_row.tolist()
-            i = int(row_of_col[j])
+                free = iter([c for c, i in enumerate(row_of_col) if i < 0])
+                return [c if c >= 0 else next(free) for c in col_of_row]
+            i = row_of_col[j]
             if i < 0:
                 break
             done.append(j)
             dist.append(mu)
+        rows = np.array([row] + [row_of_col[k] for k in done])  # the row of each step
+        offsets, s = np.array([0.0, *dist]) - u[rows], len(rows)
+        while True:  # augment back to row; j was final after its first s steps
+            t = int(((C[rows[:s], j] - v[j]) + offsets[:s]).argmin())
+            i = int(rows[t])
+            row_of_col[j], col_of_row[i] = i, j
+            if t == 0:
+                break
+            j, s = done[t - 1], t
         shift = mu - np.array(dist)
         u[row] += mu
         v[done] -= shift
-        u[row_of_col[done]] += shift
-        while j >= 0:  # augment back along the predecessors to row
-            i = int(pred[j])
-            row_of_col[j] = i
-            j, col_of_row[i] = col_of_row[i], j
-    return col_of_row.tolist()
+        u[rows[1:]] += shift
+    return col_of_row
 
 
 def wasserstein(b, c, p=1) -> MatchingResult:

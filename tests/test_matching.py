@@ -773,10 +773,109 @@ def row_by_row_assignment(C):
     return col_of_row.tolist()
 
 
+def eager_assignment(C):
+    """The min-cost solver with eager predecessors, kept as an oracle: every
+    Dijkstra step records the row that lowered each distance, so the
+    predecessors need no recovery after the search."""
+    n = C.shape[0]
+    row_of_col, col_of_row = np.full(n, -1), np.full(n, -1)
+    v = C.min(axis=0)
+    v[v == np.inf] = 0.0
+    for j, i in enumerate(C.argmin(axis=0).tolist()):
+        if col_of_row[i] < 0 and C[i, j] < np.inf:
+            col_of_row[i], row_of_col[j] = j, i
+            r = C[i] - v
+            r[j] = np.inf
+            gap = r.min()
+            v[j] -= gap if gap < np.inf else 0.0
+    bidders = C.min(axis=1) < np.inf  # a row with no finite cost is left to the searches
+    for _ in range(2):
+        todo, bids = np.flatnonzero(bidders & (col_of_row < 0))[::-1].tolist(), 2 * n
+        while todo and bids:
+            i, bids = todo.pop(), bids - 1
+            r = C[i] - v
+            j = int(r.argmin())
+            least, r[j] = r[j], np.inf
+            j2, i0 = int(r.argmin()), row_of_col[j]
+            gap = r[j2] - least
+            if 0 < gap < np.inf:
+                v[j] -= gap
+            elif gap == 0 and i0 >= 0 and row_of_col[j2] < 0:
+                j, i0 = j2, -1
+            col_of_row[i], row_of_col[j] = j, i
+            if i0 >= 0:
+                col_of_row[i0] = -1
+                if 0 < gap < np.inf:
+                    todo.append(i0)
+    u = np.where(col_of_row >= 0, C[range(n), col_of_row] - v[col_of_row], 0.0)
+    r, better, pred = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
+    for row in np.flatnonzero(col_of_row < 0).tolist():
+        d = np.full(n, np.inf)
+        vw = v.copy()  # -inf on final columns, so their d never moves
+        i, mu, done, dist = row, 0.0, [], []
+        while True:
+            np.subtract(C[i], vw, out=r)
+            r += mu - u[i]
+            np.less(r, d, out=better)
+            np.copyto(d, r, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(d.argmin())
+            mu, d[j], vw[j] = float(d[j]), np.inf, -np.inf
+            if mu == np.inf:  # no finite augmenting path: every matching costs inf
+                col_of_row[col_of_row < 0] = np.flatnonzero(row_of_col < 0)
+                return col_of_row.tolist()
+            i = int(row_of_col[j])
+            if i < 0:
+                break
+            done.append(j)
+            dist.append(mu)
+        shift = mu - np.array(dist)
+        u[row] += mu
+        v[done] -= shift
+        u[row_of_col[done]] += shift
+        while j >= 0:  # augment back along the predecessors to row
+            i = int(pred[j])
+            row_of_col[j] = i
+            j, col_of_row[i] = col_of_row[i], j
+    return col_of_row.tolist()
+
+
+def test_min_cost_assignment_with_infinite_costs_matches_the_eager_solver():
+    # 1-D bars at p = 2.5, a third of them at 1e200 or 2e200, so costs
+    # overflow to inf; the second side moves only the bars near 0, so a
+    # finite matching exists and the searches cross inf costs.  Then integer
+    # matrices with 30% inf entries.  No inf - inf may warn
+    rng = SplitMix64(163)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(200):
+            K = 1 + rng.below(40)
+            xs = [float(rng.below(10)) if rng.below(3) else (1 + rng.below(2)) * 1e200 for _ in range(K)]
+            ys = [x if x > 10 else x + rng.below(3) for x in xs]
+            b, c = Barcode([(x,) for x in xs]), Barcode([(y,) for y in ys])
+            C = _cost_matrix(b, c, 2.5)
+            assert _min_cost_assignment(C) == eager_assignment(C)
+            C = np.array([[float(rng.below(10)) for _ in range(K)] for _ in range(K)])
+            C[np.array([[rng.below(10) < 3 for _ in range(K)] for _ in range(K)])] = np.inf
+            assert _min_cost_assignment(C) == eager_assignment(C)
+
+
+def test_min_cost_assignment_takes_the_first_step_that_reached_a_column():
+    # the initialization matches rows 0 and 1 to columns 0 and 1 and leaves
+    # row 2 free; its search finalizes columns 0 and 1, reaching column 2 at
+    # distance 0 in each of its three steps (from rows 2, 0, 1).  The
+    # predecessor is the first of them, row 2, so no row moves; the last,
+    # row 1, would rotate all three
+    C = np.zeros((3, 3))
+    assert _min_cost_assignment(C) == eager_assignment(C) == [0, 1, 2]
+
+
 def test_min_cost_assignment_against_the_row_by_row_solver():
     # integer and quarter-grid coordinates make every p = 1 cost and every
     # sum exact, so the values agree bit for bit whichever optimal matching
-    # each solver picks; at p = 2.5 no cheaper rotation may exist
+    # each solver picks; at p = 2.5 no cheaper rotation may exist.  The
+    # predecessors recovered after each search are the eager ones, so at
+    # both p the matching is the eager solver's, ties and near-ties included
     rng = SplitMix64(149)
     for K in [*range(1, 65), 200, 400]:
         grid, points = quarter_grid_pool(rng), point_pool(rng, 1000)
@@ -789,9 +888,12 @@ def test_min_cost_assignment_against_the_row_by_row_solver():
             assert sorted(j for _, j in r.matching) == list(range(K))
             C = _cost_matrix(b, c, 1.0)
             assert r.value == sum(C[range(K), row_by_row_assignment(C)].tolist())
+            assert _min_cost_assignment(C) == eager_assignment(C)
             r = wasserstein(b, c, 2.5)
             assert sorted(j for _, j in r.matching) == list(range(K))
             assert least_rotation_gain(b, c, 2.5, r.matching) >= -1e-9 * r.value ** 2.5
+            C = _cost_matrix(b, c, 2.5)
+            assert _min_cost_assignment(C) == eager_assignment(C)
 
 
 def test_min_cost_assignment_with_infinite_costs_against_permutations():
