@@ -602,20 +602,22 @@ def _sweep(cols, grades, p: int, track: bool, verify: str | None) -> tuple:
     on the rows, the grades without x in tuple order (a linear extension of
     <=; one row ``()`` in one parameter).  A column's key (see
     :class:`_Reducer`) is its place in x order, ties by index, and each row
-    inserts columns in key order.  In one and two parameters, where the
-    rows are a chain, one reducer lasts the whole sweep and row ``j``
-    inserts only the columns born in it; as keys ascend with x, after row
-    ``j`` the columns of x index at most ``i`` stand as if only they, of
-    the rows up to ``j``, had gone in.  In three or more each row starts a
-    fresh reducer and inserts every column at or below it, so none is
-    displaced.  A column that is zero on entering its own row is
-    *dependent*: it lies in the span of the columns before it at or below
-    its grade.
+    inserts columns in key order.  In one and two parameters, where the rows
+    are a chain, one reducer lasts the whole sweep and row ``j`` inserts
+    only the columns born in it; as keys ascend with x, after row ``j`` the
+    columns of x index at most ``i`` stand as if only they, of the rows up
+    to ``j``, had gone in.  In three or more each row starts a fresh reducer
+    and inserts every column at or below it, so none is displaced.  Each
+    column that turns zero is an *event*: its grade, the column that found
+    it and the column left.  A column is *dependent*, in the span of the
+    columns before it at or below its grade, when it is zero on entering its
+    own row: exactly when an event is at its own grade, as a column
+    displaced in row ``j`` went in at an earlier row.  In three or more it
+    turns zero again in each later row, changing nothing.
 
-    In one and two parameters each column that turns zero is an *event*:
-    its grade, the column that found it and the column left.  With
-    ``track`` column ``k`` goes in over label row ``k`` (see
-    :class:`_Reducer`), so the labels of the column left are its
+    In one and two parameters, not in three or more, the events are kernel
+    generators.  With ``track`` column ``k`` goes in over label row ``k``
+    (see :class:`_Reducer`), so the labels of the column left are its
     combination: its own index plus columns of smaller keys.  Label rows
     never steer a pivot, so the events are the same either way.  These
     combinations are independent, and after row ``j`` those of x index at
@@ -637,11 +639,11 @@ def _sweep(cols, grades, p: int, track: bool, verify: str | None) -> tuple:
     hold none (the rows must be a chain, as they are wherever ``verify``
     runs).  Per row, the events and the columns left are counted; the two
     lists are equal exactly when every grid point's prefix sums agree.
-    Returns the dependent columns and the events as ``(grade, column that
-    found it, column left)`` in discovery order: by row, then by key.
+    Returns the events as ``(grade, column that found it, column left)`` in
+    discovery order: by row, then by key.
     """
     if not cols:
-        return set(), []
+        return []
     xs = sorted({g[0] for g in grades})
     rows = sorted({g[1:] for g in grades})
     ix, iy = {v: i for i, v in enumerate(xs)}, {t: j for j, t in enumerate(rows)}
@@ -653,7 +655,7 @@ def _sweep(cols, grades, p: int, track: bool, verify: str | None) -> tuple:
         key[k] = n
         by_y[cy[k]].append(k)
     chain = len(grades[0]) < 3  # where cy[k] <= j is leq itself
-    dep, gens = set(), []  # gens, the events: (i, j, column that found it, column left)
+    gens = []  # the events: (j, key of the column that found it, column left)
     low = len(cols) if track else 0  # label rows
     stacked = [_shift(col, low, p, k) for k, col in enumerate(cols)] if track else cols
     red = _Reducer(p, low)
@@ -661,15 +663,10 @@ def _sweep(cols, grades, p: int, track: bool, verify: str | None) -> tuple:
         if chain:
             new = by_y[j]
         else:
-            red, new = _Reducer(p, low), [k for k in order if k not in dep and leq(grades[k][1:], t)]
+            red, new = _Reducer(p, low), [k for k in order if leq(grades[k][1:], t)]
         for k in new:
-            if (left := red.insert(stacked[k], key[k])) is None:
-                continue
-            vec, n = left
-            if n == key[k] and cy[k] == j:  # zero on entering its own row
-                dep.add(k)
-            if chain:
-                gens.append((j, n, vec))
+            if (left := red.insert(stacked[k], key[k])) is not None:
+                gens.append((j, left[1], left[0]))
     gens.sort()  # by row, then by key; no two events share both
     gens = [(cx[order[n]], j, order[n], vec) for j, n, vec in gens]
 
@@ -692,7 +689,7 @@ def _sweep(cols, grades, p: int, track: bool, verify: str | None) -> tuple:
                     "%d generators born, fiber kernel has dimension %d"
                     % (verify, (xs[i],) + rows[j], sum(born[: j + 1]), sum(free[: j + 1]))
                 )
-    return dep, [((xs[i],) + rows[j], k, vec) for i, j, k, vec in gens]
+    return [((xs[i],) + rows[j], k, vec) for i, j, k, vec in gens]
 
 
 def minimize_presentation(pres: Presentation) -> Presentation:
@@ -714,8 +711,9 @@ def minimize_presentation(pres: Presentation) -> Presentation:
 
 def _minimize(pres: Presentation, verify: str | None) -> tuple:
     """:func:`minimize_presentation`, and its relations' kernel grades (one
-    or two parameters), certified by the sweep's rank count in the name of
-    the stage ``verify`` when given."""
+    or two parameters: the events of the sweep but the dependent columns'
+    own), certified by its rank count in the name of the stage ``verify``
+    when given."""
     p = pres.field
     gens, rels = pres.gens, pres.rels
     # sorted() is stable, so ties keep index order
@@ -725,7 +723,9 @@ def _minimize(pres: Presentation, verify: str | None) -> tuple:
     row_grades = [gens[i] for i in rows]
     col_grades = [rels.col_grades[j] for j in order]
     gone, live = _local_pairs(cols, row_grades, col_grades, p)
-    dep, found = _sweep(list(live.values()), [col_grades[j] for j in live], p, False, verify)
+    grades = [col_grades[j] for j in live]
+    found = _sweep(list(live.values()), grades, p, False, verify)
+    dep = {k for g, k, _ in found if g == grades[k]}
     # rows and columns go back to input order
     kept = sorted((j for n, j in enumerate(live) if n not in dep), key=order.__getitem__)
     left = sorted((r for r in range(len(rows)) if r not in gone), key=rows.__getitem__)
@@ -755,39 +755,38 @@ def pointwise_dim(pres: Presentation, x) -> int:
 def kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[Barcode, GradedMatrix]:
     """Minimal generators of the kernel of a graded matrix (n <= 2).
 
-    They are the combinations of the tracked :func:`_sweep` of ``m``'s
-    columns.  Returns their grades and their inclusion matrix in ``m``'s
-    column basis, in discovery order; the grades are the minimal ones, the
-    generators one generating set of many.  With ``verify`` (default) the
-    vectors and the sweep's rank count are checked (:class:`KernelCheckError`).
+    They are the combinations of the events of the tracked :func:`_sweep`
+    of ``m``'s columns.  Returns their grades and the inclusion matrix
+    :func:`_kernel_basis` checked, in discovery order; the grades are the
+    minimal ones, the generators one generating set of many.  With ``verify``
+    (default) the vectors and the rank count are checked (:class:`KernelCheckError`).
     """
     _require_valid(m)
-    grades, cols, _ = _kernel_basis(m, verify)
-    inc = GradedMatrix._trusted(m.col_grades, grades, tuple(cols), m.field, m.dim)
-    return Barcode._trusted(tuple(sorted(grades)), m.dim), inc
+    inc = _kernel_basis(m, verify)[0]
+    return Barcode._trusted(tuple(sorted(inc.col_grades)), m.dim), inc
 
 
-def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[tuple, list, _Reducer | None]:
+def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[GradedMatrix, _Reducer | None]:
     """:func:`kernel_basis` of an ``m`` its caller knows to be grade-valid:
-    the grades and the packed columns over ``m``'s column indices, in
-    discovery order, each 1 on the column that found it.  With ``verify``
-    each is checked where it leaves: nonzero, at the join of its columns'
-    grades, sending the columns to zero and independent of those before it,
-    vector ``k`` going into one reducer over label row ``k``.  That reducer,
-    None without ``verify``, is returned third, for the homology solve."""
+    the inclusion matrix, whose columns, in discovery order, are 1 on the
+    column that found them.  With ``verify`` each is checked where it
+    leaves: nonzero, at the join of its columns' grades, sending the columns
+    to zero and independent of those before it, vector ``k`` going into one
+    reducer over label row ``k``.  That reducer, None without ``verify``, is
+    returned second, for the homology solve."""
     n, p = m.dim, m.field
     if n is not None and n > 2:
         raise UnsupportedDimension(
             "kernel computation supports 1 or 2 parameters, got %d" % n
         )
-    found = _sweep(m.cols, m.col_grades, p, True, "kernel_basis" if verify else None)[1]
-    grades = tuple(g for g, _, _ in found)
-    vecs = [vec if p == 2 else _addmul({}, vec, _inv(vec.get(k, 0), p), p) for _, k, vec in found]
+    found = _sweep(m.cols, m.col_grades, p, True, "kernel_basis" if verify else None)
+    vecs = tuple(vec if p == 2 else _addmul({}, vec, _inv(vec.get(k, 0), p), p) for _, k, vec in found)
+    inc = GradedMatrix._trusted(m.col_grades, tuple(g for g, _, _ in found), vecs, p, m.dim)
     if not verify:
-        return grades, vecs, None
+        return inc, None
     low = len(vecs)
     span = _Reducer(p, low)
-    for k, (g, vec) in enumerate(zip(grades, vecs)):
+    for k, (g, vec) in enumerate(zip(inc.col_grades, vecs)):
         items, image = _items(vec), _column((), p)
         for c, v in items:
             image = _addmul(image, m.cols[c], v, p)
@@ -802,7 +801,7 @@ def _kernel_basis(m: GradedMatrix, verify: bool = True) -> tuple[tuple, list, _R
         else:
             continue
         raise KernelCheckError("kernel_basis: generator born at grade %r %s" % (g, fault))
-    return grades, vecs, span
+    return inc, span
 
 
 @dataclass(frozen=True)
@@ -884,8 +883,8 @@ def _homology_presentation(f: GradedMatrix, g: GradedMatrix, cells=None) -> Pres
     rather than a column index.
     """
     p = g.field
-    gen_grades, _, span = _kernel_basis(g)
-    low = len(gen_grades)
+    inc, span = _kernel_basis(g)
+    gen_grades, low = inc.col_grades, span.low
     cols = []
     for j, (col, cgrade) in enumerate(zip(f.cols, f.col_grades)):
         cur = span.reduce(_shift(col, low, p))[0]

@@ -528,8 +528,9 @@ def test_kernel_grades_pinned_where_they_are_unique():
     digest = hashlib.sha256()
     for m in mats:
         _, inc = kernel_basis(m)
-        dep, _ = algebra._sweep(m.cols, m.col_grades, m.field, True, "kernel_basis")
-        assert algebra._sweep(m.cols, m.col_grades, m.field, False, None)[0] == dep
+        found = [(g, k) for g, k, _ in algebra._sweep(m.cols, m.col_grades, m.field, True, "kernel_basis")]
+        assert [(g, k) for g, k, _ in algebra._sweep(m.cols, m.col_grades, m.field, False, None)] == found
+        dep = {k for g, k in found if g == m.col_grades[k]}
         b2 = betti(Presentation(m.row_grades, m)).by_degree[2:]
         digest.update(repr((inc.col_grades, sorted(dep), [b.bars for b in b2])).encode())
     assert digest.hexdigest() == "cc3e11c92f7f51143d15334bf2164c91d1463bc5c533654a0c117aa344895906"
@@ -816,6 +817,32 @@ def test_three_parameter_minimization_accepted():
     assert mini.rels.col_grades == (top,) and mini.rels.entries == {(0, 0): 1}
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_three_parameter_minimization_against_dense_oracle(p):
+    # in three parameters each row of the sweep starts a fresh reducer; by
+    # dense elimination, the minimized module is the same at every point of
+    # the grid of grade coordinates, no entry joins a generator and a
+    # relation of one grade, and no relation is in the span of the others at
+    # or below its grade
+    rng = SplitMix64(73)
+    changed = 0
+    for _ in range(150):
+        m = random_graded_matrix(rng, p, 3)
+        pres = Presentation(m.row_grades, m)
+        mini = minimize_presentation(pres)
+        grades = pres.gens + m.col_grades
+        for x in itertools.product(*(sorted({g[a] for g in grades}) for a in range(3))):
+            assert pointwise_dim(mini, x) == pointwise_dim(pres, x)
+        rels, n = mini.rels, len(mini.gens)
+        assert all(mini.gens[i] != rels.col_grades[j] for i, j in rels.entries)
+        cols = rels.columns()
+        for j, g in enumerate(rels.col_grades):
+            others = [c for k, c in enumerate(cols) if k != j and leq(rels.col_grades[k], g)]
+            assert dense_rank(others + [cols[j]], n, p) > dense_rank(others, n, p)
+        changed += mini != pres
+    assert changed > 100
+
+
 # ---------------------------------------------------------------------------
 # betti
 
@@ -1014,20 +1041,20 @@ def test_homology_of_staged_cycle():
 def _triangle_with_kernel(gens):
     # a triangle's boundary pair, with _kernel_basis replaced by one that
     # returns the given (grade, column) generators of g's kernel: their
-    # grades, their columns packed over F_2 and the reducer holding column
-    # k over label row k, unchecked
+    # inclusion matrix over F_2 and the reducer holding column k over label
+    # row k, unchecked
     g = GradedMatrix(
         [(0.0, 0.0)] * 3,
         [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
         {(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 1, (0, 2): 1, (2, 2): 1},
     )
     f = GradedMatrix(g.col_grades, [(2.0, 2.0)], {(0, 0): 1, (1, 0): 1, (2, 0): 1})
-    grades = tuple(grade for grade, _ in gens)
-    cols = [algebra._column(col.items(), 2) for _, col in gens]
-    span = algebra._Reducer(2, len(cols))
-    for k, col in enumerate(cols):
-        span.insert(algebra._shift(col, len(cols), 2, k))
-    return ChainPair(f=f, g=g), lambda m: (grades, cols, span)
+    entries = {(i, k): v for k, (_, col) in enumerate(gens) for i, v in col.items()}
+    inc = GradedMatrix(g.col_grades, [grade for grade, _ in gens], entries)
+    span = algebra._Reducer(2, len(gens))
+    for k, col in enumerate(inc.cols):
+        span.insert(algebra._shift(col, len(gens), 2, k))
+    return ChainPair(f=f, g=g), lambda m: (inc, span)
 
 
 def test_homology_error_names_stage_column_and_grade(monkeypatch):
