@@ -94,6 +94,7 @@ class GradedMatrix(_Frozen):
     """
 
     __slots__ = ("row_grades", "col_grades", "cols", "field", "dim")
+    _eq = ("row_grades", "col_grades", "cols", "field")
 
     def __init__(self, row_grades, col_grades, entries, field=2, dim=None):
         _require_prime(field)
@@ -149,16 +150,7 @@ class GradedMatrix(_Frozen):
         dim = _merge_dims(self.dim, other.dim if other.col_grades else None)
         return GradedMatrix._trusted(self.row_grades, other.col_grades, tuple(out), p, dim)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedMatrix):
-            return NotImplemented
-        return (
-            self.row_grades == other.row_grades
-            and self.col_grades == other.col_grades
-            and self.cols == other.cols
-            and self.field == other.field
-        )
-
+    # odd-prime columns are dicts, which cannot be hashed, so the hash reads the entries
     def __hash__(self):
         return hash(
             (self.row_grades, self.col_grades, frozenset(self.entries.items()), self.field)
@@ -253,14 +245,6 @@ class Presentation(_Frozen):
     @property
     def num_rels(self) -> int:
         return self.rels.num_cols
-
-    def __eq__(self, other):
-        if not isinstance(other, Presentation):
-            return NotImplemented
-        return self.rels == other.rels
-
-    def __hash__(self):
-        return hash(self.rels)
 
     def __repr__(self) -> str:
         return "Presentation(%d gens, %d rels, F_%d)" % (

@@ -54,8 +54,8 @@ def _bad_option(name: str, value, rule: str) -> _CliError:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as e:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise _CliError("cannot read %s: %s" % (path, e), DATA_ERROR)
 
 
@@ -80,7 +80,7 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _parse_points(raw: str, dim: int) -> list[tuple]:

@@ -11,16 +11,26 @@ reduced representative.
 Coordinates are floats compared exactly (no tolerance), so multiset
 semantics are well defined.  Every operation is a pure function.
 
-Two rules hold for every value type of the package.  Grades combined in
-one object or operation share one dimension, a positive integer, checked
-by ``_merge_dims``, which raises :class:`DimensionMismatch` otherwise.
-Values are immutable: they subclass ``_Frozen`` and set their fields
-once, with ``_freeze``.  There are two routes to that call.  Public
-constructors normalize and check their arguments first.  Internal
-producers call ``_trusted``, which freezes fields that already hold the
-invariant: grades are tuples of finite floats, bars are sorted, matrix
-columns are packed in their field's encoding with coefficients in ``[1, p)``
-and a presentation's matrix is grade-valid.
+Three rules hold for the value types of the package, the subclasses of
+``_Frozen``: ``Barcode``, ``SignedBarcode``, ``GradedMatrix``,
+``Presentation``, ``Cell`` and ``Bifiltration``.  Grades combined in one
+object or operation share one dimension, a positive integer, checked by
+``_merge_dims``, which raises :class:`DimensionMismatch` otherwise.
+Values are immutable: their fields are set once, with ``_freeze``.  There
+are two routes to that call.  Public constructors normalize and check
+their arguments first.  Internal producers call ``_trusted``, which
+freezes fields that already hold the invariant: grades are tuples of
+finite floats, bars are sorted, matrix columns are packed in their
+field's encoding with coefficients in ``[1, p)`` and a presentation's
+matrix is grade-valid.  Two values are equal when they have the same type
+and equal ``_eq`` fields, which are all of ``__slots__`` unless the class
+names fewer; the grade dimension ``dim`` is never compared.  The hash
+reads the same fields, except ``GradedMatrix``'s, which reads the entries.
+``Cell`` compares and hashes all three of its fields, through its frozen
+dataclass.  The result records ``BettiResult``, ``ChainPair``,
+``MatchingResult``, ``PerturbSpec``, ``PerturbResult`` and
+``StabilityTrial`` are frozen dataclasses instead, and ``StabilityReport``
+a mutable one.
 """
 
 from __future__ import annotations
@@ -118,13 +128,28 @@ def _merge_dims(*dims: int | None) -> int | None:
 
 class _Frozen:
     """Base of the immutable value types: fields are set once, by ``_freeze``,
-    through the setters of the ``__slots__`` fields that each subclass keeps."""
+    through the setters of the ``__slots__`` fields that each subclass keeps,
+    and compared and hashed over the ``_eq`` fields (all of ``__slots__``
+    unless the subclass names fewer)."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        if "_eq" not in cls.__dict__:
+            cls._eq = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._eq)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -164,6 +189,7 @@ class Barcode(_Frozen):
     """
 
     __slots__ = ("bars", "dim")
+    _eq = ("bars",)
 
     def __init__(self, bars: Iterable[Iterable[float]] = (), dim: int | None = None):
         norm = sorted(as_grade(b) for b in bars)
@@ -177,14 +203,6 @@ class Barcode(_Frozen):
 
     def __getitem__(self, i):
         return self.bars[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Barcode):
-            return NotImplemented
-        return self.bars == other.bars
-
-    def __hash__(self) -> int:
-        return hash(self.bars)
 
     def __repr__(self) -> str:
         return "Barcode(%r)" % (list(self.bars),)
@@ -230,14 +248,6 @@ class SignedBarcode(_Frozen):
     @property
     def dim(self) -> int | None:
         return _merge_dims(self.positive.dim, self.negative.dim)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedBarcode):
-            return NotImplemented
-        return self.positive == other.positive and self.negative == other.negative
-
-    def __hash__(self) -> int:
-        return hash((self.positive, self.negative))
 
     def __repr__(self) -> str:
         return "SignedBarcode(%r, %r)" % (

@@ -373,7 +373,8 @@ def serialize_chain_pair(c: ChainPair) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Cell(_Frozen):
-    """One cell: dimension, birth grade, sparse boundary over earlier cells."""
+    """One cell: dimension, birth grade, sparse boundary over earlier cells.
+    Equality and hash are the dataclass's, over all three fields."""
 
     dim: int
     grade: tuple
@@ -394,6 +395,7 @@ class Bifiltration(_Frozen):
     """
 
     __slots__ = ("cells", "field", "dim", "_chunks")  # _chunks: what _chunk_reduce returns
+    _eq = ("cells", "field")
 
     def __init__(self, cells, field: int = 2, dim: int | None = None):
         _require_prime(field)
@@ -436,14 +438,6 @@ class Bifiltration(_Frozen):
         if d in self._chunks:
             return self._chunks[d]
         return GradedMatrix((), (), {}, field=self.field, dim=self.dim), ()
-
-    def __eq__(self, other):
-        if not isinstance(other, Bifiltration):
-            return NotImplemented
-        return self.cells == other.cells and self.field == other.field
-
-    def __hash__(self):
-        return hash((self.cells, self.field))
 
     def __repr__(self):
         return "Bifiltration(%d cells, F_%d)" % (len(self.cells), self.field)

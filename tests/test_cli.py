@@ -564,6 +564,33 @@ def test_exit_code_parse_error_with_position(capsys, tmp_path):
     assert "line 7" in err
 
 
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # every file the CLI reads or writes is UTF-8: under a Latin-1 locale the
+    # bytes c3 85 of an "Å" would decode to "Ã" and NEL, and NEL breaks a line
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(PYPROJECT.parent / "src"), env.get("PYTHONPATH", "")])
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "msb"]
+
+    def msb(*argv):
+        return subprocess.run(strict + list(argv), capture_output=True, text=True, env=env, timeout=60)
+
+    f = tmp_path / "chain.mpres"
+    gen = msb("gen", "chain", "2", "1", "-o", str(f))
+    assert (gen.returncode, gen.stdout, gen.stderr) == (0, "", "")
+    plain = msb("betti", str(f))
+    assert (plain.returncode, plain.stderr) == (0, "")
+    lines = f.read_bytes().split(b"\n", 1)
+    f.write_bytes(lines[0] + b"\n# \xc3\x85ngstr\xc3\xb6m\n" + lines[1])
+    commented = msb("betti", str(f))
+    assert (commented.returncode, commented.stdout, commented.stderr) == (0, plain.stdout, "")
+    assert plain.stdout == "beta0 2\n0 0\n1 1\nbeta1 2\n1 1\n2 2\nbeta2 0\n"
+    bad = tmp_path / "latin1.mpres"
+    bad.write_bytes(b"mpres 1\n# \xc5\n")
+    proc = msb("betti", str(bad))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: cannot read %s: " % bad) and "utf-8" in proc.stderr
+
+
 # What an installed console-script wrapper does: load the entry point,
 # name the program after the script, and exit with the callable's result.
 RUN_ENTRY_POINT = """
@@ -688,6 +715,40 @@ def test_column_arithmetic_lives_in_algebra_only():
                     builds.add((name, fn.name))
     assert reads == {"algebra.py"}
     assert builds == {("algebra.py", "entries"), ("algebra.py", "from_relations")}
+
+
+def test_value_equality_is_defined_once():
+    # the value types compare and hash through _Frozen, each over the fields
+    # it names; GradedMatrix alone hashes otherwise, by its entries, since
+    # odd-prime columns are dicts (Cell's pair comes from its dataclass)
+    src = PYPROJECT.parent / "src" / "msb"
+    classes = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    frozen = {"_Frozen"}
+    while True:
+        more = {
+            name for name, node in classes.items()
+            if any(isinstance(b, ast.Name) and b.id in frozen for b in node.bases)
+        }
+        if more <= frozen:
+            break
+        frozen |= more
+    assert frozen == {"_Frozen", "Barcode", "SignedBarcode", "GradedMatrix", "Presentation", "Cell", "Bifiltration"}
+    defines = {"__eq__": set(), "__hash__": set()}
+    for name in frozen:
+        for node in classes[name].body:
+            if isinstance(node, ast.FunctionDef):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for target in set(targets) & defines.keys():
+                defines[target].add(name)
+    assert defines == {"__eq__": {"_Frozen"}, "__hash__": {"_Frozen", "GradedMatrix"}}
 
 
 @pytest.mark.skipif(

@@ -382,6 +382,59 @@ def test_cell_is_a_frozen_value():
         del cell.grade
 
 
+def _matrix(p, rows=((0.0, 0.0), (1.0, 0.0)), cols=((1.0, 1.0),), entries=None, dim=None):
+    return GradedMatrix(rows, cols, {(0, 0): 1} if entries is None else entries, field=p, dim=dim)
+
+
+# pairs of values that differ in exactly one compared field; over F_2 only
+# matrices with no columns differ in the field alone, since a column's
+# encoding follows the field (an int over F_2, a dict over an odd prime)
+ONE_FIELD_APART = {
+    "GradedMatrix row_grades": (_matrix(3), _matrix(3, rows=((0.0, 0.0), (0.0, 1.0)))),
+    "GradedMatrix col_grades": (_matrix(2), _matrix(2, cols=((2.0, 1.0),))),
+    "GradedMatrix cols F_2": (_matrix(2), _matrix(2, entries={(1, 0): 1})),
+    "GradedMatrix cols F_3": (_matrix(3), _matrix(3, entries={(0, 0): 2})),
+    "GradedMatrix field F_2": (_matrix(2, cols=(), entries={}), _matrix(3, cols=(), entries={})),
+    "GradedMatrix field F_3": (_matrix(3), _matrix(5)),
+    "Presentation rels": (Presentation(_matrix(3).row_grades, _matrix(3)), Presentation(_matrix(3).row_grades, _matrix(5))),
+    "Barcode bars": (Barcode([(0.0, 0.0)]), Barcode([(0.0, 1.0)])),
+    "SignedBarcode positive": (SignedBarcode([(0.0, 0.0)], [(1.0, 1.0)]), SignedBarcode([(0.0, 1.0)], [(1.0, 1.0)])),
+    "SignedBarcode negative": (SignedBarcode([(0.0, 0.0)], [(1.0, 1.0)]), SignedBarcode([(0.0, 0.0)], [(1.0, 2.0)])),
+    "Bifiltration cells": (Bifiltration([Cell(0, (0.0, 0.0), ())]), Bifiltration([Cell(0, (0.0, 1.0), ())])),
+    "Bifiltration field": (Bifiltration([Cell(0, (0.0, 0.0), ())], 2), Bifiltration([Cell(0, (0.0, 0.0), ())], 3)),
+    "Cell dim": (Cell(1, (0.0, 0.0), ()), Cell(0, (0.0, 0.0), ())),
+    "Cell grade": (Cell(0, (0.0, 0.0), ()), Cell(0, (0.0, 1.0), ())),
+    "Cell boundary": (Cell(1, (1.0, 1.0), ((0, 1),)), Cell(1, (1.0, 1.0), ((0, 1), (1, 1)))),
+}
+
+# pairs of values that differ only in their grade dimension
+DIM_APART = {
+    "GradedMatrix F_2": (_matrix(2, (), (), {}, dim=2), _matrix(2, (), (), {}, dim=None)),
+    "GradedMatrix F_3": (_matrix(3, (), (), {}, dim=2), _matrix(3, (), (), {}, dim=3)),
+    "Presentation": (Presentation((), field=3, dim=1), Presentation((), field=3, dim=2)),
+    "Barcode": (Barcode([], dim=1), Barcode([], dim=2)),
+    "SignedBarcode": (SignedBarcode(Barcode([], dim=1)), SignedBarcode(Barcode([], dim=2))),
+    "Bifiltration": (Bifiltration([], dim=1), Bifiltration([], dim=2)),
+}
+
+
+@pytest.mark.parametrize("pair", ONE_FIELD_APART.values(), ids=ONE_FIELD_APART)
+def test_values_one_compared_field_apart_are_unequal(pair):
+    x, y = pair
+    assert x != y and y != x and not x == y
+    for value in (x, y):
+        fields = tuple(getattr(value, name) for name in type(value).__slots__)
+        assert value == type(value)._trusted(*fields) and value != fields and fields != value
+        assert value.__eq__(fields) is NotImplemented
+
+
+@pytest.mark.parametrize("pair", DIM_APART.values(), ids=DIM_APART)
+def test_values_apart_only_in_dim_are_equal(pair):
+    x, y = pair
+    assert x.dim != y.dim
+    assert x == y and y == x and hash(x) == hash(y)
+
+
 # Duplicate indices in a sparse column: a later pair for an index replaces
 # an earlier one in the matrix; an .mbif cell keeps every listed pair.
 DUPLICATES = {2: "0:1 1:1 1:1", 3: "0:1 1:2 1:1"}
