@@ -54,20 +54,47 @@ class KernelCheckError(RuntimeError):
 # field elements are plain ints in [0, p)
 
 
+#: The first 12 primes: as Miller-Rabin bases they decide primality below 2**64.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: Field orders are refused from here up, where ``_is_prime`` is no longer exact.
+_FIELD_BOUND = 1 << 64
+
+
 def _is_prime(p: int) -> bool:
+    """Whether ``p`` is prime, exactly below ``_FIELD_BOUND``: trial division
+    by ``_BASES``, then Miller-Rabin to each of them."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _BASES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    d = (p - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
-def _require_prime(p: int) -> None:
-    if not _is_prime(index(p)):
-        raise ValueError("field order must be prime, got %r" % (p,))
+def _field_error(p) -> str | None:
+    """Why the integer ``p`` is refused as a field order, or None."""
+    q = index(p)
+    if q >= _FIELD_BOUND:
+        return "field order must be below 2**64, got %d" % q
+    return None if _is_prime(q) else "field order must be prime, got %r" % (p,)
+
+
+def _require_prime(p) -> None:
+    msg = _field_error(p)
+    if msg:
+        raise ValueError(msg)
 
 
 def _inv(a: int, p: int) -> int:
@@ -498,10 +525,10 @@ def _local_pairs(cols, row_grades, col_grades, p: int, skip=()) -> tuple:
     return set(local.pivots), dict(zip(rest, local.clear(rest.values())))
 
 
-def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
-    """Check ``cells``, whose grades and boundary entries (earlier cells,
-    coefficients in [1, p)) are known valid, and chunk-reduce (Fugacci-Kerber,
-    arXiv:1812.08580) every degree.
+def _chunk_reduce(dims, grades, boundaries, p: int, dim: int | None) -> dict:
+    """Check cells k = (``dims[k]``, ``grades[k]``, ``boundaries[k]``), their
+    grades and boundary entries (earlier cells, coefficients in [1, p)) known
+    valid, and chunk-reduce (Fugacci-Kerber, arXiv:1812.08580) every degree.
 
     The cells of each degree are numbered in colex grade order, ties by
     index.  One pass over the cells in input order then checks each cell (a
@@ -517,35 +544,33 @@ def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
 
     Returns, per degree d from 0 to the top degree + 1, the boundary from
     the remaining d-cells to the remaining (d-1)-cells, both in colex
-    order, and the indices in ``cells`` of those d-cells.
+    order, and the indices of those d-cells.
     """
-    top = max((c.dim for c in cells), default=-1)
+    top = max(dims, default=-1)
     # degree -> cells in colex order; degree -1 reads as the empty degree top + 1
     order = [[] for _ in range(top + 2)]
-    for k, cell in enumerate(cells):
-        if cell.dim >= 0:
-            order[cell.dim].append(k)
-    keys = [_colex(cell.grade) for cell in cells]
+    for k, d in enumerate(dims):
+        if d >= 0:
+            order[d].append(k)
+    keys = list(map(_colex, grades))
     at = {}  # cell -> its position in the order of its degree
     for ks in order:
         ks.sort(key=keys.__getitem__)
         at.update(zip(ks, range(len(ks))))
     cols = [[None] * len(ks) for ks in order]
     bad = None  # the first cell whose boundary has a nonzero boundary
-    for k, cell in enumerate(cells):
-        d, grade = cell.dim, cell.grade
+    for k, (d, grade, boundary) in enumerate(zip(dims, grades, boundaries)):
         if d < 0:
             raise ValueError("cell %d has negative dimension" % k)
         below = cols[d - 1]
         col, dd = (0, 0) if p == 2 else ({}, {})  # empty columns in the field's encoding
-        for idx, coeff in cell.boundary:
-            face = cells[idx]
-            if face.dim != d - 1:
+        for idx, coeff in boundary:
+            if dims[idx] != d - 1:
                 msg = "cell %d (dimension %d) has boundary cell %d of dimension %d"
-                raise ValueError(msg % (k, d, idx, face.dim))
-            if not all(map(le, face.grade, grade)):
+                raise ValueError(msg % (k, d, idx, dims[idx]))
+            if not all(map(le, grades[idx], grade)):
                 msg = "cell %d born at %s has boundary cell %d born later at %s"
-                raise ValueError(msg % (k, _grade_str(grade), idx, _grade_str(face.grade)))
+                raise ValueError(msg % (k, _grade_str(grade), idx, _grade_str(grades[idx])))
             i = at[idx]
             if p == 2:
                 if not col >> i & 1:
@@ -559,19 +584,18 @@ def _chunk_reduce(cells, p: int, dim: int | None) -> dict:
             bad = k
     if bad is not None:
         msg = "cell %d (dimension %d) born at %s has a boundary whose boundary is nonzero"
-        raise ValueError(msg % (bad, cells[bad].dim, _grade_str(cells[bad].grade)))
-    grades = [[cells[k].grade for k in ks] for ks in order]
+        raise ValueError(msg % (bad, dims[bad], _grade_str(grades[bad])))
+    ordered = [[grades[k] for k in ks] for ks in order]  # degree -> grades in colex order
     rest = [{} for _ in order]  # position of a remaining cell -> its column
     skip = ()
     for d in range(top, -1, -1):
-        skip, rest[d] = _local_pairs(cols[d], grades[d - 1], grades[d], p, skip)
+        skip, rest[d] = _local_pairs(cols[d], ordered[d - 1], ordered[d], p, skip)
     out = {}
     for d in range(top + 2):
         kept = _renumber(rest[d].values(), rest[d - 1], p)
         ks = tuple(order[d][j] for j in rest[d])
-        rg = tuple(grades[d - 1][j] for j in rest[d - 1])
-        m = GradedMatrix._trusted(rg, tuple(cells[k].grade for k in ks), kept, p, dim)
-        out[d] = (m, ks)
+        rg = tuple(ordered[d - 1][j] for j in rest[d - 1])
+        out[d] = GradedMatrix._trusted(rg, tuple(grades[k] for k in ks), kept, p, dim), ks
     return out
 
 

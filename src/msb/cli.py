@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .algebra import _is_prime, betti, pointwise_dim
+from .algebra import _field_error, betti, pointwise_dim
 from .grades import SignedBarcode, fmt_float, reduce_signed
 from .hilbert import hilbert_eval, minimal_hilbert_decomposition
 from .io import (
@@ -220,8 +220,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    if args.field is not None and not _is_prime(args.field):
-        raise _CliError("field order must be prime, got %d" % args.field, USAGE_ERROR)
+    msg = None if args.field is None else _field_error(args.field)
+    if msg:
+        raise _CliError(msg, USAGE_ERROR)
     if args.degree < 0:
         raise _bad_option("degree", args.degree, "nonnegative")
     text = _read(args.file)

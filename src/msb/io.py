@@ -48,9 +48,9 @@ from .algebra import (
     GradedMatrix,
     Presentation,
     _chunk_reduce,
+    _field_error,
     _first_invalid,
     _homology_presentation,
-    _is_prime,
     _require_prime,
     _sorted_items,
 )
@@ -230,8 +230,9 @@ class _Reader:
     def field(self) -> int:
         self.keyword("field")
         p = self.int_("", "field order")
-        if not _is_prime(p):
-            raise self.error("field order must be prime, got %d" % p)
+        msg = _field_error(p)
+        if msg:
+            raise self.error(msg)
         return p
 
     def ndim(self) -> int:
@@ -390,8 +391,8 @@ class Bifiltration(_Frozen):
     The constructor takes integer dimensions, references and coefficients
     (``TypeError`` otherwise, nothing is truncated), reduces coefficients
     mod the field and checks the references and coefficients; the one pass
-    of :func:`msb.algebra._chunk_reduce`, which chunk-reduces the complex
-    once, at construction, checks the rest.
+    of :func:`msb.algebra._chunk_reduce` over the dimension, grade and
+    boundary lists, made as in :func:`parse_bifiltration`, checks the rest.
     """
 
     __slots__ = ("cells", "field", "dim", "_chunks")  # _chunks: what _chunk_reduce returns
@@ -399,7 +400,7 @@ class Bifiltration(_Frozen):
 
     def __init__(self, cells, field: int = 2, dim: int | None = None):
         _require_prime(field)
-        norm = []
+        columns = dims, grades, boundaries = [], [], []
         for k, cell in enumerate(cells):
             grade = as_grade(cell.grade)
             dim = _merge_dims(dim, len(grade))
@@ -410,9 +411,12 @@ class Bifiltration(_Frozen):
                     raise ValueError(msg % (k, idx))
                 if not coeff:
                     raise ValueError("cell %d has zero boundary coefficient on cell %d" % (k, idx))
-            norm.append(Cell._trusted(index(cell.dim), grade, boundary))
+            dims.append(index(cell.dim))
+            grades.append(grade)
+            boundaries.append(boundary)
         dim = _merge_dims(dim)
-        self._freeze(tuple(norm), field, dim, _chunk_reduce(norm, field, dim))
+        cells = tuple(Cell._trusted_many(*columns))
+        self._freeze(cells, field, dim, _chunk_reduce(*columns, field, dim))
 
     def cells_of_dim(self, d: int) -> list[int]:
         return [k for k, c in enumerate(self.cells) if c.dim == d]
@@ -452,11 +456,11 @@ def parse_bifiltration(text: str, field: int | None = None) -> Bifiltration:
     n = r.ndim()
     r.keyword("cells")
     labels = ("dimension of cell %d", "cell %d", "boundary size of cell %d", "cell %d boundary")
-    _, dims, grades, boundaries = r.columns(r.count("cell count"), n, labels, None, p)
+    _, *columns = r.columns(r.count("cell count"), n, labels, None, p)
     r.done()
-    cells = Cell._trusted_many(dims, grades, boundaries)
+    cells = tuple(Cell._trusted_many(*columns))
     try:  # the reader checked what Bifiltration.__init__ checks before _chunk_reduce
-        return Bifiltration._trusted(tuple(cells), p, n, _chunk_reduce(cells, p, n))
+        return Bifiltration._trusted(cells, p, n, _chunk_reduce(*columns, p, n))
     except ValueError as e:
         raise ParseError(str(e))
 

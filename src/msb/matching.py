@@ -105,6 +105,13 @@ def _coords(b: Barcode, c: Barcode) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def _span(A: np.ndarray, B: np.ndarray) -> float:
+    """The l-infinity span of the rows of ``A`` and ``B``, neither empty: no
+    two of them lie farther apart."""
+    with np.errstate(over="ignore"):
+        return float((np.maximum(A.max(0), B.max(0)) - np.minimum(A.min(0), B.min(0))).max())
+
+
 def _costs(A: np.ndarray, B: np.ndarray, p: float) -> np.ndarray:
     """Costs between the rows of ``A`` and of ``B``: l-infinity distances
     for ``p = inf``, else sums of p-th powers of coordinatewise
@@ -259,7 +266,10 @@ def eps_bijection_exists(b, c, eps: float) -> bool:
     K = len(b)
     if K != len(c):
         return False
-    pairs = _near_pairs(*_coords(b, c), eps)[0]
+    A, B = _coords(b, c)
+    if K and eps >= _span(A, B):  # every bijection moves every bar by at most eps
+        return True
+    pairs = _near_pairs(A, B, eps)[0]
     return _feasible_at(pairs, eps, [-1] * K, [-1] * K)
 
 
@@ -292,8 +302,7 @@ def _bottleneck(A: np.ndarray, B: np.ndarray) -> MatchingResult:
     K = len(A)
     U = span = math.inf
     if K * K > _BLOCK:
-        with np.errstate(over="ignore"):
-            span = float((np.maximum(A.max(0), B.max(0)) - np.minimum(A.min(0), B.min(0))).max())
+        span = _span(A, B)
         U = span / K ** (1 / A.shape[1])
     while True:  # until every row and column has a pair
         U = U if 0 < U < span else math.inf  # no pair is farther than span

@@ -259,6 +259,13 @@ def test_ingest_nonprime_field_is_usage_error(capsys, tmp_path, field):
     assert "field order must be prime, got %s" % field in err
 
 
+def test_a_field_order_from_2_64_up_is_a_usage_error(capsys, tmp_path):
+    field = str(2**64 + 13)  # a prime
+    message = "error: field order must be below 2**64, got %s\n" % field
+    assert run(capsys, "ingest", str(tmp_path / "missing.mbif"), "--field", field) == (1, "", message)
+    assert run(capsys, "gen", "free", "0,0", "--field", field) == (1, "", message)
+
+
 def test_gen_random_rejects_a_field_other_than_two(capsys):
     code, out, err = run(capsys, "gen", "random", "1", "3", "3", "4", "--field", "3")
     assert code == 1 and out == ""
@@ -715,6 +722,19 @@ def test_column_arithmetic_lives_in_algebra_only():
                     builds.add((name, fn.name))
     assert reads == {"algebra.py"}
     assert builds == {("algebra.py", "entries"), ("algebra.py", "from_relations")}
+
+
+def test_cell_format_lives_in_io_only():
+    # cells reach the chunk reduction as the reader's dims, grades and
+    # boundaries, so algebra.py reads no field that only Cell has (GradedMatrix
+    # has a dim too)
+    tree = ast.parse((PYPROJECT.parent / "src" / "msb" / "algebra.py").read_text())
+    reads = [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("boundary", "grade")
+    ]
+    assert reads == []
 
 
 def test_value_equality_is_defined_once():

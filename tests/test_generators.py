@@ -216,6 +216,31 @@ def test_stability_refuses_negative_trials_and_reports_each_violation(monkeypatc
         assert v == "trial %d: bottleneck %r exceeds bound 0.0" % (t.index, t.dist_bottleneck)
 
 
+def test_stability_reports_a_realized_cost_above_twice_delta(monkeypatch):
+    import dataclasses
+
+    import msb.stability
+
+    def overshoot(pres, spec):  # moves the labels as perturb does, but claims 3 * delta
+        return dataclasses.replace(perturb(pres, spec), cost_linf=3 * spec.delta)
+
+    monkeypatch.setattr(msb.stability, "perturb", overshoot)
+    report = run_stability(3, 0.5, 7)
+    assert report.violations == ["trial %d: realized l-inf cost 1.5 exceeds 2*delta" % t for t in range(3)]
+
+
+def test_stability_reports_a_wasserstein_distance_above_its_bound(monkeypatch):
+    import msb.stability
+
+    monkeypatch.setattr(msb.stability, "hilbert_distance", lambda before, after: 1e9)
+    report = run_stability(3, 0.5, 7)
+    assert not report.ok and len(report.trials) == 3
+    assert report.violations == [
+        "trial %d: wasserstein 1000000000.0 exceeds bound %r" % (t.index, 2 * t.cost_l1)
+        for t in report.trials
+    ]
+
+
 def test_perturb_zero_delta_is_identity():
     p = gen_staircase(3)
     out = perturb(p, PerturbSpec(0.0, 99))

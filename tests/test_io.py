@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -200,6 +201,50 @@ def test_mpres_composite_field_rejected():
         parse_presentation("mpres 1\nfield 6\nn 2\ngens 0\nrels 0\n")
 
 
+#: The largest prime below 2**64, and 2**64 + 13, the smallest prime above it.
+BELOW_BOUND, ABOVE_BOUND = 18446744073709551557, 18446744073709551629
+
+
+def test_a_field_order_just_below_2_64_is_accepted_at_once():
+    start = time.perf_counter()
+    pres = parse_presentation("mpres 1\nfield %d\nn 2\ngens 1\n0 0\nrels 0\n" % BELOW_BOUND)
+    m = GradedMatrix([(0.0, 0.0)], [(1.0, 1.0)], {(0, 0): -1}, field=BELOW_BOUND)
+    assert time.perf_counter() - start < 0.5
+    assert pres.field == BELOW_BOUND and m.entries == {(0, 0): BELOW_BOUND - 1}
+
+
+@pytest.mark.parametrize("p", [561, 2047, 3215031751])
+def test_pseudoprime_field_orders_are_refused(p):
+    # a Carmichael number, a strong pseudoprime to base 2, and one to bases 2, 3, 5 and 7
+    message = "field order must be prime, got %d" % p
+    with pytest.raises(ValueError, match="^%s$" % message):
+        GradedMatrix((), (), {}, field=p, dim=2)
+    with pytest.raises(ParseError, match="^line 2, column 7: %s$" % message):
+        parse_presentation("mpres 1\nfield %d\nn 2\ngens 0\nrels 0\n" % p)
+
+
+def test_field_orders_from_2_64_up_are_refused_with_the_bound():
+    message = "field order must be below 2**64, got %d" % ABOVE_BOUND
+    bif = hollow_triangle([(0.0, 0.0)] * 3)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        GradedMatrix((), (), {}, field=ABOVE_BOUND, dim=2)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        Bifiltration(bif.cells, ABOVE_BOUND)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        parse_bifiltration(serialize_bifiltration(bif), field=ABOVE_BOUND)
+    with pytest.raises(ParseError, match="^line 2, column 7: %s$" % re.escape(message)):
+        parse_presentation("mpres 1\nfield %d\nn 2\ngens 0\nrels 0\n" % ABOVE_BOUND)
+
+
+def test_small_field_orders_are_classified_as_by_trial_division():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert [p for p in range(-2, 1000) if _is_prime(p)] == [
+        p for p in range(-2, 1000) if trial_division(p)
+    ]
+
+
 def test_mpres_grade_order_scanned_once(monkeypatch):
     # the reader's positioned check is the one scan of grade validity; the
     # matrix and presentation are then frozen as read, unchecked
@@ -365,6 +410,17 @@ def test_mbif_field_override():
     text = serialize_bifiltration(bif)
     over = parse_bifiltration(text, field=3)
     assert over.field == 3
+
+
+def test_reprs_are_pinned():
+    m = GradedMatrix([(0.0, 0.0), (1.0, 0.0)], [(1.0, 1.0)], {(0, 0): 1, (1, 0): 2}, field=3)
+    assert repr(m) == "GradedMatrix(2 rows, 1 cols, 2 entries, F_3)"
+    assert repr(Presentation(m.row_grades, m)) == "Presentation(2 gens, 1 rels, F_3)"
+    bars = Barcode([(1.0, 2.0), (0.0, 0.5)])
+    assert repr(bars) == "Barcode([(0.0, 0.5), (1.0, 2.0)])"
+    signed = SignedBarcode(Barcode([(1.0, 2.0)]), Barcode([(0.0, 0.5)]))
+    assert repr(signed) == "SignedBarcode([(1.0, 2.0)], [(0.0, 0.5)])"
+    assert repr(hollow_triangle([(0.0, 0.0)] * 3)) == "Bifiltration(6 cells, F_2)"
 
 
 def test_cell_is_a_frozen_value():

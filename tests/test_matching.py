@@ -128,6 +128,24 @@ def test_eps_bijection_cardinality_mismatch_is_false():
     assert not eps_bijection_exists(Barcode([(0.0, 0.0)]), Barcode([], dim=2), 10.0)
 
 
+def test_eps_bijection_lists_no_pair_when_every_pair_qualifies(monkeypatch):
+    # at or above the l-inf span of all bars every bijection qualifies, so the
+    # answer needs none of the K^2 pairs (626 MB listed at K = 3000)
+    rng = SplitMix64(2026)
+    b, c = (Barcode([(rng.below(1000), rng.below(1000)) for _ in range(3000)]) for _ in range(2))
+    coords = np.array(b.bars + c.bars)
+    span = float((coords.max(0) - coords.min(0)).max())
+
+    def refuse(*args):
+        raise AssertionError("listed near pairs")
+
+    monkeypatch.setattr(msb.matching, "_near_pairs", refuse)
+    for eps in (math.inf, 1e9, span):
+        assert eps_bijection_exists(b, c, eps)
+    with pytest.raises(AssertionError, match="listed near pairs"):
+        eps_bijection_exists(b, c, math.nextafter(span, 0))
+
+
 def test_eps_bijection_checks_eps():
     b = Barcode([(0.0, 0.0)])
     with pytest.raises(ValueError, match="eps must be a number, got nan"):
@@ -1031,6 +1049,13 @@ def test_brute_force_empty():
     r = brute_force_matching(Barcode([], dim=2), Barcode([], dim=2), 1)
     assert r.value == 0.0
     assert r.matching == ()
+
+
+def test_brute_force_different_sizes_is_infinite_with_no_matching():
+    b, c = Barcode([(0.0, 0.0), (1.0, 1.0)]), Barcode([(0.0, 0.0)])
+    for p in (1, 2.5, math.inf):
+        assert brute_force_matching(b, c, p) == MatchingResult(math.inf, None)
+        assert brute_force_matching(c, b, p) == MatchingResult(math.inf, None)
 
 
 def test_brute_force_size_cap():
