@@ -711,36 +711,36 @@ def minimize_presentation(pres: Presentation) -> Presentation:
     generators that leave.  Second, drop the dependent columns of
     :func:`_sweep` over the rest in that order: those in the span of the
     columns before them at or below their grade (where x order and colex
-    order agree).  After both passes the generator and relation grades are
-    the degree-0 and degree-1 Betti barcodes of the module.
+    order agree).  Only here is what :func:`_minimize` keeps built into a
+    matrix, in input order; its grades are the Betti barcodes of degrees 0 and 1.
     """
-    return _minimize(pres, None)[0]
+    left, kept, _ = _minimize(pres, None)
+    gens, rels = sorted(left), sorted(kept)  # input order
+    cols = _renumber([kept[j] for j in rels], [left[i] for i in gens], pres.field)
+    grades = tuple(pres.gens[i] for i in gens), tuple(pres.rels.col_grades[j] for j in rels)
+    return Presentation._trusted(GradedMatrix._trusted(*grades, cols, pres.field, pres.dim))
 
 
 def _minimize(pres: Presentation, verify: str | None) -> tuple:
-    """:func:`minimize_presentation`, and its relations' kernel grades (one
-    or two parameters: the events of the sweep but the dependent columns'
-    own), certified by its rank count in the name of the stage ``verify``
-    when given."""
+    """The passes of :func:`minimize_presentation`, for it and :func:`betti`:
+    the generators that stay (input index -> colex row), the relations that
+    stay (input index -> cleared column), and the grades of their kernel
+    (n <= 2: the sweep's events but the dependent columns' own), certified
+    by its rank count in the name of the stage ``verify`` when given."""
     p = pres.field
     gens, rels = pres.gens, pres.rels
     # sorted() is stable, so ties keep index order
     rows = sorted(range(len(gens)), key=lambda i: _colex(gens[i]))
     order = sorted(range(len(rels.col_grades)), key=lambda j: _colex(rels.col_grades[j]))
     cols = _renumber([rels.cols[j] for j in order], rows, p)
-    row_grades = [gens[i] for i in rows]
     col_grades = [rels.col_grades[j] for j in order]
-    gone, live = _local_pairs(cols, row_grades, col_grades, p)
+    gone, live = _local_pairs(cols, [gens[i] for i in rows], col_grades, p)
     grades = [col_grades[j] for j in live]
     found = _sweep(list(live.values()), grades, p, False, verify)
     dep = {k for g, k, _ in found if g == grades[k]}
-    # rows and columns go back to input order
-    kept = sorted((j for n, j in enumerate(live) if n not in dep), key=order.__getitem__)
-    left = sorted((r for r in range(len(rows)) if r not in gone), key=rows.__getitem__)
-    cols = _renumber([live[j] for j in kept], left, p)
-    new_gens = tuple(row_grades[r] for r in left)
-    m = GradedMatrix._trusted(new_gens, tuple(col_grades[j] for j in kept), cols, p, pres.dim)
-    return Presentation._trusted(m), tuple(sorted(g for g, k, _ in found if k not in dep))
+    left = {i: r for r, i in enumerate(rows) if r not in gone}
+    kept = {order[j]: col for n, (j, col) in enumerate(live.items()) if n not in dep}
+    return left, kept, [g for g, k, _ in found if k not in dep]
 
 
 def pointwise_dim(pres: Presentation, x) -> int:
@@ -824,20 +824,20 @@ def betti(pres: Presentation) -> BettiResult:
     """Betti barcodes of the presented module, degrees 0..n, from the one
     :func:`_sweep` of :func:`_minimize`.
 
-    Degrees 0 and 1 are the grades of the minimal presentation; degree 2
-    (two parameters only) those of its relations' kernel: the untracked
-    sweep's events but the dependent columns' own, certified by its rank
-    count.  The signed barcode is (even degrees, odd degrees).
+    Degrees 0 and 1 are the grades of the generators and relations that
+    stay, read with no presentation built; degree 2 (two parameters only)
+    those of the relations' kernel: the untracked sweep's events but the
+    dependent columns' own, certified by its rank count.  The signed
+    barcode is (even degrees, odd degrees).
     """
     n = pres.dim or 1
     if n > 2:
         raise UnsupportedDimension(
             "Betti barcodes support 1 or 2 parameters, got %d" % n
         )
-    mini, b2 = _minimize(pres, "betti" if n == 2 else None)
-    b0 = Barcode._trusted(tuple(sorted(mini.gens)), pres.dim)
-    b1 = Barcode._trusted(tuple(sorted(mini.rels.col_grades)), pres.dim)
-    b2 = Barcode._trusted(b2, pres.dim)
+    left, kept, b2 = _minimize(pres, "betti" if n == 2 else None)
+    grades = map(pres.gens.__getitem__, left), map(pres.rels.col_grades.__getitem__, kept), b2
+    b0, b1, b2 = (Barcode._trusted(tuple(sorted(g)), pres.dim) for g in grades)
     signed = SignedBarcode._trusted(barcode_union(b0, b2), b1)
     return BettiResult((b0, b1, b2)[: n + 1], signed)
 

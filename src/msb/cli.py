@@ -1,9 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 usage error (a bad option value among them,
-refused before any file is read), 2 parse or validity error,
-3 stability assertion failure.  Values go to stdout, diagnostics to
-stderr.  Output is byte-deterministic for fixed inputs.
+refused before any file is read), 2 parse or validity error (a file that
+cannot be read or written among them), 3 stability assertion failure.
+Values go to stdout, diagnostics to stderr.  Output is byte-deterministic
+for fixed inputs.
 """
 
 from __future__ import annotations
@@ -11,12 +12,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .algebra import _field_error, betti, pointwise_dim
 from .grades import SignedBarcode, fmt_float, reduce_signed
 from .hilbert import hilbert_eval, minimal_hilbert_decomposition
 from .io import (
+    ParseError,
     chain_to_presentation,
     _grade_lines,
     parse_any,
@@ -59,16 +62,26 @@ def _read(path: str) -> str:
         raise _CliError("cannot read %s: %s" % (path, e), DATA_ERROR)
 
 
+@contextmanager
+def _parsing(path: str):
+    """Name ``path`` in a :class:`ParseError` raised in the block."""
+    try:
+        yield
+    except ParseError as e:
+        raise _CliError("%s: %s" % (path, e), DATA_ERROR)
+
+
 def _load(path: str, *kinds: str):
     """``(kind, parsed document)`` of the file, whose format must be one of ``kinds``."""
     text = _read(path)
-    kind = sniff_format(text)
-    if kind not in kinds:
-        raise _CliError(
-            "%s: expected an %s document, found %s" % (path, " or ".join(kinds), kind),
-            DATA_ERROR,
-        )
-    return kind, parse_any(text)
+    with _parsing(path):
+        kind = sniff_format(text)
+        if kind not in kinds:
+            raise _CliError(
+                "%s: expected an %s document, found %s" % (path, " or ".join(kinds), kind),
+                DATA_ERROR,
+            )
+        return kind, parse_any(text)
 
 
 def _load_signed(path: str) -> SignedBarcode:
@@ -79,8 +92,11 @@ def _load_signed(path: str) -> SignedBarcode:
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise _CliError("cannot write %s: %s" % (out, e), DATA_ERROR)
 
 
 def _parse_points(raw: str, dim: int) -> list[tuple]:
@@ -226,9 +242,10 @@ def cmd_ingest(args) -> int:
     if args.degree < 0:
         raise _bad_option("degree", args.degree, "nonnegative")
     text = _read(args.file)
-    if sniff_format(text) != "mbif":
-        raise _CliError("%s: expected an mbif document" % args.file, DATA_ERROR)
-    bif = parse_bifiltration(text, field=args.field)
+    with _parsing(args.file):
+        if sniff_format(text) != "mbif":
+            raise _CliError("%s: expected an mbif document" % args.file, DATA_ERROR)
+        bif = parse_bifiltration(text, field=args.field)
     pres = chain_to_presentation(bif, degree=args.degree)
     _write_out(serialize_presentation(pres), args.output)
     return 0

@@ -709,6 +709,23 @@ def betti_corpus():
     return corpus
 
 
+def test_betti_builds_no_matrix_or_presentation(monkeypatch):
+    # betti reads the grades of what minimization keeps straight from its
+    # passes; only minimize_presentation builds a matrix of them
+    corpus = betti_corpus()
+    built = []
+    for cls in (GradedMatrix, Presentation):
+        trusted = cls._trusted.__func__
+        counting = classmethod(lambda c, *values, f=trusted: built.append(c) or f(c, *values))
+        monkeypatch.setattr(cls, "_trusted", counting)
+    for pres in corpus:
+        betti(pres)
+    assert built == []
+    for pres in corpus:
+        minimize_presentation(pres)
+    assert built.count(GradedMatrix) == built.count(Presentation) == len(corpus)
+
+
 def test_betti_stacks_no_label_rows(monkeypatch):
     # betti needs the grades of the kernel, not its vectors: its sweep runs
     # untracked, so no reducer it makes has label rows, while kernel_basis
@@ -938,8 +955,9 @@ def test_sweep_enters_a_dependent_column_once(monkeypatch):
 
 def test_betti_agrees_with_minimizing_then_sweeping_the_kernel():
     # betti reads degrees 1 and 2 from one sweep over the columns left by
-    # the local pairs; the route it replaced minimized, then took the kernel
-    # of the minimized relations in a second sweep
+    # the local pairs, and degree 0 from the rows those pairs leave; the
+    # route it replaced minimized, then took the kernel of the minimized
+    # relations in a second sweep
     from test_cli import lower_star_square, random_presentation
 
     rng = SplitMix64(31)
@@ -953,8 +971,9 @@ def test_betti_agrees_with_minimizing_then_sweeping_the_kernel():
     for p in corpus:
         mini = minimize_presentation(p)
         want = [tuple(sorted(mini.rels.col_grades)), kernel_basis(mini.rels)[0].bars]
-        got = [b.bars for b in betti(p).by_degree[1:]]
-        assert got == want[: p.dim]
+        by_degree = betti(p).by_degree
+        assert by_degree[0].bars == tuple(sorted(mini.gens))
+        assert [b.bars for b in by_degree[1:]] == want[: p.dim]
         b2 += len(want[1])
     assert b2 >= 10
 

@@ -571,6 +571,37 @@ def test_exit_code_parse_error_with_position(capsys, tmp_path):
     assert "line 7" in err
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_an_output_path_that_cannot_be_written_is_a_data_error(capsys, tmp_path, where):
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "x.mpres"
+    mbif = tmp_path / "edge.mbif"
+    cells = [Cell(0, (0.0, 0.0), ()), Cell(0, (1.0, 0.0), ()), Cell(1, (1.0, 1.0), ((0, 1), (1, 1)))]
+    mbif.write_text(serialize_bifiltration(Bifiltration(cells, 2)))
+    for argv in (["gen", "free", "0,0"], ["ingest", str(mbif)]):
+        code, out_text, err = run(capsys, *argv, "-o", str(out))
+        assert (code, out_text) == (2, "")
+        assert err.startswith("error: cannot write %s: " % out) and "Traceback" not in err
+
+
+def test_a_parse_error_names_its_file(capsys, tmp_path):
+    a, b = tmp_path / "A", tmp_path / "B"
+    a.mkdir()
+    b.mkdir()
+    good = serialize_presentation(gen_free((0.0, 0.0)))
+    for d in (a, b):
+        (d / "1.mpres").write_text(good)
+    (a / "2.mpres").write_text(good)
+    (b / "2.mpres").write_text("mpres 1\nfield 2\nn 2\ngens 1\n0 x\nrels 0\n")
+    bad = b / "2.mpres"
+    message = "error: %s: line 5, column 3: expected number generator coordinate, got 'x'\n" % bad
+    assert run(capsys, "dist", str(a), str(b)) == (2, "", message)
+    assert run(capsys, "betti", str(bad)) == (2, "", message)
+    bad = tmp_path / "bad.mbif"
+    bad.write_text("mbif 1\nfield 2\nn 2\ncells 1\n0 0 y\n")
+    message = "error: %s: line 5, column 5: expected number cell 0 coordinate, got 'y'\n" % bad
+    assert run(capsys, "ingest", str(bad)) == (2, "", message)
+
+
 def test_files_are_utf8_whatever_the_locale(tmp_path):
     # every file the CLI reads or writes is UTF-8: under a Latin-1 locale the
     # bytes c3 85 of an "Å" would decode to "Ã" and NEL, and NEL breaks a line
