@@ -71,8 +71,9 @@ def _parsing(path: str):
         raise _CliError("%s: %s" % (path, e), DATA_ERROR)
 
 
-def _load(path: str, *kinds: str):
-    """``(kind, parsed document)`` of the file, whose format must be one of ``kinds``."""
+def _load(path: str, *kinds: str, parse=parse_any):
+    """``(kind, document)`` of the file, whose format must be one of ``kinds``,
+    as ``parse`` reads it."""
     text = _read(path)
     with _parsing(path):
         kind = sniff_format(text)
@@ -81,7 +82,7 @@ def _load(path: str, *kinds: str):
                 "%s: expected an %s document, found %s" % (path, " or ".join(kinds), kind),
                 DATA_ERROR,
             )
-        return kind, parse_any(text)
+        return kind, parse(text)
 
 
 def _load_signed(path: str) -> SignedBarcode:
@@ -241,11 +242,7 @@ def cmd_ingest(args) -> int:
         raise _CliError(msg, USAGE_ERROR)
     if args.degree < 0:
         raise _bad_option("degree", args.degree, "nonnegative")
-    text = _read(args.file)
-    with _parsing(args.file):
-        if sniff_format(text) != "mbif":
-            raise _CliError("%s: expected an mbif document" % args.file, DATA_ERROR)
-        bif = parse_bifiltration(text, field=args.field)
+    _, bif = _load(args.file, "mbif", parse=lambda text: parse_bifiltration(text, field=args.field))
     pres = chain_to_presentation(bif, degree=args.degree)
     _write_out(serialize_presentation(pres), args.output)
     return 0

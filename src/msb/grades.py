@@ -22,10 +22,14 @@ their arguments first.  Internal producers call ``_trusted``, which
 freezes fields that already hold the invariant: grades are tuples of
 finite floats, bars are sorted, matrix columns are packed in their
 field's encoding with coefficients in ``[1, p)`` and a presentation's
-matrix is grade-valid.  Two values are equal when they have the same type
-and equal ``_eq`` fields, which are all of ``__slots__`` unless the class
-names fewer; the grade dimension ``dim`` is never compared.  The hash
-reads the same fields, except ``GradedMatrix``'s, which reads the entries.
+matrix is grade-valid.  ``pickle``, ``copy.copy`` and ``copy.deepcopy``
+take the second route: ``__reduce__`` hands ``_trusted`` the values of all
+of ``__slots__``, so a copy equals the original and keeps its ``dim`` and,
+for a bifiltration, its chunk-reduced complex.  Two values are equal when
+they have the same type and equal ``_eq`` fields, which are all of
+``__slots__`` unless the class names fewer; the grade dimension ``dim`` is
+never compared.  The hash reads the same fields, except ``GradedMatrix``'s,
+which reads the entries.
 ``Cell`` compares and hashes all three of its fields, through its frozen
 dataclass.  The result records ``BettiResult``, ``ChainPair``,
 ``MatchingResult``, ``PerturbSpec``, ``PerturbResult`` and
@@ -36,8 +40,7 @@ a mutable one.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
-from itertools import repeat
+from collections import Counter
 from typing import Iterable, Iterator
 
 
@@ -169,13 +172,9 @@ class _Frozen:
         self._freeze(*values)
         return self
 
-    @classmethod
-    def _trusted_many(cls, *columns) -> list:
-        """Instances frozen unchecked, the i-th from the i-th value of each column."""
-        out = list(map(object.__new__, repeat(cls, len(columns[0]))))
-        for set_, values in zip(cls._setters, columns, strict=True):
-            deque(map(set_, out, values), 0)
-        return out
+    def __reduce__(self):
+        """Rebuild through ``_trusted`` from the ``__slots__`` values."""
+        return type(self)._trusted, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Barcode(_Frozen):

@@ -392,11 +392,14 @@ class Bifiltration(_Frozen):
     (``TypeError`` otherwise, nothing is truncated), reduces coefficients
     mod the field and checks the references and coefficients; the one pass
     of :func:`msb.algebra._chunk_reduce` over the dimension, grade and
-    boundary lists, made as in :func:`parse_bifiltration`, checks the rest.
+    boundary columns, made as in :func:`parse_bifiltration`, checks the rest.
+    Those three columns are what a bifiltration keeps: ``cells`` builds its
+    tuple of :class:`Cell` anew on each read.
     """
 
-    __slots__ = ("cells", "field", "dim", "_chunks")  # _chunks: what _chunk_reduce returns
-    _eq = ("cells", "field")
+    # _chunks: what _chunk_reduce returns
+    __slots__ = ("_dims", "_grades", "_boundaries", "field", "dim", "_chunks")
+    _eq = ("_dims", "_grades", "_boundaries", "field")
 
     def __init__(self, cells, field: int = 2, dim: int | None = None):
         _require_prime(field)
@@ -415,11 +418,16 @@ class Bifiltration(_Frozen):
             grades.append(grade)
             boundaries.append(boundary)
         dim = _merge_dims(dim)
-        cells = tuple(Cell._trusted_many(*columns))
-        self._freeze(cells, field, dim, _chunk_reduce(*columns, field, dim))
+        columns = tuple(map(tuple, columns))
+        self._freeze(*columns, field, dim, _chunk_reduce(*columns, field, dim))
+
+    @property
+    def cells(self) -> tuple:
+        """The cells, in order, as a new tuple of :class:`Cell` on each read."""
+        return tuple(map(Cell, self._dims, self._grades, self._boundaries))
 
     def cells_of_dim(self, d: int) -> list[int]:
-        return [k for k, c in enumerate(self.cells) if c.dim == d]
+        return [k for k, dim in enumerate(self._dims) if dim == d]
 
     def boundary_matrix(self, d: int) -> GradedMatrix:
         """Boundary map from d-cells to (d-1)-cells as a graded matrix,
@@ -429,9 +437,9 @@ class Bifiltration(_Frozen):
         cols = self.cells_of_dim(d)
         rowpos = {k: i for i, k in enumerate(rows)}
         return GradedMatrix._trusted_pairs(
-            tuple(self.cells[k].grade for k in rows),
-            tuple(self.cells[k].grade for k in cols),
-            [[(rowpos[idx], coeff) for idx, coeff in self.cells[k].boundary] for k in cols],
+            tuple(self._grades[k] for k in rows),
+            tuple(self._grades[k] for k in cols),
+            [[(rowpos[idx], coeff) for idx, coeff in self._boundaries[k]] for k in cols],
             self.field,
             self.dim,
         )
@@ -444,7 +452,7 @@ class Bifiltration(_Frozen):
         return GradedMatrix((), (), {}, field=self.field, dim=self.dim), ()
 
     def __repr__(self):
-        return "Bifiltration(%d cells, F_%d)" % (len(self.cells), self.field)
+        return "Bifiltration(%d cells, F_%d)" % (len(self._dims), self.field)
 
 
 def parse_bifiltration(text: str, field: int | None = None) -> Bifiltration:
@@ -456,23 +464,22 @@ def parse_bifiltration(text: str, field: int | None = None) -> Bifiltration:
     n = r.ndim()
     r.keyword("cells")
     labels = ("dimension of cell %d", "cell %d", "boundary size of cell %d", "cell %d boundary")
-    _, *columns = r.columns(r.count("cell count"), n, labels, None, p)
+    columns = tuple(map(tuple, r.columns(r.count("cell count"), n, labels, None, p)[1:]))
     r.done()
-    cells = tuple(Cell._trusted_many(*columns))
     try:  # the reader checked what Bifiltration.__init__ checks before _chunk_reduce
-        return Bifiltration._trusted(cells, p, n, _chunk_reduce(*columns, p, n))
+        return Bifiltration._trusted(*columns, p, n, _chunk_reduce(*columns, p, n))
     except ValueError as e:
         raise ParseError(str(e))
 
 
 def serialize_bifiltration(b: Bifiltration) -> str:
     dim = b.dim if b.dim is not None else 1
-    lines = ["mbif 1", "field %d" % b.field, "n %d" % dim, "cells %d" % len(b.cells)]
-    for cell in b.cells:
-        parts = [str(cell.dim)]
-        parts.extend(fmt_float(c) for c in cell.grade)
-        parts.append(str(len(cell.boundary)))
-        parts.extend("%d:%d" % (i, c) for i, c in cell.boundary)
+    lines = ["mbif 1", "field %d" % b.field, "n %d" % dim, "cells %d" % len(b._dims)]
+    for d, grade, boundary in zip(b._dims, b._grades, b._boundaries):
+        parts = [str(d)]
+        parts.extend(fmt_float(c) for c in grade)
+        parts.append(str(len(boundary)))
+        parts.extend("%d:%d" % (i, c) for i, c in boundary)
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

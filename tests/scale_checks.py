@@ -14,6 +14,7 @@ keeps pytest from collecting it.
 
 from __future__ import annotations
 
+import pickle
 import resource
 import sys
 import time
@@ -65,8 +66,10 @@ def ingest(n: int = 40) -> None:
     """The seed-7, ``n`` x ``n``, 1000-level lower-star grid of
     ``bench/workloads.py`` (9283 cells at n = 40): round trip, H0 and H1 at
     the top grade by pointwise_dim and by the Hilbert function of the Betti
-    barcodes, a malformed late token; time and peak RSS printed, with the
-    parse time, the chain_to_presentation, betti and minimize_presentation
+    barcodes, a pickle round trip that gives the same H1 presentation, a
+    malformed late token; time and peak RSS printed, with the parse time,
+    the time of one read of ``cells`` (built on each read) and of the pickle
+    round trip, the chain_to_presentation, betti and minimize_presentation
     times per degree (betti costs minimization plus the rank count), and the
     time of the kernel of the chunked degree-1 boundary with and without its
     check."""
@@ -79,10 +82,13 @@ def ingest(n: int = 40) -> None:
     start = time.perf_counter()
     bif = msb.parse_bifiltration(text)
     parsed = time.perf_counter() - start
-    cells = n * n + (3 * n * n - 4 * n + 1) + 2 * (n - 1) ** 2  # vertices, edges, triangles
-    assert len(bif.cells) == cells, "%d cells" % len(bif.cells)
+    t0 = time.perf_counter()
+    cells = bif.cells
+    read = time.perf_counter() - t0
+    count = n * n + (3 * n * n - 4 * n + 1) + 2 * (n - 1) ** 2  # vertices, edges, triangles
+    assert len(cells) == count, "%d cells" % len(cells)
     assert msb.parse_bifiltration(msb.serialize_bifiltration(bif)) == bif, "no round trip"
-    top = msb.join(*(c.grade for c in bif.cells))
+    top = msb.join(*(c.grade for c in cells))
     stages = []
     for degree, want in ((0, 1), (1, 0)):
         t0 = time.perf_counter()
@@ -102,6 +108,12 @@ def ingest(n: int = 40) -> None:
             "degree %d: chain_to_presentation %.3f s, betti %.3f s, minimize_presentation %.3f s"
             % (degree, t1 - t0, t3 - t2, t5 - t4)
         )
+    t0 = time.perf_counter()
+    data = pickle.dumps(bif)
+    back = pickle.loads(data)
+    pickled = time.perf_counter() - t0
+    assert back == bif and msb.chain_to_presentation(back, 1) == pres, "no pickle round trip"
+    stages.append("cells read %.3f s, pickle round trip %.3f s (%.0f kB)" % (read, pickled, len(data) / 1000))
     bd = bif._chunked(1)[0]  # the degree-1 boundary that chain_to_presentation takes the kernel of
     kernel = []
     for verify in (False, True):
@@ -121,7 +133,7 @@ def ingest(n: int = 40) -> None:
     else:
         raise AssertionError("a malformed pair parsed")
     elapsed = time.perf_counter() - start
-    print("ingest of %d cells: parse %.3f s, in all %.2f s, peak RSS %.0f MB" % (len(bif.cells), parsed, elapsed, _peak_rss_mb()))
+    print("ingest of %d cells: parse %.3f s, in all %.2f s, peak RSS %.0f MB" % (len(cells), parsed, elapsed, _peak_rss_mb()))
     print("\n".join(stages))
 
 

@@ -517,7 +517,7 @@ def test_dist_on_directories_with_no_common_name_is_a_data_error(capsys, tmp_pat
 def test_a_file_of_the_wrong_kind_is_a_data_error(capsys, tmp_path, square_files):
     sbarc = square_files[0]
     code, out, err = run(capsys, "ingest", sbarc)
-    assert (code, out, err) == (2, "", "error: %s: expected an mbif document\n" % sbarc)
+    assert (code, out, err) == (2, "", "error: %s: expected an mbif document, found sbarc\n" % sbarc)
     code, out, err = run(capsys, "betti", sbarc)
     assert (code, out, err) == (2, "", "error: %s: expected an mpres document, found sbarc\n" % sbarc)
 

@@ -1,6 +1,8 @@
 """Grades, barcodes, signed barcodes, and cancellation."""
 
+import copy
 import math
+import pickle
 import re
 
 import pytest
@@ -9,6 +11,7 @@ from msb import (
     Barcode,
     Bifiltration,
     Cell,
+    ChainPair,
     DimensionMismatch,
     GradedMatrix,
     Presentation,
@@ -21,6 +24,7 @@ from msb import (
     bottleneck,
     bottleneck_signed,
     brute_force_matching,
+    chain_to_presentation,
     dist_inf,
     dist_one,
     eps_bijection_exists,
@@ -29,6 +33,7 @@ from msb import (
     hilbert_eval,
     join,
     leq,
+    parse_bifiltration,
     pointwise_dim,
     presentation_pair_cost,
     reduce_signed,
@@ -296,7 +301,7 @@ VALUE_TYPES = [
     ("Presentation", lambda: Presentation([(0.0,)]), "rels"),
     ("Barcode", lambda: Barcode([(0.0,)]), "bars"),
     ("SignedBarcode", lambda: SignedBarcode(_B1), "positive"),
-    ("Bifiltration", lambda: Bifiltration([Cell(0, (0.0,), ())]), "cells"),
+    ("Bifiltration", lambda: Bifiltration([Cell(0, (0.0,), ())]), "field"),
 ]
 
 
@@ -310,3 +315,32 @@ def test_value_types_are_immutable(name, make, field):
                 change()
             assert str(info.value) == "%s is immutable" % name
     assert getattr(obj, field) is kept
+
+
+def copies(value):
+    """``value`` through pickle, copy.copy and copy.deepcopy."""
+    return pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
+
+
+def test_value_types_survive_pickle_and_copy():
+    # each comes back equal and with the same dim, which equality does not
+    # compare; so do the records that hold them
+    f2 = GradedMatrix([(0.0,)], [(1.0,)], {(0, 0): 1})
+    f3 = GradedMatrix([(0.0, 0.0), (1.0, 0.0)], [(1.0, 1.0)], {(0, 0): 1, (1, 0): 2}, field=3)
+    bif = parse_bifiltration(
+        "mbif 1\nfield 3\nn 2\ncells 6\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
+        "1 1 0 2 0:1 1:2\n1 0 1 2 1:1 2:2\n1 1 1 2 0:2 2:1\n"
+    )
+    values = [f2, f3, Presentation([(0.0,)]), Presentation(f3.row_grades, f3), Barcode((), dim=2),
+              SignedBarcode(_B2, Barcode([(1.0, 0.5)])), Cell(1, (0.0, 1.0), ((0, 1), (1, 2))), bif]
+    assert {type(v).__name__ for v in values} == {name for name, _, _ in VALUE_TYPES} | {"Cell"}
+    zero = GradedMatrix([(0.0,)], [(0.0,)], {})
+    records = [betti(Presentation(f3.row_grades, f3)), ChainPair(f=f2, g=zero)]
+    for value in values + records:
+        for copied in copies(value):
+            assert type(copied) is type(value) and copied == value
+            assert getattr(copied, "dim", None) == getattr(value, "dim", None)
+    for copied in copies(bif):
+        assert copied._chunks == bif._chunks
+        for degree in (0, 1):
+            assert chain_to_presentation(copied, degree) == chain_to_presentation(bif, degree)

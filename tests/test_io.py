@@ -430,8 +430,6 @@ def test_cell_is_a_frozen_value():
     assert cell == same and hash(cell) == hash(same)
     assert cell != (1, (0.0, 1.0), ((0, 1), (1, 1))) and cell != Cell(1, (0.0, 1.0), ((0, 1),))
     assert Cell._trusted(1, (0.0, 1.0), ((0, 1), (1, 1))) == cell
-    vertex = Cell(0, (0.0, 0.0), ())
-    assert Cell._trusted_many([1, 0], [(0.0, 1.0), (0.0, 0.0)], [cell.boundary, ()]) == [cell, vertex]
     with pytest.raises(AttributeError):
         cell.dim = 2
     with pytest.raises(AttributeError):
@@ -1416,3 +1414,81 @@ def test_parse_and_constructor_build_the_same_bifiltration():
         assert (parsed.cells, parsed.field, parsed.dim) == (built.cells, built.field, built.dim)
         for d in range(4):
             assert parsed._chunked(d) == built._chunked(d)
+
+
+def _held(value):
+    """What ``value`` holds directly: a tuple's items, a dict's values."""
+    return value.values() if isinstance(value, dict) else value if isinstance(value, tuple) else ()
+
+
+def test_a_bifiltration_keeps_the_reader_columns_and_builds_cells_on_each_read():
+    from test_cli import lower_star_square
+
+    built = lower_star_square(20240, 5, 50)
+    text = serialize_bifiltration(built)
+    # the reader's three columns, read off the one line per cell
+    dims, grades, boundaries = [], [], []
+    for line in text.splitlines()[4:]:
+        d, x, y, _, *pairs = line.split()
+        dims.append(int(d))
+        grades.append((float(x), float(y)))
+        boundaries.append(tuple(tuple(map(int, pair.split(":"))) for pair in pairs))
+    want = tuple(map(Cell, dims, grades, boundaries))
+    for bif in (built, parse_bifiltration(text)):
+        for name in Bifiltration.__slots__:
+            value = getattr(bif, name)
+            assert not isinstance(value, Cell) and not any(isinstance(v, Cell) for v in _held(value))
+        first, second = bif.cells, bif.cells
+        assert first == second == want and first is not second
+        assert len(first) == len(dims) and all(type(c) is Cell for c in first)
+        for change in (lambda: setattr(bif, "cells", ()), lambda: delattr(bif, "cells")):
+            with pytest.raises(AttributeError, match="^Bifiltration is immutable$"):
+                change()
+
+
+def _old_cells_of_dim(bif, d):
+    return [k for k, c in enumerate(bif.cells) if c.dim == d]
+
+
+def _old_boundary_matrix(bif, d):
+    cells = bif.cells
+    rows = _old_cells_of_dim(bif, d - 1)
+    cols = _old_cells_of_dim(bif, d)
+    rowpos = {k: i for i, k in enumerate(rows)}
+    return GradedMatrix._trusted_pairs(
+        tuple(cells[k].grade for k in rows),
+        tuple(cells[k].grade for k in cols),
+        [[(rowpos[idx], coeff) for idx, coeff in cells[k].boundary] for k in cols],
+        bif.field,
+        bif.dim,
+    )
+
+
+def _old_serialize_bifiltration(b):
+    dim = b.dim if b.dim is not None else 1
+    lines = ["mbif 1", "field %d" % b.field, "n %d" % dim, "cells %d" % len(b.cells)]
+    for cell in b.cells:
+        parts = [str(cell.dim)]
+        parts.extend(fmt_float(c) for c in cell.grade)
+        parts.append(str(len(cell.boundary)))
+        parts.extend("%d:%d" % (i, c) for i, c in cell.boundary)
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def test_readers_of_the_columns_match_the_readers_of_cells():
+    # the readers as written over ``cells``, before a bifiltration kept the
+    # reader's columns, are the oracle: on the ingest pin's grid, parsed and
+    # built, on an F_3 lower-star square and on the valid mbif files
+    from test_cli import lower_star_square
+
+    pin = lower_star_square(20240, 5, 50)
+    bifs = [pin, parse_bifiltration(serialize_bifiltration(pin)), lower_star_square(7, 6, 1000, field=3)]
+    bifs += [parse_bifiltration(VALID_FILES[name]) for name in ("mbif", "mbif across lines")]
+    for bif in bifs:
+        for d in range(-1, 4):
+            assert bif.cells_of_dim(d) == _old_cells_of_dim(bif, d)
+            new, old = bif.boundary_matrix(d), _old_boundary_matrix(bif, d)
+            assert (new, new.dim) == (old, old.dim)
+        assert serialize_bifiltration(bif) == _old_serialize_bifiltration(bif)
+    assert {bif.field for bif in bifs} == {2, 3} and all(bif.boundary_matrix(2).num_cols for bif in bifs)
